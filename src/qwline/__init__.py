@@ -31,6 +31,7 @@ from .errors import (
     GridError,
     ParityError,
     PhaseConditionError,
+    TableError,
     TotalityError,
     UnsupportedParameterError,
 )
@@ -159,4 +160,5 @@ __all__ = [
     "UnsupportedParameterError",
     "PhaseConditionError",
     "GridError",
+    "TableError",
 ]

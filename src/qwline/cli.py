@@ -30,6 +30,7 @@ from .errors import (
     GridError,
     ParityError,
     PhaseConditionError,
+    TableError,
     TotalityError,
     UnsupportedParameterError,
 )
@@ -160,6 +161,16 @@ def _parse_resolutions(value) -> tuple:
     return rs
 
 
+def _parse_number(name: str, value) -> float:
+    try:
+        out = float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be a number, got {value!r}") from None
+    if not math.isfinite(out):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+    return out
+
+
 def _build_config(args: argparse.Namespace) -> RunConfig:
     cli_given = {
         k: v
@@ -196,10 +207,9 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     for name in ("method", "record", "coin_file", "phase_file", "family", "pair", "which"):
         if name in merged:
             kwargs[name] = merged[name]
-    if "tol" in merged:
-        kwargs["tol"] = float(merged["tol"])
-    if "min_factor" in merged:
-        kwargs["min_factor"] = float(merged["min_factor"])
+    for name in ("tol", "min_factor"):
+        if name in merged:
+            kwargs[name] = _parse_number(name, merged[name])
     if "domain" in merged:
         kwargs["domain"] = _parse_domain(merged["domain"])
     if "resolutions" in merged:
@@ -578,6 +588,7 @@ def main(argv=None) -> int:
         UnsupportedParameterError,
         PhaseConditionError,
         GridError,
+        TableError,
         FileNotFoundError,
     ) as exc:
         print(f"config error: {exc}", file=sys.stderr)

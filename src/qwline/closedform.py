@@ -118,6 +118,20 @@ def lambda_table(theta: float, t_max: int) -> LambdaTable:
     return LambdaTable(theta=theta, t_max=t_max, _rows=rows)
 
 
+def _recursion_rows(theta: float, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """Kernel rows ``t`` and ``t + 1`` at their occupied sites.
+
+    Same values, bit for bit, as ``lambda_table(theta, t + 1)`` gives, from
+    a fill that keeps three rows instead of the whole table.
+    """
+    rows = kernels.lambda_fill(math.cos(theta), t + 1, rolling=True)
+    center = t + 2
+    return (
+        rows[0, center - t:center + t + 1:2],
+        rows[1, center - t - 1:center + t + 2:2],
+    )
+
+
 def save_lambda_csv(table: LambdaTable, path) -> None:
     """Write ``n,t,lambda`` rows for every reachable site of the table."""
     with open(path, "w", newline="") as fh:
@@ -170,9 +184,7 @@ def closed_form_amplitudes(
 
     ns = np.arange(-t, t + 1, 2)
     if method == "recursion":
-        table = lambda_table(c.theta, t + 1)
-        _, lam_t = table.occupied_row(t)
-        _, row_next = table.occupied_row(t + 1)
+        lam_t, row_next = _recursion_rows(c.theta, t)
     else:
         cos_t = math.cos(c.theta)
         lam_t = np.array(

@@ -17,13 +17,14 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import TotalityError
+from .errors import TableError, TotalityError
 
 __all__ = [
     "CoinAngles",
     "CoinField",
     "PhaseField",
     "coin_matrix",
+    "coin_entries",
     "bloch_vector",
     "save_coin_field_csv",
     "load_coin_field_csv",
@@ -65,6 +66,20 @@ def coin_matrix(c: CoinAngles) -> np.ndarray:
         ],
         dtype=np.complex128,
     )
+
+
+def coin_entries(theta, alpha, beta, chi):
+    """Coin entries ``(a, b, c, d)`` of ``[[a, b], [c, -d]]``, elementwise.
+
+    Accepts scalars or equal-shape arrays; the one step kernel
+    (:func:`qwline.kernels.walk_step`) consumes them in this form.
+    """
+    gain = np.exp(1j * chi)
+    cos_g = np.cos(theta) * gain
+    sin_g = np.sin(theta) * gain
+    ea = np.exp(1j * alpha)
+    ebm = np.exp(-1j * beta)
+    return ea * cos_g, ebm * sin_g, np.conj(ebm) * sin_g, np.conj(ea) * cos_g
 
 
 _PAULI = np.array(
@@ -119,6 +134,11 @@ class CoinField:
     @classmethod
     def from_functions(cls, theta_of, alpha_of, beta_of, chi_of) -> "CoinField":
         return cls(theta_of, alpha_of, beta_of, chi_of, descriptor=FORMULA)
+
+    @property
+    def angles(self) -> CoinAngles | None:
+        """The constant angles of a field built by :meth:`homogeneous`, else ``None``."""
+        return self._angles
 
     def materialize(self, n_lo: int, n_hi: int, t: int):
         """Evaluate all four parameters on ``n = n_lo .. n_hi`` at step ``t``.
@@ -221,26 +241,35 @@ def _load_window_csv(path, header: str, n_cols: int, what: str):
 
     Returns ``(t_max, list of value arrays)``.  The window is inferred from
     the largest ``t`` present; every pair with ``|n| <= t_max`` and
-    ``0 <= t <= t_max`` must appear exactly once.
+    ``0 <= t <= t_max`` must appear exactly once, and every value must be
+    finite.  A malformed file raises :class:`TableError`, a missing entry
+    :class:`TotalityError`.
     """
+    def malformed(msg):
+        return TableError(f"{what} file {path}: {msg}")
+
     rows = {}
     with open(path, newline="") as fh:
         got = fh.readline().strip()
         if got != header:
-            raise ValueError(f"unexpected header {got!r}, want {header!r}")
+            raise malformed(f"unexpected header {got!r}, want {header!r}")
         for line in fh:
             line = line.strip()
             if not line:
                 continue
             cells = line.split(",")
             if len(cells) != 2 + n_cols:
-                raise ValueError(f"malformed row: {line!r}")
-            key = (int(cells[0]), int(cells[1]))
+                raise malformed(f"malformed row: {line!r}")
+            try:
+                key = (int(cells[0]), int(cells[1]))
+                vals = [float(c) for c in cells[2:]]
+            except ValueError:
+                raise malformed(f"malformed row: {line!r}") from None
             if key in rows:
-                raise ValueError(f"duplicate entry for (n={key[0]}, t={key[1]})")
-            rows[key] = [float(c) for c in cells[2:]]
+                raise malformed(f"duplicate entry for (n={key[0]}, t={key[1]})")
+            rows[key] = vals
     if not rows:
-        raise ValueError("no data rows")
+        raise malformed("no data rows")
     t_max = max(t for _, t in rows)
     values = [np.empty((t_max + 1, 2 * t_max + 1)) for _ in range(n_cols)]
     for t in range(t_max + 1):
@@ -249,6 +278,13 @@ def _load_window_csv(path, header: str, n_cols: int, what: str):
                 raise TotalityError(n, t, what=what)
             for k in range(n_cols):
                 values[k][t, n + t_max] = rows[(n, t)][k]
+    finite = np.logical_and.reduce([np.isfinite(v) for v in values])
+    if not finite.all():
+        # first offending (t, n) in window order, then its first column
+        t, i = np.argwhere(~finite)[0]
+        k = next(k for k, v in enumerate(values) if not np.isfinite(v[t, i]))
+        name = header.split(",")[2 + k]
+        raise malformed(f"{name} is not finite at (n={i - t_max}, t={t})")
     return t_max, values
 
 

@@ -24,3 +24,8 @@ class PhaseConditionError(ValueError):
 
 class GridError(ValueError):
     """A sampling grid is too small or degenerate for the requested stencil."""
+
+
+class TableError(ValueError):
+    """A tabulated input file is malformed: header, row syntax, a duplicate
+    entry or a non-finite value."""

@@ -15,9 +15,11 @@ a diagnostic.
 """
 from __future__ import annotations
 
+import numpy as np
+
 from . import kernels
-from .coin import CoinAngles, CoinField
-from .observables import ObservableRecord, observe
+from .coin import CoinAngles, CoinField, coin_entries
+from .observables import ObservableRecord, record_from_amplitudes
 from .state import InitialState, SpinorField, localized_state
 
 __all__ = ["step_homogeneous", "step_inhomogeneous", "evolve"]
@@ -28,18 +30,10 @@ def step_inhomogeneous(state: SpinorField, f: CoinField) -> SpinorField:
 
     The coin mappings are evaluated on the current window at the current
     time; missing tabulated entries surface as ``TotalityError`` naming the
-    offending site.
+    offending site.  Runs the same code as :func:`evolve`, so ``n`` single
+    steps equal one ``n``-step evolution bit for bit.
     """
-    theta, alpha, beta, chi = f.materialize(state.n_min, state.n_max, state.t)
-    plus, minus = kernels.walk_step(
-        state.plus_amps, state.minus_amps, theta, alpha, beta, chi
-    )
-    return SpinorField(
-        t=state.t + 1,
-        plus_amps=plus,
-        minus_amps=minus,
-        parity_localized=state.parity_localized,
-    )
+    return evolve(state, f, 1)
 
 
 def step_homogeneous(state: SpinorField, c: CoinAngles) -> SpinorField:
@@ -49,6 +43,16 @@ def step_homogeneous(state: SpinorField, c: CoinAngles) -> SpinorField:
     so the two entry points are bit-identical by construction.
     """
     return step_inhomogeneous(state, CoinField.homogeneous(c))
+
+
+def _stride(state: SpinorField) -> int:
+    """2 when only every other site can carry weight, else 1."""
+    off_parity = slice(1, None, 2)
+    if state.parity_localized and not (
+        np.any(state.plus_amps[off_parity]) or np.any(state.minus_amps[off_parity])
+    ):
+        return 2
+    return 1
 
 
 def evolve(
@@ -61,21 +65,56 @@ def evolve(
     """Run ``t_final`` steps from a localized (or given) initial state.
 
     Returns the final :class:`SpinorField`; with ``record_trajectory=True``
-    returns ``(final, records)`` where ``records[t]`` is the
-    :class:`ObservableRecord` after ``t`` steps (``t = 0 .. t_final``).
+    returns ``(final, records)`` where ``records[k]`` is the
+    :class:`ObservableRecord` after ``k`` steps (``k = 0 .. t_final``).
+
+    The walk runs in place on one buffer pair spanning the final window.  A
+    constant coin is reduced to its four entries once; any other coin is
+    materialized on the current window at every step.  A parity-localized
+    state updates only its occupied sites and keeps exact zeros on the
+    others.
     """
     if t_final < 0:
         raise ValueError(f"t_final must be non-negative, got {t_final}")
     if isinstance(f, CoinAngles):
         f = CoinField.homogeneous(f)
     state = localized_state(init) if isinstance(init, InitialState) else init
+    t0 = state.t
+    stride = _stride(state)
+    # site n sits at index n + half of both buffers; the window at time t
+    # is slice(half - t, half + t + 1)
+    half = t0 + t_final
+    plus = np.zeros(2 * half + 1, dtype=np.complex128)
+    minus = np.zeros(2 * half + 1, dtype=np.complex128)
+    plus[half - t0:half + t0 + 1] = state.plus_amps
+    minus[half - t0:half + t0 + 1] = state.minus_amps
+    constant = None
+    if f.angles is not None:
+        c = f.angles
+        constant = coin_entries(c.theta, c.alpha, c.beta, c.chi)
     records: list[ObservableRecord] | None = None
     if record_trajectory:
-        records = [observe(state, ell=ell)]
-    for _ in range(t_final):
-        state = step_inhomogeneous(state, f)
+        ns = np.arange(-half, half + 1)
+        occupied = slice(half - t0, half + t0 + 1, stride)
+        records = [record_from_amplitudes(
+            t0, plus[occupied], minus[occupied], ns[occupied], ell=ell
+        )]
+    for t in range(t0, t0 + t_final):
+        if constant is None:
+            entries = [e[::stride] for e in coin_entries(*f.materialize(-t, t, t))]
+        else:
+            entries = constant
+        target = slice(half - t - 1, half + t + 2)
+        kernels.walk_step(plus[target], minus[target], stride, *entries)
         if record_trajectory:
-            records.append(observe(state, ell=ell))
+            occupied = slice(half - t - 1, half + t + 2, stride)
+            records.append(record_from_amplitudes(
+                t + 1, plus[occupied], minus[occupied], ns[occupied], ell=ell
+            ))
+    final = SpinorField(
+        t=half, plus_amps=plus, minus_amps=minus,
+        parity_localized=state.parity_localized,
+    )
     if record_trajectory:
-        return state, records
-    return state
+        return final, records
+    return final

@@ -1,91 +1,46 @@
-"""Numerically hot kernels, with numba acceleration when available.
+"""Numerically hot kernels, in numpy.
 
-Each kernel ships in two versions: a pure-numpy/stdlib one and a numba
-``@njit`` one.  The module selects the jitted version at import time unless
-``QWLINE_DISABLE_NUMBA=1`` is set (or numba is missing), in which case the
-numpy version is used.  ``BACKEND`` reports which one is active.  The two
-versions agree to rounding; within one process the selected kernel is fixed,
-so repeated calls with identical inputs are bit-identical.
+``walk_step`` advances a walker one step in place on a buffer pair,
+``lambda_fill`` runs the two-step recursion of the lattice kernel and
+``lambda_spectral`` sums its mode expansion at one site.  Each is the only
+implementation of its operation, so repeated calls with identical inputs are
+bit-identical.
 """
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-_DISABLED = os.environ.get("QWLINE_DISABLE_NUMBA", "").strip().lower() in {
-    "1", "true", "yes", "on",
-}
+BACKEND = "numpy"
 
-try:
-    if _DISABLED:
-        raise ImportError("numba disabled via QWLINE_DISABLE_NUMBA")
-    from numba import njit
-except ImportError:
-    njit = None
-
-BACKEND = "numpy" if njit is None else "numba"
-
-__all__ = [
-    "BACKEND",
-    "walk_step",
-    "walk_step_numpy",
-    "walk_step_numba",
-    "lambda_fill",
-    "lambda_fill_numpy",
-    "lambda_fill_numba",
-    "lambda_spectral",
-    "lambda_spectral_numpy",
-    "lambda_spectral_numba",
-]
+__all__ = ["BACKEND", "walk_step", "lambda_fill", "lambda_spectral"]
 
 
 # ---------------------------------------------------------------------------
 # one walk step: shift after coin, window grows from 2t+1 to 2t+3 sites
 # ---------------------------------------------------------------------------
 
-def walk_step_numpy(plus, minus, theta, alpha, beta, chi):
-    """Advance both components one step.
+def walk_step(plus, minus, stride, a, b, c, d):
+    """Advance both components one step, in place.
 
-    Inputs live on the source window (length ``m``); the parameter arrays
-    hold the coin angles evaluated at the source sites.  Outputs live on the
-    window widened by one site per side (length ``m + 2``): the plus
-    component moves right, the minus component moves left.
+    ``plus`` and ``minus`` are views of the target window (length ``m + 2``);
+    the source window is their inner ``m`` sites and everything outside it
+    must be zero.  Only every ``stride``-th source site, starting at the
+    first, is read: 2 for a parity-localized walker, whose other sites are
+    zero, else 1.  ``a``, ``b``, ``c``, ``d`` are the coin entries
+    ``[[a, b], [c, -d]]`` at those sites (scalars for a constant coin).  The
+    plus component moves right, the minus component moves left, and the
+    source sites no target covers are left exactly zero.
     """
-    gain = np.exp(1j * chi)
-    c = np.cos(theta) * gain
-    s = np.sin(theta) * gain
-    ea = np.exp(1j * alpha)
-    ebm = np.exp(-1j * beta)
-    out_plus = np.zeros(plus.size + 2, dtype=np.complex128)
-    out_minus = np.zeros(minus.size + 2, dtype=np.complex128)
-    out_plus[2:] = ea * c * plus + ebm * s * minus
-    out_minus[:-2] = np.conj(ebm) * s * plus - np.conj(ea) * c * minus
-    return out_plus, out_minus
-
-
-if njit is not None:
-
-    @njit(cache=True)
-    def walk_step_numba(plus, minus, theta, alpha, beta, chi):
-        m = plus.shape[0]
-        out_plus = np.zeros(m + 2, dtype=np.complex128)
-        out_minus = np.zeros(m + 2, dtype=np.complex128)
-        for i in range(m):
-            ct = math.cos(theta[i])
-            st = math.sin(theta[i])
-            gain = complex(math.cos(chi[i]), math.sin(chi[i]))
-            ea = complex(math.cos(alpha[i]), math.sin(alpha[i]))
-            ebm = complex(math.cos(beta[i]), -math.sin(beta[i]))
-            c = ct * gain
-            s = st * gain
-            out_plus[i + 2] = ea * c * plus[i] + ebm * s * minus[i]
-            out_minus[i] = ebm.conjugate() * s * plus[i] - ea.conjugate() * c * minus[i]
-        return out_plus, out_minus
-
-else:
-    walk_step_numba = None
+    src_plus = plus[1:-1:stride]
+    src_minus = minus[1:-1:stride]
+    out_plus = a * src_plus + b * src_minus
+    out_minus = c * src_plus - d * src_minus
+    src_plus[...] = 0
+    src_minus[...] = 0
+    plus[2::stride] = out_plus
+    minus[:-2:stride] = out_minus
 
 
 # ---------------------------------------------------------------------------
@@ -98,38 +53,28 @@ else:
 # row t at index t, site n at column n + t_max + 1 (one padding column per
 # side keeps the recursion reads in bounds).
 
-def lambda_fill_numpy(cos_theta, t_max):
+def lambda_fill(cos_theta, t_max, rolling=False):
+    """Rows ``0 .. t_max`` of the recursion table.
+
+    With ``rolling`` the recursion cycles through three rows and only rows
+    ``t_max - 1`` and ``t_max`` are returned, bit-identical to the same rows
+    of the full table (``t_max >= 1``).
+    """
     width = 2 * (t_max + 1) + 1
     center = t_max + 1
-    out = np.zeros((t_max + 1, width))
+    depth = 3 if rolling else t_max + 1
+    out = np.zeros((depth, width))
     out[0, center] = 1.0
     for t in range(2, t_max + 1):
-        prev = out[t - 1]
-        row = out[t]
+        prev = out[(t - 1) % depth]
+        row = out[t % depth]
+        # column 0 is never assigned below; it stays zero in both modes
         row[1:] = cos_theta * prev[:-1]
         row[:-1] -= cos_theta * prev[1:]
-        row += out[t - 2]
+        row += out[(t - 2) % depth]
+    if rolling:
+        return out[[(t_max - 1) % depth, t_max % depth]]
     return out
-
-
-if njit is not None:
-
-    @njit(cache=True)
-    def lambda_fill_numba(cos_theta, t_max):
-        width = 2 * (t_max + 1) + 1
-        center = t_max + 1
-        out = np.zeros((t_max + 1, width))
-        out[0, center] = 1.0
-        for t in range(2, t_max + 1):
-            for i in range(1, width - 1):
-                out[t, i] = (
-                    cos_theta * (out[t - 1, i - 1] - out[t - 1, i + 1])
-                    + out[t - 2, i]
-                )
-        return out
-
-else:
-    lambda_fill_numba = None
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +87,7 @@ else:
 # compensated arithmetic: its terms reach 1/sin(theta) in magnitude while
 # the result can be orders of magnitude smaller.
 
-def lambda_spectral_numpy(n, t, cos_theta):
+def lambda_spectral(n, t, cos_theta):
     if t == 0:
         return 1.0 if n == 0 else 0.0
     r = np.arange(1, t + 1, dtype=np.float64)
@@ -150,34 +95,3 @@ def lambda_spectral_numpy(n, t, cos_theta):
     terms = np.cos((t - 1) * w - np.pi * r * n / (t + 1)) / np.cos(w)
     head = 1.0 if t % 2 == 0 else 0.0
     return (head + math.fsum(terms)) / (t + 1)
-
-
-if njit is not None:
-
-    @njit(cache=True)
-    def lambda_spectral_numba(n, t, cos_theta):
-        if t == 0:
-            return 1.0 if n == 0 else 0.0
-        acc = 1.0 if t % 2 == 0 else 0.0
-        comp = 0.0
-        for r in range(1, t + 1):
-            w = math.asin(cos_theta * math.sin(math.pi * r / (t + 1)))
-            term = math.cos((t - 1) * w - math.pi * r * n / (t + 1)) / math.cos(w)
-            y = term - comp
-            s = acc + y
-            comp = (s - acc) - y
-            acc = s
-        return acc / (t + 1)
-
-else:
-    lambda_spectral_numba = None
-
-
-if BACKEND == "numba":
-    walk_step = walk_step_numba
-    lambda_fill = lambda_fill_numba
-    lambda_spectral = lambda_spectral_numba
-else:
-    walk_step = walk_step_numpy
-    lambda_fill = lambda_fill_numpy
-    lambda_spectral = lambda_spectral_numpy

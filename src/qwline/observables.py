@@ -60,26 +60,39 @@ def mean_position(state: SpinorField, ell: float = 1.0) -> float:
 
 @dataclass(frozen=True)
 class ObservableRecord:
-    """Snapshot of the standard observables at one time step."""
+    """The standard scalar observables at one time step.
+
+    The per-site distribution and magnetization are not kept; :func:`pmf`
+    and :func:`magnetization` give them for any state.
+    """
 
     t: int
-    rho: np.ndarray
     p_plus: float
     p_minus: float
-    magnetization: np.ndarray
     mean_x: float
     ell: float = 1.0
 
 
-def observe(state: SpinorField, ell: float = 1.0) -> ObservableRecord:
-    p_plus, p_minus = chirality_probabilities(state)
+def record_from_amplitudes(t, plus, minus, ns, ell: float = 1.0) -> ObservableRecord:
+    """Observables of amplitudes ``plus``, ``minus`` at sites ``ns``.
+
+    The arrays may cover any subset of the window that holds all the
+    weight, e.g. the occupied sites of a parity-localized walker.
+    """
+    w_plus = np.abs(plus) ** 2
+    w_minus = np.abs(minus) ** 2
     return ObservableRecord(
-        t=state.t,
-        rho=pmf(state),
-        p_plus=p_plus,
-        p_minus=p_minus,
-        magnetization=magnetization(state),
-        mean_x=mean_position(state, ell=ell),
+        t=t,
+        p_plus=float(np.sum(w_plus)),
+        p_minus=float(np.sum(w_minus)),
+        mean_x=ell * float(np.sum(ns * (w_plus + w_minus))),
+        ell=ell,
+    )
+
+
+def observe(state: SpinorField, ell: float = 1.0) -> ObservableRecord:
+    return record_from_amplitudes(
+        state.t, state.plus_amps, state.minus_amps, state.n_values, ell=ell
     )
 
 

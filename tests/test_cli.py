@@ -253,3 +253,61 @@ def test_runs_are_deterministic(tmp_path, capsys):
     for name in ("fig3_reference_t16.csv", "fig3_drifting_t16.csv",
                  "fig3_report.json"):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+
+def _corrupt(path, how):
+    """Damage a tabulated CSV in one of the ways a loader must reject."""
+    lines = path.read_text().splitlines()
+    if how == "header":
+        lines[0] = lines[0].replace("n,t", "n,time")
+    elif how == "row":
+        lines[3] = lines[3] + ",0.5"
+    elif how == "duplicate":
+        lines.insert(4, lines[3])
+    elif how == "nan":
+        cells = lines[1].split(",")
+        cells[-1] = "nan"
+        lines[1] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("how", ["header", "row", "duplicate", "nan"])
+def test_bad_coin_file_exits_2(tmp_path, capsys, how):
+    coin_path = tmp_path / "coin.csv"
+    save_coin_field_csv(CoinField.homogeneous(CoinAngles(0.6)), t_max=4,
+                        path=coin_path)
+    _corrupt(coin_path, how)
+    for t_final in ("0", "3"):
+        rc = main(["evolve", "--coin-file", str(coin_path), "--t-final", t_final,
+                   "--outdir", str(tmp_path)])
+        assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+    if how == "nan":
+        # the first row of the table is the leftmost site at t=0
+        assert "chi is not finite at (n=-4, t=0)" in err
+
+
+@pytest.mark.parametrize("how", ["header", "row", "duplicate", "nan"])
+def test_bad_phase_file_exits_2(tmp_path, capsys, how):
+    phase_path = tmp_path / "phases.csv"
+    save_phase_field_csv(quasi_invariant_phases(0.1), t_max=6, path=phase_path)
+    _corrupt(phase_path, how)
+    rc = main(["invariance", "--theta", "pi/3", "--t-final", "6",
+               "--phase-file", str(phase_path), "--outdir", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error" in err
+    if how == "nan":
+        assert "zeta is not finite at (n=-6, t=0)" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["closedform", "--theta", "pi/4", "--t-final", "5", "--tol"],
+    ["invariance", "--theta", "pi/3", "--t-final", "5", "--tol"],
+    ["gauge", "--pair", "null", "--resolutions", "8,16", "--min-factor"],
+])
+@pytest.mark.parametrize("value", ["abc", "nan", "inf"])
+def test_non_numeric_gates_exit_2(tmp_path, capsys, argv, value):
+    assert main(argv + [value, "--outdir", str(tmp_path)]) == 2
+    assert "must be" in capsys.readouterr().err

@@ -203,3 +203,24 @@ def test_save_lambda_csv(tmp_path):
     # Rows: 1 + 2 + 3 + 4 occupied sites for t = 0..3.
     assert len(lines) == 1 + 10
     assert lines[1] == "0,0,1"
+
+
+def test_recursion_route_equals_full_table_rows_bitwise(monkeypatch):
+    """The rolling three-row fill reproduces the full table's rows, so the
+    recursion closed form is unchanged bit for bit."""
+    from qwline import closedform
+
+    init = InitialState(eta=0.6, gamma=1.9)
+    cases = [(CoinAngles(0.9, 0.3, -1.2, 0.4), t) for t in (0, 1, 2, 37, 400)]
+    cases += [(CoinAngles(math.pi / 2, 0.1), 21), (CoinAngles(0.0, chi=0.2), 20)]
+    got = [closed_form_amplitudes(init, c, t, method="recursion") for c, t in cases]
+
+    def table_rows(theta, t):
+        table = lambda_table(theta, t + 1)
+        return table.occupied_row(t)[1], table.occupied_row(t + 1)[1]
+
+    monkeypatch.setattr(closedform, "_recursion_rows", table_rows)
+    for (c, t), a in zip(cases, got):
+        b = closed_form_amplitudes(init, c, t, method="recursion")
+        assert np.array_equal(a.plus_amps, b.plus_amps)
+        assert np.array_equal(a.minus_amps, b.minus_amps)

@@ -5,6 +5,7 @@ from qwline import (
     CoinAngles,
     CoinField,
     PhaseField,
+    TableError,
     TotalityError,
     bloch_vector,
     coin_matrix,
@@ -192,4 +193,22 @@ def test_window_csv_rejects_bad_inputs(tmp_path):
         "0,1,0.0,0.0\n"
     )
     with pytest.raises(TotalityError):
+        load_phase_field_csv(path)
+
+    # Non-finite values: the first bad site in window order (t, then n) is
+    # named, with the first bad column there.
+    path.write_text(
+        "n,t,xi,zeta\n"
+        "-1,0,0.0,0.0\n"
+        "0,0,0.1,0.1\n"
+        "1,0,0.0,nan\n"
+        "-1,1,0.0,0.0\n"
+        "0,1,inf,nan\n"
+        "1,1,0.0,0.0\n"
+    )
+    with pytest.raises(TableError, match=r"zeta is not finite at \(n=1, t=0\)"):
+        load_phase_field_csv(path)
+
+    path.write_text("n,t,xi,zeta\n0,0,0.1,zero\n")
+    with pytest.raises(TableError, match="malformed row"):
         load_phase_field_csv(path)

@@ -5,11 +5,14 @@ from qwline import (
     CoinAngles,
     CoinField,
     InitialState,
+    SpinorField,
     TotalityError,
+    chirality_probabilities,
     coin_matrix,
     evolve,
     load_coin_field_csv,
     localized_state,
+    mean_position,
     pmf,
     save_coin_field_csv,
     step_homogeneous,
@@ -136,3 +139,75 @@ def test_start_from_existing_state():
     assert resumed.t == 20
     assert np.allclose(resumed.plus_amps, full.plus_amps, atol=1e-15)
     assert np.allclose(resumed.minus_amps, full.minus_amps, atol=1e-15)
+
+
+def _formula_coin():
+    return CoinField.from_functions(
+        theta_of=lambda n, t: 0.7 + 0.1 * np.sin(0.3 * n + 0.2 * t),
+        alpha_of=lambda n, t: 0.01 * n - 0.02 * t,
+        beta_of=lambda n, t: 0.2 + 0.3 * np.cos(0.1 * n - 0.05 * t),
+        chi_of=lambda n, t: 0.1 * np.sin(0.2 * (n + t)),
+    )
+
+
+def _spread_state():
+    """A normalized state at t=3 with weight on both parities."""
+    rng = np.random.default_rng(5)
+    amps = rng.normal(size=(2, 7)) + 1j * rng.normal(size=(2, 7))
+    amps /= np.sqrt(np.sum(np.abs(amps) ** 2))
+    return SpinorField(t=3, plus_amps=amps[0], minus_amps=amps[1],
+                       parity_localized=False)
+
+
+def test_unlocalized_evolution_equals_repeated_single_steps():
+    """The stride-1 path: every site is updated and n steps in one call
+    equal n single steps bit for bit."""
+    for coin in (CoinAngles(0.9, 0.3, -1.2, 0.4), _formula_coin()):
+        field = coin if isinstance(coin, CoinField) else CoinField.homogeneous(coin)
+        stepped = _spread_state()
+        for _ in range(10):
+            stepped = step_inhomogeneous(stepped, field)
+        evolved = evolve(_spread_state(), coin, 10)
+        assert not evolved.parity_localized
+        assert np.array_equal(evolved.plus_amps, stepped.plus_amps)
+        assert np.array_equal(evolved.minus_amps, stepped.minus_amps)
+        assert np.any(evolved.plus_amps[1::2] != 0)
+        assert abs(evolved.norm() - 1.0) < 1e-13
+
+
+def test_resumed_evolution_is_bit_identical():
+    init = InitialState(eta=0.6, gamma=1.9)
+    for coin in (CoinAngles(0.9, 0.3, -1.2, 0.4), _formula_coin()):
+        resumed = evolve(evolve(init, coin, 7), coin, 5)
+        direct = evolve(init, coin, 12)
+        assert resumed.t == 12
+        assert np.array_equal(resumed.plus_amps, direct.plus_amps)
+        assert np.array_equal(resumed.minus_amps, direct.minus_amps)
+
+
+def test_recorded_scalars_match_state_observables():
+    init = InitialState(eta=0.6, gamma=1.9)
+    for coin in (CoinAngles(0.9, 0.3, -1.2, 0.4), _formula_coin()):
+        _, records = evolve(init, coin, 40, record_trajectory=True, ell=1.5)
+        for t, rec in enumerate(records):
+            state = evolve(init, coin, t)
+            p_plus, p_minus = chirality_probabilities(state)
+            assert rec.t == t
+            assert rec.ell == 1.5
+            assert abs(rec.mean_x - mean_position(state, ell=1.5)) <= 1e-12
+            assert abs(rec.p_plus - p_plus) <= 1e-12
+            assert abs(rec.p_minus - p_minus) <= 1e-12
+
+
+def test_long_run_keeps_exact_parity_zeros():
+    """T=4000: the skipped sites stay exactly zero and the norm drifts
+    only by rounding."""
+    t = 4000
+    state = evolve(InitialState(eta=0.6, gamma=1.9),
+                   CoinAngles(theta=1.55, alpha=0.3, beta=-1.2, chi=0.7), t)
+    assert state.parity_localized
+    odd = slice(1, None, 2)
+    assert np.all(state.plus_amps[odd] == 0)
+    assert np.all(state.minus_amps[odd] == 0)
+    # rounding level: about eps * sqrt(T * window) = 1.3e-12 here
+    assert abs(state.norm() - 1.0) < 1e-11

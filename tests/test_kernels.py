@@ -1,20 +1,12 @@
-"""Backend-level checks: the two kernel implementations must agree and the
-single-step kernel must match a direct matrix application."""
+"""Kernel-level checks: the single-step kernel must match a direct matrix
+application and the kernel-table routes must agree."""
 
 import numpy as np
 import pytest
 
 from qwline import CoinAngles, coin_matrix
-from qwline.kernels import (
-    BACKEND,
-    lambda_fill_numpy,
-    lambda_spectral_numpy,
-    walk_step_numpy,
-)
-
-needs_numba = pytest.mark.skipif(
-    BACKEND != "numba", reason="numba backend not active"
-)
+from qwline.coin import coin_entries
+from qwline.kernels import BACKEND, lambda_fill, lambda_spectral, walk_step
 
 
 def _random_step_inputs(rng, m):
@@ -24,10 +16,20 @@ def _random_step_inputs(rng, m):
     return plus, minus, angles[0], angles[1], angles[2], angles[3]
 
 
+def _step(plus, minus, th, al, be, ch):
+    """One stride-1 step of a general window; returns the widened pair."""
+    out_plus = np.zeros(plus.size + 2, dtype=complex)
+    out_minus = np.zeros(minus.size + 2, dtype=complex)
+    out_plus[1:-1] = plus
+    out_minus[1:-1] = minus
+    walk_step(out_plus, out_minus, 1, *coin_entries(th, al, be, ch))
+    return out_plus, out_minus
+
+
 def test_walk_step_window_growth_and_edges():
     rng = np.random.default_rng(0)
     plus, minus, th, al, be, ch = _random_step_inputs(rng, 7)
-    out_plus, out_minus = walk_step_numpy(plus, minus, th, al, be, ch)
+    out_plus, out_minus = _step(plus, minus, th, al, be, ch)
     assert out_plus.shape == (9,)
     assert out_minus.shape == (9,)
     # The plus component cannot reach the two leftmost sites, the minus
@@ -41,7 +43,7 @@ def test_walk_step_matches_matrix_application():
     rng = np.random.default_rng(1)
     m = 5
     plus, minus, th, al, be, ch = _random_step_inputs(rng, m)
-    out_plus, out_minus = walk_step_numpy(plus, minus, th, al, be, ch)
+    out_plus, out_minus = _step(plus, minus, th, al, be, ch)
     expect_plus = np.zeros(m + 2, dtype=complex)
     expect_minus = np.zeros(m + 2, dtype=complex)
     for i in range(m):
@@ -58,13 +60,32 @@ def test_walk_step_preserves_norm():
     rng = np.random.default_rng(2)
     plus, minus, th, al, be, ch = _random_step_inputs(rng, 33)
     norm = np.sum(np.abs(plus) ** 2 + np.abs(minus) ** 2)
-    out_plus, out_minus = walk_step_numpy(plus, minus, th, al, be, ch)
+    out_plus, out_minus = _step(plus, minus, th, al, be, ch)
     out_norm = np.sum(np.abs(out_plus) ** 2 + np.abs(out_minus) ** 2)
     assert out_norm == pytest.approx(norm, rel=1e-14)
 
 
+def test_walk_step_stride_two_equals_stride_one_on_parity_data():
+    """Skipping the zero sites changes no bit of the occupied ones and
+    leaves the sites in between exactly zero."""
+    rng = np.random.default_rng(4)
+    plus, minus, th, al, be, ch = _random_step_inputs(rng, 11)
+    plus[1::2] = 0
+    minus[1::2] = 0
+    full = _step(plus, minus, th, al, be, ch)
+    a, b, c, d = coin_entries(th, al, be, ch)
+    out_plus = np.zeros(13, dtype=complex)
+    out_minus = np.zeros(13, dtype=complex)
+    out_plus[1:-1] = plus
+    out_minus[1:-1] = minus
+    walk_step(out_plus, out_minus, 2, a[::2], b[::2], c[::2], d[::2])
+    assert np.array_equal(out_plus, full[0])
+    assert np.array_equal(out_minus, full[1])
+    assert np.all(out_plus[1::2] == 0) and np.all(out_minus[1::2] == 0)
+
+
 def test_lambda_fill_structure():
-    table = lambda_fill_numpy(np.cos(np.pi / 4), 6)
+    table = lambda_fill(np.cos(np.pi / 4), 6)
     center = 7
     assert table[0, center] == 1.0
     assert np.all(table[0, :center] == 0) and np.all(table[0, center + 1:] == 0)
@@ -79,7 +100,7 @@ def test_lambda_fill_structure():
 
 def test_lambda_fill_hand_values():
     c = np.cos(1.1)
-    table = lambda_fill_numpy(c, 4)
+    table = lambda_fill(c, 4)
     center = 5
     assert table[3, 1 + center] == pytest.approx(c, abs=1e-15)
     assert table[3, -1 + center] == pytest.approx(-c, abs=1e-15)
@@ -87,52 +108,33 @@ def test_lambda_fill_hand_values():
 
 
 def test_lambda_spectral_delta_at_origin():
-    assert lambda_spectral_numpy(0, 0, 0.5) == 1.0
-    assert lambda_spectral_numpy(2, 0, 0.5) == 0.0
+    assert lambda_spectral(0, 0, 0.5) == 1.0
+    assert lambda_spectral(2, 0, 0.5) == 0.0
 
 
 def test_lambda_spectral_matches_recursion():
     for theta in (np.pi / 8, np.pi / 4, 1.2):
         c = np.cos(theta)
-        table = lambda_fill_numpy(c, 40)
+        table = lambda_fill(c, 40)
         center = 41
         for t in range(0, 41, 5):
             for n in range(-t, t + 1, 2):
-                spectral = lambda_spectral_numpy(n, t, c)
+                spectral = lambda_spectral(n, t, c)
                 assert spectral == pytest.approx(table[t, n + center], abs=1e-11)
-
-
-@needs_numba
-def test_numba_walk_step_agrees_with_numpy():
-    from qwline.kernels import walk_step_numba
-
-    rng = np.random.default_rng(3)
-    for m in (1, 2, 9, 64):
-        plus, minus, th, al, be, ch = _random_step_inputs(rng, m)
-        a_plus, a_minus = walk_step_numpy(plus, minus, th, al, be, ch)
-        b_plus, b_minus = walk_step_numba(plus, minus, th, al, be, ch)
-        assert np.allclose(a_plus, b_plus, atol=1e-15)
-        assert np.allclose(a_minus, b_minus, atol=1e-15)
-
-
-@needs_numba
-def test_numba_lambda_kernels_agree_with_numpy():
-    from qwline.kernels import lambda_fill_numba, lambda_spectral_numba
-
-    c = np.cos(0.9)
-    a = lambda_fill_numpy(c, 30)
-    b = lambda_fill_numba(c, 30)
-    assert np.allclose(a, b, atol=1e-14)
-    for t in (0, 1, 7, 30, 71):
-        for n in range(-t, t + 1, max(2, t // 3 * 2)):
-            x = lambda_spectral_numpy(n, t, c)
-            y = lambda_spectral_numba(n, t, c)
-            assert x == pytest.approx(y, abs=1e-13)
 
 
 def test_selected_backend_exports():
     from qwline import kernels
 
-    assert BACKEND in ("numpy", "numba")
+    assert BACKEND == "numpy"
     out = kernels.lambda_fill(0.5, 3)
     assert out.shape == (4, 2 * 4 + 1)
+
+
+def test_rolling_fill_equals_table_rows_bitwise():
+    for theta in (0.05, 0.9, 1.55, np.pi / 2, 2.5):
+        c = np.cos(theta)
+        for t_max in (1, 2, 3, 4, 57, 300):
+            rows = lambda_fill(c, t_max, rolling=True)
+            assert rows.shape == (2, 2 * t_max + 3)
+            assert np.array_equal(rows, lambda_fill(c, t_max)[-2:])
