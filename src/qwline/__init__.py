@@ -24,6 +24,7 @@ from .coin import (
     coin_matrix,
     load_coin_field_csv,
     load_phase_field_csv,
+    sample,
     save_coin_field_csv,
     save_phase_field_csv,
 )
@@ -100,6 +101,7 @@ __all__ = [
     "PhaseField",
     "coin_matrix",
     "bloch_vector",
+    "sample",
     "save_coin_field_csv",
     "save_phase_field_csv",
     "load_coin_field_csv",

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._csvio import write_csv
 from .closedform import closed_form_amplitudes
 from .coin import (
     CoinAngles,
@@ -133,27 +134,32 @@ class RunConfig:
 
 _ANGLE_FIELDS = ("theta", "eta", "gamma", "alpha", "beta", "chi", "phi", "beta1", "a")
 _NEEDS_T = ("evolve", "closedform", "observables", "invariance")
+_TYPED_FIELDS = {
+    "record": bool, "method": str, "coin_file": str, "phase_file": str,
+    "family": str, "pair": str, "which": str, "outdir": str,
+}
+
+
+def _split(name: str, value) -> list:
+    if isinstance(value, str):
+        return value.split(",")
+    if isinstance(value, list):
+        return value
+    raise ConfigError(f"{name} must be a comma-separated string or a list, got {value!r}")
 
 
 def _parse_domain(value) -> tuple:
-    parts = value.split(",") if isinstance(value, str) else list(value)
+    parts = _split("domain", value)
     if len(parts) != 4:
         raise ConfigError(f"domain needs x0,x1,t0,t1, got {value!r}")
-    try:
-        x0, x1, t0, t1 = (float(p) for p in parts)
-    except (TypeError, ValueError):
-        raise ConfigError(f"domain needs four numbers, got {value!r}") from None
+    x0, x1, t0, t1 = (_parse_number("domain", p) for p in parts)
     if not (x1 > x0 and t1 > t0):
         raise ConfigError(f"domain must have positive extent, got {value!r}")
     return (x0, x1, t0, t1)
 
 
 def _parse_resolutions(value) -> tuple:
-    parts = value.split(",") if isinstance(value, str) else list(value)
-    try:
-        rs = tuple(int(p) for p in parts)
-    except (TypeError, ValueError):
-        raise ConfigError(f"resolutions must be integers, got {value!r}") from None
+    rs = tuple(_parse_int("resolutions", p) for p in _split("resolutions", value))
     if len(rs) < 2 or any(r < 4 for r in rs) or any(b <= a for a, b in zip(rs, rs[1:])):
         raise ConfigError(
             f"resolutions must be >= 4 and strictly increasing, got {value!r}"
@@ -163,12 +169,24 @@ def _parse_resolutions(value) -> tuple:
 
 def _parse_number(name: str, value) -> float:
     try:
+        if isinstance(value, bool):
+            raise TypeError
         out = float(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{name} must be a number, got {value!r}") from None
     if not math.isfinite(out):
         raise ConfigError(f"{name} must be finite, got {value!r}")
     return out
+
+
+def _parse_int(name: str, value) -> int:
+    # int() would truncate a JSON float and turn a JSON boolean into 0 or 1
+    try:
+        if isinstance(value, bool) or not isinstance(value, (int, str)):
+            raise TypeError
+        return int(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
@@ -200,12 +218,13 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         if name in merged:
             kwargs[name] = parse_angle(merged[name])
     if "t_final" in merged:
-        try:
-            kwargs["t_final"] = int(merged["t_final"])
-        except (TypeError, ValueError):
-            raise ConfigError(f"t_final must be an integer, got {merged['t_final']!r}") from None
-    for name in ("method", "record", "coin_file", "phase_file", "family", "pair", "which"):
+        kwargs["t_final"] = _parse_int("t_final", merged["t_final"])
+    for name, kind in _TYPED_FIELDS.items():
         if name in merged:
+            if not isinstance(merged[name], kind):
+                raise ConfigError(
+                    f"{name} must be a {kind.__name__}, got {merged[name]!r}"
+                )
             kwargs[name] = merged[name]
     for name in ("tol", "min_factor"):
         if name in merged:
@@ -215,7 +234,7 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     if "resolutions" in merged:
         kwargs["resolutions"] = _parse_resolutions(merged["resolutions"])
     kwargs["outdir"] = Path(
-        merged.get("outdir") or os.environ.get("QWLINE_OUTDIR") or "."
+        kwargs.get("outdir") or os.environ.get("QWLINE_OUTDIR") or "."
     )
     cfg = RunConfig(**kwargs)
 
@@ -444,15 +463,11 @@ def _cmd_figures(cfg: RunConfig) -> int:
         traj = out / "fig2_trajectory.csv"
         save_trajectory_csv(traj, records)
         _wrote(traj)
-        slope = ballistic_slope(theta, eta, phi)
-        line = out / "fig2_ballistic.csv"
-        with open(line, "w", newline="") as fh:
-            fh.write("t,mean_x_ballistic\n")
-            for rec in records:
-                fh.write(f"{rec.t},{format(slope * rec.t, '.17g')}\n")
-        _wrote(line)
         ts = np.array([rec.t for rec in records])
         xs = np.array([rec.mean_x for rec in records])
+        line = out / "fig2_ballistic.csv"
+        write_csv(line, "t,mean_x_ballistic", [ts, ballistic_slope(theta, eta, phi) * ts])
+        _wrote(line)
         print(f"fitted slope over t in [20, 40]: {fitted_slope(ts, xs, t_min=20):.6f}")
         return EXIT_OK
     # figure 3: beta drifts by 1/10 each step vs the homogeneous reference

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
+from ._csvio import write_csv
 from .coin import CoinAngles
 from .errors import ParityError, UnsupportedParameterError
 from .state import InitialState, SpinorField
@@ -134,12 +135,11 @@ def _recursion_rows(theta: float, t: int) -> tuple[np.ndarray, np.ndarray]:
 
 def save_lambda_csv(table: LambdaTable, path) -> None:
     """Write ``n,t,lambda`` rows for every reachable site of the table."""
-    with open(path, "w", newline="") as fh:
-        fh.write("n,t,lambda\n")
-        for t in range(table.t_max + 1):
-            ns, vals = table.occupied_row(t)
-            for n, v in zip(ns, vals):
-                fh.write(f"{int(n)},{t},{v:.17g}\n")
+    ts = range(table.t_max + 1)
+    ns, vals = zip(*(table.occupied_row(t) for t in ts))
+    write_csv(path, "n,t,lambda", [
+        np.concatenate(ns), np.repeat(ts, [n.size for n in ns]), np.concatenate(vals),
+    ])
 
 
 def one_step_amplitudes(init: InitialState, c: CoinAngles) -> tuple[complex, complex]:

@@ -12,12 +12,13 @@ phases used to build one walk out of another.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import TableError, TotalityError
+from ._csvio import grid_columns, write_csv
+from .errors import TableError, TotalityError, UnsupportedParameterError
 
 __all__ = [
     "CoinAngles",
@@ -26,7 +27,9 @@ __all__ = [
     "coin_matrix",
     "coin_entries",
     "bloch_vector",
+    "sample",
     "save_coin_field_csv",
+    "save_phase_field_csv",
     "load_coin_field_csv",
     "load_phase_field_csv",
 ]
@@ -103,74 +106,85 @@ def bloch_vector(beta: float, theta: float) -> np.ndarray:
     return np.array([st * np.cos(beta), st * np.sin(beta), np.cos(theta)])
 
 
+def sample(fn: Callable[[int, int], float], ns, t: int) -> np.ndarray:
+    """Evaluate a scalar callable ``fn(n, t)`` at the integer sites ``ns``.
+
+    The one place a site/time callable is called site by site: ``fn`` gets
+    Python ints and returns a float, and everything above works on the
+    float row this returns.
+    """
+    t = int(t)
+    return np.fromiter((fn(n, t) for n in np.asarray(ns).tolist()),
+                       dtype=np.float64, count=len(ns))
+
+
 @dataclass(frozen=True)
 class CoinField:
-    """Coin parameters as total mappings ``(n, t) -> radians``.
+    """Coin parameters as a row sampler ``rows(ns, t) -> (theta, alpha, beta, chi)``.
 
-    Evolution only consumes the four mapping attributes, so any backing
-    works: constants (``descriptor == "homogeneous"``), closures
-    (``"formula"``) or dense tables loaded from file (``"tabulated"``).
+    ``rows`` returns four float arrays holding the parameters at the integer
+    sites ``ns`` at step ``t``.  Every backing implements it: constants
+    (``descriptor == "homogeneous"``, which also sets ``angles``), scalar
+    callables evaluated through :func:`sample` (``"formula"``), dense
+    tables loaded from file (``"tabulated"``) and the dressing transforms.
+    ``angles`` holds the constant angles of a homogeneous field, else
+    ``None``.
     """
 
-    theta_of: Callable[[int, int], float]
-    alpha_of: Callable[[int, int], float]
-    beta_of: Callable[[int, int], float]
-    chi_of: Callable[[int, int], float]
+    rows: Callable[[np.ndarray, int], tuple]
     descriptor: str = FORMULA
-    _angles: CoinAngles | None = field(default=None, repr=False)
+    angles: CoinAngles | None = None
 
     @classmethod
     def homogeneous(cls, c: CoinAngles) -> "CoinField":
         """Lift constant angles to a (trivially) site/time-dependent field."""
-        return cls(
-            theta_of=lambda n, t: c.theta,
-            alpha_of=lambda n, t: c.alpha,
-            beta_of=lambda n, t: c.beta,
-            chi_of=lambda n, t: c.chi,
-            descriptor=HOMOGENEOUS,
-            _angles=c,
-        )
+        values = (c.theta, c.alpha, c.beta, c.chi)
+        return cls(lambda ns, t: tuple(np.full(len(ns), v) for v in values),
+                   HOMOGENEOUS, c)
 
     @classmethod
     def from_functions(cls, theta_of, alpha_of, beta_of, chi_of) -> "CoinField":
-        return cls(theta_of, alpha_of, beta_of, chi_of, descriptor=FORMULA)
+        """A field from four scalar callables ``(n, t) -> radians``."""
+        fns = (theta_of, alpha_of, beta_of, chi_of)
+        return cls(lambda ns, t: tuple(sample(fn, ns, t) for fn in fns), FORMULA)
 
-    @property
-    def angles(self) -> CoinAngles | None:
-        """The constant angles of a field built by :meth:`homogeneous`, else ``None``."""
-        return self._angles
+    @staticmethod
+    def lift(ref: "CoinField | CoinAngles") -> "CoinField":
+        """``ref`` itself, or the constant field of constant angles."""
+        return CoinField.homogeneous(ref) if isinstance(ref, CoinAngles) else ref
 
-    def materialize(self, n_lo: int, n_hi: int, t: int):
-        """Evaluate all four parameters on ``n = n_lo .. n_hi`` at step ``t``.
+    def _at(self, k: int, n: int, t: int) -> float:
+        return float(self.rows(np.array([n]), t)[k][0])
 
-        Returns four float arrays.  Non-finite values raise ``ValueError``
-        naming the first offending site, so a bad closure cannot silently
-        poison the evolution.
+    def theta_of(self, n: int, t: int) -> float:
+        return self._at(0, n, t)
+
+    def alpha_of(self, n: int, t: int) -> float:
+        return self._at(1, n, t)
+
+    def beta_of(self, n: int, t: int) -> float:
+        return self._at(2, n, t)
+
+    def chi_of(self, n: int, t: int) -> float:
+        return self._at(3, n, t)
+
+    def materialize(self, n_lo: int, n_hi: int, t: int, stride: int = 1):
+        """Evaluate all four parameters on ``n = n_lo, n_lo + stride, .. n_hi`` at step ``t``.
+
+        Returns four float arrays.  Non-finite values raise
+        :class:`UnsupportedParameterError` (a ``ValueError``) naming the
+        first offending site, so a bad closure cannot silently poison the
+        evolution.
         """
-        width = n_hi - n_lo + 1
-        if self._angles is not None:
-            c = self._angles
-            return (
-                np.full(width, c.theta),
-                np.full(width, c.alpha),
-                np.full(width, c.beta),
-                np.full(width, c.chi),
-            )
-        out = []
-        for fn, name in (
-            (self.theta_of, "theta"),
-            (self.alpha_of, "alpha"),
-            (self.beta_of, "beta"),
-            (self.chi_of, "chi"),
-        ):
-            arr = np.empty(width, dtype=np.float64)
-            for i, n in enumerate(range(n_lo, n_hi + 1)):
-                arr[i] = fn(n, t)
-            if not np.all(np.isfinite(arr)):
-                bad = int(np.flatnonzero(~np.isfinite(arr))[0]) + n_lo
-                raise ValueError(f"{name} is not finite at (n={bad}, t={t})")
-            out.append(arr)
-        return tuple(out)
+        ns = np.arange(n_lo, n_hi + 1, stride)
+        out = self.rows(ns, t)
+        for arr, name in zip(out, ("theta", "alpha", "beta", "chi")):
+            bad = np.flatnonzero(~np.isfinite(arr))
+            if bad.size:
+                raise UnsupportedParameterError(
+                    f"{name} is not finite at (n={ns[bad[0]]}, t={t})"
+                )
+        return out
 
 
 @dataclass(frozen=True)
@@ -213,27 +227,36 @@ def _window_table_lookup(values: np.ndarray, t_max: int, what: str):
     return lookup
 
 
+def _window_table_rows(values: list, t_max: int, what: str):
+    """Row sampler over dense tables indexed ``[t, n + t_max]``."""
+
+    def rows(ns, t):
+        ns = np.asarray(ns)
+        outside = (np.abs(ns) > t_max) | (not 0 <= t <= t_max)
+        if outside.any():
+            raise TotalityError(ns[np.argmax(outside)], t, what=what)
+        return tuple(v[t, ns + t_max] for v in values)
+
+    return rows
+
+
+def _save_window_csv(path, header: str, t_max: int, rows) -> None:
+    """Write ``rows(ns, t)`` on the square window ``|n| <= t_max, 0 <= t <= t_max``."""
+    ns, ts = np.arange(-t_max, t_max + 1), np.arange(t_max + 1)
+    values = zip(*(rows(ns, int(t)) for t in ts))
+    write_csv(path, header, [*grid_columns(ns, ts), *map(np.concatenate, values)])
+
+
 def save_coin_field_csv(f: CoinField, t_max: int, path) -> None:
     """Tabulate ``f`` on the square window ``|n| <= t_max, 0 <= t <= t_max``."""
-    with open(path, "w", newline="") as fh:
-        fh.write(COIN_CSV_HEADER + "\n")
-        for t in range(t_max + 1):
-            th, al, be, ch = f.materialize(-t_max, t_max, t)
-            for i, n in enumerate(range(-t_max, t_max + 1)):
-                fh.write(
-                    f"{n},{t},{th[i]:.17g},{al[i]:.17g},{be[i]:.17g},{ch[i]:.17g}\n"
-                )
+    _save_window_csv(path, COIN_CSV_HEADER, t_max,
+                     lambda ns, t: f.materialize(-t_max, t_max, t))
 
 
 def save_phase_field_csv(f: PhaseField, t_max: int, path) -> None:
     """Tabulate ``f`` on the square window ``|n| <= t_max, 0 <= t <= t_max``."""
-    with open(path, "w", newline="") as fh:
-        fh.write(PHASE_CSV_HEADER + "\n")
-        for t in range(t_max + 1):
-            for n in range(-t_max, t_max + 1):
-                fh.write(
-                    f"{n},{t},{f.xi_of(n, t):.17g},{f.zeta_of(n, t):.17g}\n"
-                )
+    _save_window_csv(path, PHASE_CSV_HEADER, t_max,
+                     lambda ns, t: (sample(f.xi_of, ns, t), sample(f.zeta_of, ns, t)))
 
 
 def _load_window_csv(path, header: str, n_cols: int, what: str):
@@ -290,14 +313,8 @@ def _load_window_csv(path, header: str, n_cols: int, what: str):
 
 def load_coin_field_csv(path) -> CoinField:
     """Load a tabulated coin field written as ``n,t,theta,alpha,beta,chi``."""
-    t_max, (th, al, be, ch) = _load_window_csv(path, COIN_CSV_HEADER, 4, "coin field")
-    return CoinField(
-        theta_of=_window_table_lookup(th, t_max, "coin field"),
-        alpha_of=_window_table_lookup(al, t_max, "coin field"),
-        beta_of=_window_table_lookup(be, t_max, "coin field"),
-        chi_of=_window_table_lookup(ch, t_max, "coin field"),
-        descriptor=TABULATED,
-    )
+    t_max, values = _load_window_csv(path, COIN_CSV_HEADER, 4, "coin field")
+    return CoinField(_window_table_rows(values, t_max, "coin field"), TABULATED)
 
 
 def load_phase_field_csv(path) -> PhaseField:

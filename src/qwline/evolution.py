@@ -28,10 +28,10 @@ __all__ = ["step_homogeneous", "step_inhomogeneous", "evolve"]
 def step_inhomogeneous(state: SpinorField, f: CoinField) -> SpinorField:
     """Advance one step under a site/time-dependent coin.
 
-    The coin mappings are evaluated on the current window at the current
-    time; missing tabulated entries surface as ``TotalityError`` naming the
-    offending site.  Runs the same code as :func:`evolve`, so ``n`` single
-    steps equal one ``n``-step evolution bit for bit.
+    The coin is sampled on the current window at the current time; missing
+    tabulated entries surface as ``TotalityError`` naming the offending
+    site.  Runs the same code as :func:`evolve`, so ``n`` single steps equal
+    one ``n``-step evolution bit for bit.
     """
     return evolve(state, f, 1)
 
@@ -70,14 +70,13 @@ def evolve(
 
     The walk runs in place on one buffer pair spanning the final window.  A
     constant coin is reduced to its four entries once; any other coin is
-    materialized on the current window at every step.  A parity-localized
-    state updates only its occupied sites and keeps exact zeros on the
-    others.
+    materialized at every step on the sites that step updates.  A
+    parity-localized state updates (and samples the coin at) only its
+    occupied sites and keeps exact zeros on the others.
     """
     if t_final < 0:
         raise ValueError(f"t_final must be non-negative, got {t_final}")
-    if isinstance(f, CoinAngles):
-        f = CoinField.homogeneous(f)
+    f = CoinField.lift(f)
     state = localized_state(init) if isinstance(init, InitialState) else init
     t0 = state.t
     stride = _stride(state)
@@ -101,7 +100,7 @@ def evolve(
         )]
     for t in range(t0, t0 + t_final):
         if constant is None:
-            entries = [e[::stride] for e in coin_entries(*f.materialize(-t, t, t))]
+            entries = coin_entries(*f.materialize(-t, t, t, stride))
         else:
             entries = constant
         target = slice(half - t - 1, half + t + 2)

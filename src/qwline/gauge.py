@@ -16,11 +16,13 @@ axis 0) and coordinate vectors are 1-D.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from .coin import FORMULA, CoinAngles, CoinField, PhaseField
+from ._csvio import grid_columns, write_csv
+from .coin import FORMULA, CoinAngles, CoinField, PhaseField, sample
 from .errors import GridError
 
 __all__ = [
@@ -65,13 +67,12 @@ class UnitSystem:
 
 
 def forward_differences(f, n: int, t: int) -> tuple[float, float]:
-    """One-sided lattice differences ``(f(n+1,t) - f(n,t), f(n,t+1) - f(n,t))``."""
+    """One-sided lattice differences ``(f(n+1,t) - f(n,t), f(n,t+1) - f(n,t))``.
+
+    ``n`` may be an array of sites when ``f`` is a row function.
+    """
     base = f(n, t)
     return f(n + 1, t) - base, f(n, t + 1) - base
-
-
-def _as_field(ref: CoinField | CoinAngles) -> CoinField:
-    return CoinField.homogeneous(ref) if isinstance(ref, CoinAngles) else ref
 
 
 def finite_difference_transform(
@@ -87,8 +88,8 @@ def finite_difference_transform(
     two must agree to rounding (the association order differs, so bitwise
     equality is not guaranteed).
     """
-    base = _as_field(ref)
-    xi, zeta = phases.xi_of, phases.zeta_of
+    base = CoinField.lift(ref)
+    xi, zeta = partial(sample, phases.xi_of), partial(sample, phases.zeta_of)
 
     def minus_shifted_diff(m, s):
         return xi(m, s) - zeta(m - 1, s)
@@ -102,29 +103,18 @@ def finite_difference_transform(
     def local_diff(m, s):
         return xi(m, s) - zeta(m, s)
 
-    def chi_of(n, t):
-        d_n, _ = forward_differences(minus_shifted_diff, n, t + 1)
-        _, d_t = forward_differences(local_sum, n, t)
-        return base.chi_of(n, t) + 0.5 * (d_n + d_t)
+    def rows(ns, t):
+        theta, alpha, beta, chi = base.rows(ns, t)
+        d_n, _ = forward_differences(minus_shifted_diff, ns, t + 1)
+        _, d_t = forward_differences(local_sum, ns, t)
+        chi = chi + 0.5 * (d_n + d_t)
+        d_n, _ = forward_differences(minus_shifted_sum, ns, t + 1)
+        _, d_t = forward_differences(local_diff, ns, t)
+        alpha_shift = 0.5 * (d_n + d_t)
+        beta = beta + (zeta(ns, t) - xi(ns, t)) - alpha_shift
+        return theta, alpha + alpha_shift, beta, chi
 
-    def alpha_shift(n, t):
-        d_n, _ = forward_differences(minus_shifted_sum, n, t + 1)
-        _, d_t = forward_differences(local_diff, n, t)
-        return 0.5 * (d_n + d_t)
-
-    def alpha_of(n, t):
-        return base.alpha_of(n, t) + alpha_shift(n, t)
-
-    def beta_of(n, t):
-        return base.beta_of(n, t) + (zeta(n, t) - xi(n, t)) - alpha_shift(n, t)
-
-    return CoinField(
-        theta_of=base.theta_of,
-        alpha_of=alpha_of,
-        beta_of=beta_of,
-        chi_of=chi_of,
-        descriptor=FORMULA,
-    )
+    return CoinField(rows, FORMULA)
 
 
 @dataclass(frozen=True)
@@ -175,19 +165,19 @@ def potentials_from_transform(
     Samples ``(hbar_over_e / c) * (chi - chi0) / tau`` into ``a_t`` and the
     same scaling of ``alpha - alpha0`` into ``a_x`` over the window
     ``|n| <= n_max, 0 <= t <= t_max``.  Tabulated fields that do not cover
-    the window fail site-by-site with ``TotalityError``.
+    the window raise ``TotalityError`` naming the first missing site.
     """
-    base = _as_field(ref)
+    base = CoinField.lift(ref)
     scale = units.hbar_over_e / (units.c * units.tau)
     ns = np.arange(-n_max, n_max + 1)
     ts = np.arange(t_max + 1)
     a_t = np.empty((ts.size, ns.size))
     a_x = np.empty((ts.size, ns.size))
-    for i, t in enumerate(ts):
-        for j, n in enumerate(ns):
-            n, t = int(n), int(t)
-            a_t[i, j] = scale * (transformed.chi_of(n, t) - base.chi_of(n, t))
-            a_x[i, j] = scale * (transformed.alpha_of(n, t) - base.alpha_of(n, t))
+    for t in range(t_max + 1):
+        _, alpha, _, chi = transformed.rows(ns, t)
+        _, alpha0, _, chi0 = base.rows(ns, t)
+        a_t[t] = scale * (chi - chi0)
+        a_x[t] = scale * (alpha - alpha0)
     return PotentialField(x=units.ell * ns, t=units.tau * ts, a_t=a_t, a_x=a_x)
 
 
@@ -329,26 +319,11 @@ def efield_invariance_residual(
     return float(np.max(np.abs(residual))), residual
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def save_potentials_csv(p: PotentialField, path) -> None:
     """Write ``x,t,a_t,a_x`` rows in time-major order."""
-    with open(path, "w", newline="") as fh:
-        fh.write("x,t,a_t,a_x\n")
-        for i, t in enumerate(p.t):
-            for j, x in enumerate(p.x):
-                fh.write(
-                    f"{_fmt(x)},{_fmt(t)},{_fmt(p.a_t[i, j])},{_fmt(p.a_x[i, j])}\n"
-                )
+    write_csv(path, "x,t,a_t,a_x", [*grid_columns(p.x, p.t), p.a_t, p.a_x])
 
 
 def save_residual_csv(path, xs, ts, residual) -> None:
     """Write ``x,t,residual`` rows in time-major order."""
-    residual = np.asarray(residual)
-    with open(path, "w", newline="") as fh:
-        fh.write("x,t,residual\n")
-        for i, t in enumerate(ts):
-            for j, x in enumerate(xs):
-                fh.write(f"{_fmt(x)},{_fmt(t)},{_fmt(residual[i, j])}\n")
+    write_csv(path, "x,t,residual", [*grid_columns(xs, ts), residual])

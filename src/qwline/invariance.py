@@ -20,10 +20,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .coin import FORMULA, CoinAngles, CoinField, PhaseField
+from .coin import FORMULA, CoinAngles, CoinField, PhaseField, sample
 from .errors import PhaseConditionError
 from .evolution import step_inhomogeneous
 from .observables import pmf
@@ -44,9 +45,44 @@ _CONDITION_TOL = 1e-12
 _PAIR_PHASE_FLOOR = 1e-9
 _COMPONENT_PHASE_FLOOR = 1e-12
 
+_RIGHT_MOVING = ("xi must be constant along right-moving characteristics; "
+                 "xi(n+1, t+1) - xi(n, t) =")
+_LEFT_MOVING = ("zeta must be constant along left-moving characteristics; "
+                "zeta(n-1, t+1) - zeta(n, t) =")
+_COMMON_PHASE = "common-phase dressing needs zeta == xi, but they differ by"
 
-def _lift(ref: CoinField | CoinAngles) -> CoinField:
-    return CoinField.homogeneous(ref) if isinstance(ref, CoinAngles) else ref
+
+def _require_small(ns, t: int, *checks) -> None:
+    """Raise :class:`PhaseConditionError` at the first site of a bad gap.
+
+    ``checks`` are ``(message, gap row)`` pairs over the sites ``ns``; a gap
+    fails when its modulus exceeds 1e-12, and where several fail at the
+    same site the first pair is reported.
+    """
+    bad = np.abs([gap for _, gap in checks]) > _CONDITION_TOL
+    hits = np.flatnonzero(bad.any(axis=0))
+    if hits.size:
+        i = hits[0]
+        message, gap = checks[int(np.argmax(bad[:, i]))]
+        raise PhaseConditionError(f"{message} {abs(gap[i]):.3e} at (n={ns[i]}, t={t})")
+
+
+def _dressed_field(ref: CoinField | CoinAngles, xi, zeta) -> CoinField:
+    """The transformed coin for dressing phases given as row samplers."""
+    base = CoinField.lift(ref)
+
+    def rows(ns, t):
+        theta, alpha, beta, chi = base.rows(ns, t)
+        xi1, xi0 = xi(ns + 1, t + 1), xi(ns, t)
+        zeta1, zeta0 = zeta(ns - 1, t + 1), zeta(ns, t)
+        return (
+            theta,
+            alpha + 0.5 * (xi1 - xi0 - zeta1 + zeta0),
+            beta + 0.5 * (zeta1 + zeta0 - xi1 - xi0),
+            chi + 0.5 * (xi1 - xi0 + zeta1 - zeta0),
+        )
+
+    return CoinField(rows, FORMULA)
 
 
 def transform_coin_field(ref: CoinField | CoinAngles, phases: PhaseField) -> CoinField:
@@ -58,31 +94,8 @@ def transform_coin_field(ref: CoinField | CoinAngles, phases: PhaseField) -> Coi
     ``alpha`` and ``beta`` uniquely and leaves ``theta`` alone.  This holds
     for every phase pair, with no smoothness or structure assumed.
     """
-    base = _lift(ref)
-    xi, zeta = phases.xi_of, phases.zeta_of
-
-    def chi_of(n, t):
-        return base.chi_of(n, t) + 0.5 * (
-            xi(n + 1, t + 1) - xi(n, t) + zeta(n - 1, t + 1) - zeta(n, t)
-        )
-
-    def alpha_of(n, t):
-        return base.alpha_of(n, t) + 0.5 * (
-            xi(n + 1, t + 1) - xi(n, t) - zeta(n - 1, t + 1) + zeta(n, t)
-        )
-
-    def beta_of(n, t):
-        return base.beta_of(n, t) + 0.5 * (
-            zeta(n - 1, t + 1) + zeta(n, t) - xi(n + 1, t + 1) - xi(n, t)
-        )
-
-    return CoinField(
-        theta_of=base.theta_of,
-        alpha_of=alpha_of,
-        beta_of=beta_of,
-        chi_of=chi_of,
-        descriptor=FORMULA,
-    )
+    return _dressed_field(ref, partial(sample, phases.xi_of),
+                          partial(sample, phases.zeta_of))
 
 
 def exact_transform(ref: CoinField | CoinAngles, phases: PhaseField) -> CoinField:
@@ -91,27 +104,20 @@ def exact_transform(ref: CoinField | CoinAngles, phases: PhaseField) -> CoinFiel
     With ``zeta == xi`` the dressing is an overall local phase, so the
     dressed walk reproduces the original in every observable, relative
     phases included.  A pair built from one shared callable passes
-    structurally; otherwise every ``zeta`` evaluation is cross-checked
+    structurally; otherwise every sampled ``zeta`` row is cross-checked
     against ``xi`` and the first site where they split by more than 1e-12
     raises :class:`PhaseConditionError`.
     """
     if phases.is_symmetric:
         return transform_coin_field(ref, phases)
-    xi, zeta = phases.xi_of, phases.zeta_of
+    xi = partial(sample, phases.xi_of)
 
-    def checked_zeta(n, t):
-        zv = zeta(n, t)
-        gap = abs(xi(n, t) - zv)
-        if gap > _CONDITION_TOL:
-            raise PhaseConditionError(
-                "common-phase dressing needs zeta == xi, but they differ "
-                f"by {gap:.3e} at (n={n}, t={t})"
-            )
+    def checked_zeta(ns, t):
+        zv = sample(phases.zeta_of, ns, t)
+        _require_small(ns, t, (_COMMON_PHASE, xi(ns, t) - zv))
         return zv
 
-    return transform_coin_field(
-        ref, PhaseField(xi, checked_zeta, descriptor=phases.descriptor)
-    )
+    return _dressed_field(ref, xi, checked_zeta)
 
 
 def quasi_invariant_phases(rate: float) -> PhaseField:
@@ -147,10 +153,11 @@ def relative_phase_map(state: SpinorField, floor: float = _PAIR_PHASE_FLOOR):
 
 def _dressed_start(init: InitialState, phases: PhaseField) -> SpinorField:
     base = localized_state(init)
+    origin = np.zeros(1, dtype=np.int64)
     return SpinorField(
         t=0,
-        plus_amps=base.plus_amps * np.exp(1j * phases.xi_of(0, 0)),
-        minus_amps=base.minus_amps * np.exp(1j * phases.zeta_of(0, 0)),
+        plus_amps=base.plus_amps * np.exp(1j * sample(phases.xi_of, origin, 0)),
+        minus_amps=base.minus_amps * np.exp(1j * sample(phases.zeta_of, origin, 0)),
         parity_localized=True,
     )
 
@@ -188,8 +195,8 @@ def _component_comparison(a: SpinorField, b: SpinorField, phases: PhaseField) ->
     t = a.t
     occ = np.arange(-t, t + 1, 2)
     idx = occ + t
-    xi_vals = np.array([phases.xi_of(int(n), t) for n in occ])
-    zeta_vals = np.array([phases.zeta_of(int(n), t) for n in occ])
+    xi_vals = sample(phases.xi_of, occ, t)
+    zeta_vals = sample(phases.zeta_of, occ, t)
     dressed_plus = a.plus_amps[idx] * np.exp(1j * xi_vals)
     dressed_minus = a.minus_amps[idx] * np.exp(1j * zeta_vals)
     comp = max(
@@ -246,22 +253,34 @@ class InvarianceReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
-def _check_characteristic_conditions(phases: PhaseField, t_final: int) -> None:
-    xi, zeta = phases.xi_of, phases.zeta_of
-    for t in range(t_final):
-        for n in range(-t, t + 1, 2):
-            gap = abs(xi(n + 1, t + 1) - xi(n, t))
-            if gap > _CONDITION_TOL:
-                raise PhaseConditionError(
-                    "xi must be constant along right-moving characteristics; "
-                    f"xi(n+1, t+1) - xi(n, t) = {gap:.3e} at (n={n}, t={t})"
-                )
-            gap = abs(zeta(n - 1, t + 1) - zeta(n, t))
-            if gap > _CONDITION_TOL:
-                raise PhaseConditionError(
-                    "zeta must be constant along left-moving characteristics; "
-                    f"zeta(n-1, t+1) - zeta(n, t) = {gap:.3e} at (n={n}, t={t})"
-                )
+def _verify(kind, init, ref, phases, t_final, inputs, compare) -> InvarianceReport:
+    """Step a walk and its dressed copy side by side, comparing every step."""
+    if t_final < 0:
+        raise ValueError(f"t_final must be non-negative, got {t_final}")
+    base = CoinField.lift(ref)
+    dressed_coin = transform_coin_field(base, phases)
+    ref_state = localized_state(init)
+    dressed = _dressed_start(init, phases)
+    per_time = [compare(ref_state, dressed)]
+    for _ in range(t_final):
+        ref_state = step_inhomogeneous(ref_state, base)
+        dressed = step_inhomogeneous(dressed, dressed_coin)
+        per_time.append(compare(ref_state, dressed))
+
+    def worst(key):
+        return max(d[key] for d in per_time) if key in per_time[0] else None
+
+    return InvarianceReport(
+        kind=kind,
+        t_final=t_final,
+        max_modulus_deviation=worst("modulus"),
+        max_pmf_deviation=worst("pmf"),
+        phase_map_divergence=worst("phase_map"),
+        max_relative_phase_deviation=worst("relative_phase"),
+        max_component_deviation=worst("component"),
+        per_time_deviations=per_time,
+        inputs=dict(inputs or {}),
+    )
 
 
 def verify_quasi_invariance(
@@ -280,29 +299,15 @@ def verify_quasi_invariance(
     deviations at rounding level at every step, while the relative-phase
     map drifts by ``xi - zeta``.
     """
-    if t_final < 0:
-        raise ValueError(f"t_final must be non-negative, got {t_final}")
-    _check_characteristic_conditions(phases, t_final)
-    base = _lift(ref)
-    dressed_coin = transform_coin_field(base, phases)
-    ref_state = localized_state(init)
-    dressed = _dressed_start(init, phases)
-    per_time = [_compare_pair(ref_state, dressed)]
-    for _ in range(t_final):
-        ref_state = step_inhomogeneous(ref_state, base)
-        dressed = step_inhomogeneous(dressed, dressed_coin)
-        per_time.append(_compare_pair(ref_state, dressed))
-    return InvarianceReport(
-        kind="quasi",
-        t_final=t_final,
-        max_modulus_deviation=max(d["modulus"] for d in per_time),
-        max_pmf_deviation=max(d["pmf"] for d in per_time),
-        phase_map_divergence=max(d["phase_map"] for d in per_time),
-        max_relative_phase_deviation=None,
-        max_component_deviation=None,
-        per_time_deviations=per_time,
-        inputs=dict(inputs or {}),
-    )
+    xi, zeta = phases.xi_of, phases.zeta_of
+    for t in range(t_final):
+        ns = np.arange(-t, t + 1, 2)
+        _require_small(
+            ns, t,
+            (_RIGHT_MOVING, sample(xi, ns + 1, t + 1) - sample(xi, ns, t)),
+            (_LEFT_MOVING, sample(zeta, ns - 1, t + 1) - sample(zeta, ns, t)),
+        )
+    return _verify("quasi", init, ref, phases, t_final, inputs, _compare_pair)
 
 
 def verify_exact_invariance(
@@ -319,34 +324,10 @@ def verify_exact_invariance(
     reported deviation, componentwise distance included, should sit at
     rounding level for any ``xi`` whatsoever.
     """
-    if t_final < 0:
-        raise ValueError(f"t_final must be non-negative, got {t_final}")
     if not phases.is_symmetric:
         for t in range(t_final + 1):
-            for n in range(-t, t + 1, 2):
-                gap = abs(phases.xi_of(n, t) - phases.zeta_of(n, t))
-                if gap > _CONDITION_TOL:
-                    raise PhaseConditionError(
-                        "common-phase dressing needs zeta == xi, but they "
-                        f"differ by {gap:.3e} at (n={n}, t={t})"
-                    )
-    base = _lift(ref)
-    dressed_coin = transform_coin_field(base, phases)
-    ref_state = localized_state(init)
-    dressed = _dressed_start(init, phases)
-    per_time = [_component_comparison(ref_state, dressed, phases)]
-    for _ in range(t_final):
-        ref_state = step_inhomogeneous(ref_state, base)
-        dressed = step_inhomogeneous(dressed, dressed_coin)
-        per_time.append(_component_comparison(ref_state, dressed, phases))
-    return InvarianceReport(
-        kind="exact",
-        t_final=t_final,
-        max_modulus_deviation=max(d["modulus"] for d in per_time),
-        max_pmf_deviation=max(d["pmf"] for d in per_time),
-        phase_map_divergence=max(d["phase_map"] for d in per_time),
-        max_relative_phase_deviation=max(d["relative_phase"] for d in per_time),
-        max_component_deviation=max(d["component"] for d in per_time),
-        per_time_deviations=per_time,
-        inputs=dict(inputs or {}),
-    )
+            ns = np.arange(-t, t + 1, 2)
+            _require_small(ns, t, (_COMMON_PHASE, sample(phases.xi_of, ns, t)
+                                   - sample(phases.zeta_of, ns, t)))
+    return _verify("exact", init, ref, phases, t_final, inputs,
+                   partial(_component_comparison, phases=phases))

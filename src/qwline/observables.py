@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, xlogy
 
+from ._csvio import write_csv
 from .errors import UnsupportedParameterError
 from .state import SpinorField
 
@@ -220,31 +221,23 @@ def fitted_slope(ts, xs, t_min: int | None = None) -> float:
     return float(np.polyfit(ts[keep], xs[keep], 1)[0])
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
-
-
 def save_pmf_csv(path, ns, rho) -> None:
     """Write ``n,rho`` rows."""
-    with open(path, "w", newline="") as fh:
-        fh.write("n,rho\n")
-        for n, r in zip(ns, rho):
-            fh.write(f"{int(n)},{_fmt(r)}\n")
+    write_csv(path, "n,rho", [np.asarray(ns, dtype=np.int64), rho])
 
 
 def save_trajectory_csv(path, records) -> None:
     """Write ``t,mean_x,p_plus,p_minus`` rows, one per recorded step."""
-    with open(path, "w", newline="") as fh:
-        fh.write("t,mean_x,p_plus,p_minus\n")
-        for rec in records:
-            fh.write(
-                f"{rec.t},{_fmt(rec.mean_x)},{_fmt(rec.p_plus)},{_fmt(rec.p_minus)}\n"
-            )
+    write_csv(path, "t,mean_x,p_plus,p_minus", [
+        [rec.t for rec in records],
+        [rec.mean_x for rec in records],
+        [rec.p_plus for rec in records],
+        [rec.p_minus for rec in records],
+    ])
 
 
 def save_comparison_csv(path, ns, rho_exact, rho_stationary, rho_classical) -> None:
     """Write ``n,rho_exact,rho_stationary,rho_classical`` rows."""
-    with open(path, "w", newline="") as fh:
-        fh.write("n,rho_exact,rho_stationary,rho_classical\n")
-        for n, a, b, c in zip(ns, rho_exact, rho_stationary, rho_classical):
-            fh.write(f"{int(n)},{_fmt(a)},{_fmt(b)},{_fmt(c)}\n")
+    write_csv(path, "n,rho_exact,rho_stationary,rho_classical", [
+        np.asarray(ns, dtype=np.int64), rho_exact, rho_stationary, rho_classical,
+    ])

@@ -7,9 +7,12 @@ from a single site only populates sites with ``n + t`` even.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from ._csvio import write_csv
 
 __all__ = [
     "InitialState",
@@ -88,15 +91,21 @@ class SpinorField:
             np.sum(np.abs(self.plus_amps) ** 2 + np.abs(self.minus_amps) ** 2)
         )
 
-    def validate(self, atol: float = 1e-12) -> None:
+    def validate(self, atol: float | None = None) -> None:
         """Check the physical invariants; raise ``ValueError`` on failure.
 
         Verifies finiteness, normalization within ``atol``, and (when
-        ``parity_localized``) exact zeros on sites with ``n + t`` odd.
+        ``parity_localized``) exact zeros on sites with ``n + t`` odd.  The
+        default ``atol`` is ``max(1e-12, 8 eps sqrt(t (2t + 1)))``: the norm
+        drift of a correct walk grows like ``eps sqrt(t (2t + 1))`` (at most
+        1.3 times that over 360 random walks with t up to 4000).
         """
         if not (np.all(np.isfinite(self.plus_amps.view(np.float64)))
                 and np.all(np.isfinite(self.minus_amps.view(np.float64)))):
             raise ValueError("amplitudes contain non-finite entries")
+        if atol is None:
+            eps = np.finfo(np.float64).eps
+            atol = max(1e-12, 8 * eps * math.sqrt(self.t * (2 * self.t + 1)))
         drift = abs(self.norm() - 1.0)
         if drift > atol:
             raise ValueError(f"norm deviates from 1 by {drift:.3e} (atol={atol:.1e})")
@@ -114,21 +123,11 @@ def localized_state(init: InitialState) -> SpinorField:
     return SpinorField(t=0, plus_amps=plus, minus_amps=minus, parity_localized=True)
 
 
-def _fmt(x: float) -> str:
-    # 17 significant digits: enough to round-trip any double exactly.
-    return format(x, ".16e")
-
-
 def save_spinor_csv(state: SpinorField, path) -> None:
     """Write the state as ``n,re_plus,im_plus,re_minus,im_minus`` rows."""
-    with open(path, "w", newline="") as fh:
-        fh.write(SPINOR_CSV_HEADER + "\n")
-        for i, n in enumerate(range(-state.t, state.t + 1)):
-            p = state.plus_amps[i]
-            m = state.minus_amps[i]
-            fh.write(
-                f"{n},{_fmt(p.real)},{_fmt(p.imag)},{_fmt(m.real)},{_fmt(m.imag)}\n"
-            )
+    p, m = state.plus_amps, state.minus_amps
+    write_csv(path, SPINOR_CSV_HEADER,
+              [state.n_values, p.real, p.imag, m.real, m.imag])
 
 
 def load_spinor_csv(path) -> SpinorField:

@@ -311,3 +311,28 @@ def test_bad_phase_file_exits_2(tmp_path, capsys, how):
 def test_non_numeric_gates_exit_2(tmp_path, capsys, argv, value):
     assert main(argv + [value, "--outdir", str(tmp_path)]) == 2
     assert "must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, fields", [
+    ("gauge", {"domain": 5}),
+    ("gauge", {"resolutions": 5}),
+    ("evolve", {"theta": 0.5, "t_final": 1.7}),
+    ("evolve", {"theta": 0.5, "t_final": True}),
+    ("evolve", {"theta": 0.5, "t_final": 3, "record": "no"}),
+    ("evolve", {"t_final": 3, "coin_file": 1000000}),
+])
+def test_config_values_of_wrong_type_exit_2(tmp_path, capsys, command, fields):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(fields))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--outdir", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_non_finite_sampled_angle_exits_2(tmp_path, capsys):
+    # beta1 = 1e308 overflows the dressed beta at the first off-axis site
+    rc = main(["invariance", "--theta", "0.5", "--t-final", "3", "--beta1", "1e308",
+               "--outdir", str(tmp_path)])
+    assert rc == 2
+    assert "beta is not finite at (n=-1, t=1)" in capsys.readouterr().err

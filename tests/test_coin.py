@@ -150,6 +150,20 @@ def test_tabulated_lookup_outside_window(tmp_path):
         g.beta_of(4, 2)
 
 
+def test_table_rows_name_first_site_outside(tmp_path):
+    path = tmp_path / "coin.csv"
+    save_coin_field_csv(CoinField.homogeneous(CoinAngles(0.5)), t_max=3, path=path)
+    g = load_coin_field_csv(path)
+    theta, *_ = g.rows(np.arange(-3, 4), 3)
+    assert np.all(theta == 0.5)
+    with pytest.raises(TotalityError, match=r"\(n=4, t=2\)"):
+        g.rows(np.arange(1, 7), 2)
+    with pytest.raises(TotalityError, match=r"\(n=-5, t=0\)"):
+        g.materialize(-5, 5, 0, stride=2)
+    with pytest.raises(TotalityError, match=r"\(n=-1, t=4\)"):
+        g.rows(np.arange(-1, 2), 4)
+
+
 def test_phase_csv_round_trip(tmp_path):
     f = PhaseField.from_functions(
         xi_of=lambda n, t: 0.05 * (n - t),

@@ -141,13 +141,16 @@ def test_start_from_existing_state():
     assert np.allclose(resumed.minus_amps, full.minus_amps, atol=1e-15)
 
 
+_FORMULA_ANGLES = (
+    lambda n, t: 0.7 + 0.1 * np.sin(0.3 * n + 0.2 * t),
+    lambda n, t: 0.01 * n - 0.02 * t,
+    lambda n, t: 0.2 + 0.3 * np.cos(0.1 * n - 0.05 * t),
+    lambda n, t: 0.1 * np.sin(0.2 * (n + t)),
+)
+
+
 def _formula_coin():
-    return CoinField.from_functions(
-        theta_of=lambda n, t: 0.7 + 0.1 * np.sin(0.3 * n + 0.2 * t),
-        alpha_of=lambda n, t: 0.01 * n - 0.02 * t,
-        beta_of=lambda n, t: 0.2 + 0.3 * np.cos(0.1 * n - 0.05 * t),
-        chi_of=lambda n, t: 0.1 * np.sin(0.2 * (n + t)),
-    )
+    return CoinField.from_functions(*_FORMULA_ANGLES)
 
 
 def _spread_state():
@@ -173,6 +176,35 @@ def test_unlocalized_evolution_equals_repeated_single_steps():
         assert np.array_equal(evolved.minus_amps, stepped.minus_amps)
         assert np.any(evolved.plus_amps[1::2] != 0)
         assert abs(evolved.norm() - 1.0) < 1e-13
+
+
+def test_parity_localized_evolve_samples_occupied_sites_only():
+    """Step t updates t + 1 sites, so T steps call each coin callable
+    T (T + 1) / 2 times."""
+    calls = [0] * 4
+
+    def counted(k):
+        def fn(n, t):
+            calls[k] += 1
+            return _FORMULA_ANGLES[k](n, t)
+        return fn
+
+    t_final = 25
+    evolve(InitialState(eta=0.6, gamma=1.9),
+           CoinField.from_functions(*(counted(k) for k in range(4))), t_final)
+    assert calls == [t_final * (t_final + 1) // 2] * 4
+
+
+def test_coin_table_evolves_like_its_formula(tmp_path):
+    path = tmp_path / "coin.csv"
+    save_coin_field_csv(_formula_coin(), t_max=20, path=path)
+    table = load_coin_field_csv(path)
+    # a localized start (stride 2) and a spread one (stride 1), to t = 20
+    for start, steps in ((InitialState(eta=0.6, gamma=1.9), 20), (_spread_state(), 17)):
+        got = evolve(start, table, steps)
+        want = evolve(start, _formula_coin(), steps)
+        assert np.array_equal(got.plus_amps, want.plus_amps)
+        assert np.array_equal(got.minus_amps, want.minus_amps)
 
 
 def test_resumed_evolution_is_bit_identical():
@@ -211,3 +243,12 @@ def test_long_run_keeps_exact_parity_zeros():
     assert np.all(state.minus_amps[odd] == 0)
     # rounding level: about eps * sqrt(T * window) = 1.3e-12 here
     assert abs(state.norm() - 1.0) < 1e-11
+    # the default validate bound grows with t; an explicit atol still wins
+    state.validate()
+    with pytest.raises(ValueError, match="norm deviates"):
+        state.validate(atol=1e-13)
+    scale = np.sqrt(1.0 + 1e-9)
+    off = SpinorField(t=t, plus_amps=state.plus_amps * scale,
+                      minus_amps=state.minus_amps * scale)
+    with pytest.raises(ValueError, match="norm deviates"):
+        off.validate()

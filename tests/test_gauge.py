@@ -74,6 +74,37 @@ def test_finite_difference_transform_matches_pointwise():
         assert worst < 1e-14
 
 
+def test_transform_rows_equal_scalar_formulas():
+    """Both transforms evaluate their per-site formula in the same order on
+    whole rows, so each row matches the scalar formula bit for bit."""
+
+    def pointwise(xi, zeta, n, t):
+        return (
+            REF.alpha + 0.5 * (xi(n + 1, t + 1) - xi(n, t) - zeta(n - 1, t + 1) + zeta(n, t)),
+            REF.beta + 0.5 * (zeta(n - 1, t + 1) + zeta(n, t) - xi(n + 1, t + 1) - xi(n, t)),
+            REF.chi + 0.5 * (xi(n + 1, t + 1) - xi(n, t) + zeta(n - 1, t + 1) - zeta(n, t)),
+        )
+
+    def differences(xi, zeta, n, t):
+        d_n, _ = forward_differences(lambda m, s: xi(m, s) - zeta(m - 1, s), n, t + 1)
+        _, d_t = forward_differences(lambda m, s: xi(m, s) + zeta(m, s), n, t)
+        chi = REF.chi + 0.5 * (d_n + d_t)
+        d_n, _ = forward_differences(lambda m, s: xi(m, s) + zeta(m - 1, s), n, t + 1)
+        _, d_t = forward_differences(lambda m, s: xi(m, s) - zeta(m, s), n, t)
+        shift = 0.5 * (d_n + d_t)
+        return REF.alpha + shift, REF.beta + (zeta(n, t) - xi(n, t)) - shift, chi
+
+    for phases in _phase_families():
+        for transform, formula in ((transform_coin_field, pointwise),
+                                   (finite_difference_transform, differences)):
+            f = transform(REF, phases)
+            for t in (0, 7, 39):
+                theta, *rows = f.materialize(-30, 30, t)
+                want = [formula(phases.xi_of, phases.zeta_of, n, t) for n in range(-30, 31)]
+                assert np.all(theta == REF.theta)
+                assert np.array(rows).tobytes() == np.array(want, dtype=float).T.tobytes()
+
+
 def test_finite_difference_transform_zero_phases():
     b = finite_difference_transform(REF, PhaseField.constant(0.0))
     assert b.chi_of(3, 7) == REF.chi
