@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._csvio import grid_columns, write_csv
+from ._csvio import grid_columns, read_csv, write_csv
 from .errors import TableError, TotalityError, UnsupportedParameterError
 
 __all__ = [
@@ -36,10 +36,6 @@ __all__ = [
 
 COIN_CSV_HEADER = "n,t,theta,alpha,beta,chi"
 PHASE_CSV_HEADER = "n,t,xi,zeta"
-
-HOMOGENEOUS = "homogeneous"
-TABULATED = "tabulated"
-FORMULA = "formula"
 
 
 @dataclass(frozen=True)
@@ -123,30 +119,26 @@ class CoinField:
     """Coin parameters as a row sampler ``rows(ns, t) -> (theta, alpha, beta, chi)``.
 
     ``rows`` returns four float arrays holding the parameters at the integer
-    sites ``ns`` at step ``t``.  Every backing implements it: constants
-    (``descriptor == "homogeneous"``, which also sets ``angles``), scalar
-    callables evaluated through :func:`sample` (``"formula"``), dense
-    tables loaded from file (``"tabulated"``) and the dressing transforms.
-    ``angles`` holds the constant angles of a homogeneous field, else
-    ``None``.
+    sites ``ns`` at step ``t``.  Every backing implements it: constants,
+    scalar callables evaluated through :func:`sample`, dense tables loaded
+    from file and the dressing transforms.  ``angles`` holds the constant
+    angles of a homogeneous field, else ``None``.
     """
 
     rows: Callable[[np.ndarray, int], tuple]
-    descriptor: str = FORMULA
     angles: CoinAngles | None = None
 
     @classmethod
     def homogeneous(cls, c: CoinAngles) -> "CoinField":
         """Lift constant angles to a (trivially) site/time-dependent field."""
         values = (c.theta, c.alpha, c.beta, c.chi)
-        return cls(lambda ns, t: tuple(np.full(len(ns), v) for v in values),
-                   HOMOGENEOUS, c)
+        return cls(lambda ns, t: tuple(np.full(len(ns), v) for v in values), c)
 
     @classmethod
     def from_functions(cls, theta_of, alpha_of, beta_of, chi_of) -> "CoinField":
         """A field from four scalar callables ``(n, t) -> radians``."""
         fns = (theta_of, alpha_of, beta_of, chi_of)
-        return cls(lambda ns, t: tuple(sample(fn, ns, t) for fn in fns), FORMULA)
+        return cls(lambda ns, t: tuple(sample(fn, ns, t) for fn in fns))
 
     @staticmethod
     def lift(ref: "CoinField | CoinAngles") -> "CoinField":
@@ -197,21 +189,20 @@ class PhaseField:
 
     xi_of: Callable[[int, int], float]
     zeta_of: Callable[[int, int], float]
-    descriptor: str = FORMULA
 
     @classmethod
     def from_functions(cls, xi_of, zeta_of) -> "PhaseField":
-        return cls(xi_of, zeta_of, descriptor=FORMULA)
+        return cls(xi_of, zeta_of)
 
     @classmethod
     def constant(cls, xi: float, zeta: float | None = None) -> "PhaseField":
         z = xi if zeta is None else zeta
-        return cls(lambda n, t: xi, lambda n, t: z, descriptor=HOMOGENEOUS)
+        return cls(lambda n, t: xi, lambda n, t: z)
 
     @classmethod
     def symmetric(cls, xi_of: Callable[[int, int], float]) -> "PhaseField":
         """Both components carry the same phase (``zeta == xi``)."""
-        return cls(xi_of, xi_of, descriptor=FORMULA)
+        return cls(xi_of, xi_of)
 
     @property
     def is_symmetric(self) -> bool:
@@ -259,69 +250,60 @@ def save_phase_field_csv(f: PhaseField, t_max: int, path) -> None:
                      lambda ns, t: (sample(f.xi_of, ns, t), sample(f.zeta_of, ns, t)))
 
 
-def _load_window_csv(path, header: str, n_cols: int, what: str):
+def _load_window_csv(path, header: str, what: str):
     """Shared reader for dense (n, t)-keyed tables.
 
-    Returns ``(t_max, list of value arrays)``.  The window is inferred from
-    the largest ``t`` present; every pair with ``|n| <= t_max`` and
-    ``0 <= t <= t_max`` must appear exactly once, and every value must be
-    finite.  A malformed file raises :class:`TableError`, a missing entry
-    :class:`TotalityError`.
+    Returns ``(t_max, list of value arrays indexed [t, n + t_max])``.  The
+    window is inferred from the largest ``t`` present; every pair with
+    ``|n| <= t_max`` and ``0 <= t <= t_max`` must appear exactly once, no
+    row may lie outside, and every value must be finite.  A malformed file
+    raises :class:`TableError`, a missing entry :class:`TotalityError`.
     """
     def malformed(msg):
         return TableError(f"{what} file {path}: {msg}")
 
-    rows = {}
-    with open(path, newline="") as fh:
-        got = fh.readline().strip()
-        if got != header:
-            raise malformed(f"unexpected header {got!r}, want {header!r}")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            cells = line.split(",")
-            if len(cells) != 2 + n_cols:
-                raise malformed(f"malformed row: {line!r}")
-            try:
-                key = (int(cells[0]), int(cells[1]))
-                vals = [float(c) for c in cells[2:]]
-            except ValueError:
-                raise malformed(f"malformed row: {line!r}") from None
-            if key in rows:
-                raise malformed(f"duplicate entry for (n={key[0]}, t={key[1]})")
-            rows[key] = vals
-    if not rows:
-        raise malformed("no data rows")
-    t_max = max(t for _, t in rows)
-    values = [np.empty((t_max + 1, 2 * t_max + 1)) for _ in range(n_cols)]
-    for t in range(t_max + 1):
-        for n in range(-t_max, t_max + 1):
-            if (n, t) not in rows:
-                raise TotalityError(n, t, what=what)
-            for k in range(n_cols):
-                values[k][t, n + t_max] = rows[(n, t)][k]
-    finite = np.logical_and.reduce([np.isfinite(v) for v in values])
-    if not finite.all():
-        # first offending (t, n) in window order, then its first column
-        t, i = np.argwhere(~finite)[0]
-        k = next(k for k, v in enumerate(values) if not np.isfinite(v[t, i]))
-        name = header.split(",")[2 + k]
-        raise malformed(f"{name} is not finite at (n={i - t_max}, t={t})")
-    return t_max, values
+    cols = read_csv(path, header, what)
+    n, t = cols.pop("n"), cols.pop("t")
+    # (t, n) order, stable: each repeat lands right after its first row
+    order = np.lexsort((n, t))
+    again = np.flatnonzero((np.diff(t[order]) == 0) & (np.diff(n[order]) == 0))
+    if again.size:
+        i = order[again + 1].min()
+        raise malformed(f"duplicate entry for (n={n[i]}, t={t[i]})")
+    t_max = int(t.max())
+    outside = np.flatnonzero((t < 0) | (np.abs(n) > t_max))
+    if outside.size:
+        i = outside[0]
+        why = "t < 0" if t[i] < 0 else f"|n| > t_max = {t_max}"
+        raise malformed(f"row outside the window ({why}) at (n={n[i]}, t={t[i]})")
+    width = 2 * t_max + 1
+    # distinct keys inside the window, ascending: the first gap is the first
+    # missing site in (t, n) order
+    key = t[order] * width + n[order] + t_max
+    gap = np.flatnonzero(key != np.arange(key.size))
+    if gap.size or key.size < (t_max + 1) * width:
+        k = gap[0] if gap.size else key.size
+        raise TotalityError(k % width - t_max, k // width, what=what)
+    values = [v[order] for v in cols.values()]
+    bad = ~np.isfinite(values)
+    if bad.any():
+        # first offending site in window order, then its first column
+        k = np.flatnonzero(bad.any(axis=0))[0]
+        name = list(cols)[np.argmax(bad[:, k])]
+        raise malformed(f"{name} is not finite at (n={k % width - t_max}, t={k // width})")
+    return t_max, [v.reshape(t_max + 1, width) for v in values]
 
 
 def load_coin_field_csv(path) -> CoinField:
     """Load a tabulated coin field written as ``n,t,theta,alpha,beta,chi``."""
-    t_max, values = _load_window_csv(path, COIN_CSV_HEADER, 4, "coin field")
-    return CoinField(_window_table_rows(values, t_max, "coin field"), TABULATED)
+    t_max, values = _load_window_csv(path, COIN_CSV_HEADER, "coin field")
+    return CoinField(_window_table_rows(values, t_max, "coin field"))
 
 
 def load_phase_field_csv(path) -> PhaseField:
     """Load a tabulated phase pair written as ``n,t,xi,zeta``."""
-    t_max, (xi, zeta) = _load_window_csv(path, PHASE_CSV_HEADER, 2, "phase field")
+    t_max, (xi, zeta) = _load_window_csv(path, PHASE_CSV_HEADER, "phase field")
     return PhaseField(
         xi_of=_window_table_lookup(xi, t_max, "phase field"),
         zeta_of=_window_table_lookup(zeta, t_max, "phase field"),
-        descriptor=TABULATED,
     )

@@ -27,5 +27,6 @@ class GridError(ValueError):
 
 
 class TableError(ValueError):
-    """A tabulated input file is malformed: header, row syntax, a duplicate
-    entry or a non-finite value."""
+    """An input CSV file is malformed: header, row syntax, no rows, a
+    duplicate entry, a row outside the table's window or a non-finite
+    value."""

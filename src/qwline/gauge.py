@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from ._csvio import grid_columns, write_csv
-from .coin import FORMULA, CoinAngles, CoinField, PhaseField, sample
+from .coin import CoinAngles, CoinField, PhaseField, sample
 from .errors import GridError
 
 __all__ = [
@@ -114,7 +114,7 @@ def finite_difference_transform(
         beta = beta + (zeta(ns, t) - xi(ns, t)) - alpha_shift
         return theta, alpha + alpha_shift, beta, chi
 
-    return CoinField(rows, FORMULA)
+    return CoinField(rows)
 
 
 @dataclass(frozen=True)
@@ -216,7 +216,6 @@ def lattice_phases_from_smooth(
     return PhaseField(
         lambda n, t: float(pair.xi(n * ell, t * tau)),
         lambda n, t: float(pair.zeta(n * ell, t * tau)),
-        descriptor=FORMULA,
     )
 
 

@@ -19,12 +19,12 @@ finite differences of the dressing along the two propagation directions
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 
 import numpy as np
 
-from .coin import FORMULA, CoinAngles, CoinField, PhaseField, sample
+from .coin import CoinAngles, CoinField, PhaseField, sample
 from .errors import PhaseConditionError
 from .evolution import step_inhomogeneous
 from .observables import pmf
@@ -56,10 +56,10 @@ def _require_small(ns, t: int, *checks) -> None:
     """Raise :class:`PhaseConditionError` at the first site of a bad gap.
 
     ``checks`` are ``(message, gap row)`` pairs over the sites ``ns``; a gap
-    fails when its modulus exceeds 1e-12, and where several fail at the
-    same site the first pair is reported.
+    fails unless its modulus is at most 1e-12 (so a NaN gap fails), and
+    where several fail at the same site the first pair is reported.
     """
-    bad = np.abs([gap for _, gap in checks]) > _CONDITION_TOL
+    bad = ~(np.abs([gap for _, gap in checks]) <= _CONDITION_TOL)
     hits = np.flatnonzero(bad.any(axis=0))
     if hits.size:
         i = hits[0]
@@ -82,7 +82,7 @@ def _dressed_field(ref: CoinField | CoinAngles, xi, zeta) -> CoinField:
             chi + 0.5 * (xi1 - xi0 + zeta1 - zeta0),
         )
 
-    return CoinField(rows, FORMULA)
+    return CoinField(rows)
 
 
 def transform_coin_field(ref: CoinField | CoinAngles, phases: PhaseField) -> CoinField:
@@ -136,7 +136,7 @@ def quasi_invariant_phases(rate: float) -> PhaseField:
     def zeta_of(n, t):
         return 0.5 * rate * (n + t)
 
-    return PhaseField(xi_of, zeta_of, descriptor=FORMULA)
+    return PhaseField(xi_of, zeta_of)
 
 
 def relative_phase_map(state: SpinorField, floor: float = _PAIR_PHASE_FLOOR):
@@ -237,17 +237,7 @@ class InvarianceReport:
     inputs: dict
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "t_final": self.t_final,
-            "max_modulus_deviation": self.max_modulus_deviation,
-            "max_pmf_deviation": self.max_pmf_deviation,
-            "phase_map_divergence": self.phase_map_divergence,
-            "max_relative_phase_deviation": self.max_relative_phase_deviation,
-            "max_component_deviation": self.max_component_deviation,
-            "per_time_deviations": self.per_time_deviations,
-            "inputs": self.inputs,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._csvio import write_csv
+from ._csvio import read_csv, write_csv
+from .errors import TableError
 
 __all__ = [
     "InitialState",
@@ -135,34 +136,18 @@ def load_spinor_csv(path) -> SpinorField:
 
     The rows must cover a full window ``-t .. t`` in order.  The parity flag
     is recovered from the data: it is set when every off-parity site is
-    exactly zero.
+    exactly zero.  A malformed file raises :class:`TableError` (a
+    ``ValueError``).
     """
-    with open(path, newline="") as fh:
-        header = fh.readline().strip()
-        if header != SPINOR_CSV_HEADER:
-            raise ValueError(f"unexpected header {header!r}")
-        ns, plus, minus = [], [], []
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            cells = line.split(",")
-            if len(cells) != 5:
-                raise ValueError(f"malformed row: {line!r}")
-            ns.append(int(cells[0]))
-            plus.append(complex(float(cells[1]), float(cells[2])))
-            minus.append(complex(float(cells[3]), float(cells[4])))
-    if not ns:
-        raise ValueError("no data rows")
-    t = (len(ns) - 1) // 2
-    expected = list(range(-t, t + 1))
-    if ns != expected:
-        raise ValueError(f"rows must cover the contiguous window -{t}..{t}")
-    plus_arr = np.array(plus, dtype=np.complex128)
-    minus_arr = np.array(minus, dtype=np.complex128)
+    cols = read_csv(path, SPINOR_CSV_HEADER, "spinor")
+    t = (cols["n"].size - 1) // 2
+    if not np.array_equal(cols["n"], np.arange(-t, t + 1)):
+        raise TableError(
+            f"spinor file {path}: rows must cover the contiguous window -{t}..{t}")
+    # assigned, not summed: re + 1j * im can turn a -0.0 real part into +0.0
+    plus, minus = np.empty((2, 2 * t + 1), dtype=np.complex128)
+    plus.real, plus.imag = cols["re_plus"], cols["im_plus"]
+    minus.real, minus.imag = cols["re_minus"], cols["im_minus"]
     odd = np.arange(1, 2 * t + 1, 2)
-    parity = bool(
-        t == 0 or (np.all(plus_arr[odd] == 0) and np.all(minus_arr[odd] == 0))
-    )
-    return SpinorField(t=t, plus_amps=plus_arr, minus_amps=minus_arr,
-                       parity_localized=parity)
+    parity = bool(t == 0 or (np.all(plus[odd] == 0) and np.all(minus[odd] == 0)))
+    return SpinorField(t=t, plus_amps=plus, minus_amps=minus, parity_localized=parity)

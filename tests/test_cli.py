@@ -268,10 +268,21 @@ def _corrupt(path, how):
         cells = lines[1].split(",")
         cells[-1] = "nan"
         lines[1] = ",".join(cells)
+    elif how == "outside":
+        # a stray row at n = 9, beyond every table's t_max
+        lines.append(",".join(["9"] + lines[1].split(",")[1:]))
+    elif how == "negative_t":
+        # a single row at t = -1: no row lies inside any window
+        cells = lines[1].split(",")
+        cells[1] = "-1"
+        lines = [lines[0], ",".join(cells)]
     path.write_text("\n".join(lines) + "\n")
 
 
-@pytest.mark.parametrize("how", ["header", "row", "duplicate", "nan"])
+_CORRUPTIONS = ["header", "row", "duplicate", "nan", "outside", "negative_t"]
+
+
+@pytest.mark.parametrize("how", _CORRUPTIONS)
 def test_bad_coin_file_exits_2(tmp_path, capsys, how):
     coin_path = tmp_path / "coin.csv"
     save_coin_field_csv(CoinField.homogeneous(CoinAngles(0.6)), t_max=4,
@@ -286,9 +297,13 @@ def test_bad_coin_file_exits_2(tmp_path, capsys, how):
     if how == "nan":
         # the first row of the table is the leftmost site at t=0
         assert "chi is not finite at (n=-4, t=0)" in err
+    if how == "outside":
+        assert "outside the window (|n| > t_max = 4) at (n=9, t=0)" in err
+    if how == "negative_t":
+        assert "outside the window (t < 0) at (n=-4, t=-1)" in err
 
 
-@pytest.mark.parametrize("how", ["header", "row", "duplicate", "nan"])
+@pytest.mark.parametrize("how", _CORRUPTIONS)
 def test_bad_phase_file_exits_2(tmp_path, capsys, how):
     phase_path = tmp_path / "phases.csv"
     save_phase_field_csv(quasi_invariant_phases(0.1), t_max=6, path=phase_path)
@@ -300,6 +315,10 @@ def test_bad_phase_file_exits_2(tmp_path, capsys, how):
     assert "config error" in err
     if how == "nan":
         assert "zeta is not finite at (n=-6, t=0)" in err
+    if how == "outside":
+        assert "outside the window (|n| > t_max = 6) at (n=9, t=0)" in err
+    if how == "negative_t":
+        assert "outside the window (t < 0) at (n=-6, t=-1)" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -331,8 +350,15 @@ def test_config_values_of_wrong_type_exit_2(tmp_path, capsys, command, fields):
 
 
 def test_non_finite_sampled_angle_exits_2(tmp_path, capsys):
-    # beta1 = 1e308 overflows the dressed beta at the first off-axis site
+    # beta1 = 1e308 gives inf - inf = nan characteristic gaps, which fail the
+    # precondition before any coin is sampled
     rc = main(["invariance", "--theta", "0.5", "--t-final", "3", "--beta1", "1e308",
                "--outdir", str(tmp_path)])
     assert rc == 2
-    assert "beta is not finite at (n=-1, t=1)" in capsys.readouterr().err
+    assert ("xi must be constant along right-moving characteristics"
+            in capsys.readouterr().err)
+    # a = 1e308 overflows the dressed alpha at the first site sampled
+    rc = main(["invariance", "--family", "exact", "--theta", "0.5", "--t-final", "3",
+               "--a", "1e308", "--outdir", str(tmp_path)])
+    assert rc == 2
+    assert "alpha is not finite at (n=0, t=0)" in capsys.readouterr().err

@@ -75,7 +75,6 @@ def test_homogeneous_field_materialize():
     assert np.all(th == 0.7) and np.all(al == -0.2)
     assert np.all(be == 1.1) and np.all(ch == 0.05)
     assert th.shape == (7,)
-    assert f.descriptor == "homogeneous"
     assert f.theta_of(12, 99) == 0.7
 
 
@@ -91,7 +90,6 @@ def test_from_functions_materialize_matches_closures():
     assert np.all(al == 0.5)
     assert be == pytest.approx([-0.2, -0.1, 0.0, 0.1, 0.2])
     assert np.all(ch == 0.0)
-    assert f.descriptor == "formula"
 
 
 def test_materialize_names_non_finite_site():
@@ -131,7 +129,6 @@ def test_coin_csv_round_trip(tmp_path):
     path = tmp_path / "coin.csv"
     save_coin_field_csv(f, t_max=6, path=path)
     g = load_coin_field_csv(path)
-    assert g.descriptor == "tabulated"
     for t in range(7):
         for n in range(-6, 7):
             assert g.theta_of(n, t) == f.theta_of(n, t)
