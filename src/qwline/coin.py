@@ -179,16 +179,34 @@ class CoinField:
         return out
 
 
-@dataclass(frozen=True)
 class PhaseField:
-    """A pair of lattice phases ``xi(n, t)``, ``zeta(n, t)`` in radians.
+    """A pair of lattice phases as a row sampler ``rows(ns, t) -> (xi, zeta)``.
 
     ``xi`` multiplies the plus component and ``zeta`` the minus component
-    when one walk is rewritten in terms of another.
+    when one walk is rewritten in terms of another.  ``rows`` returns two
+    float arrays at the integer sites ``ns`` at step ``t``, backed like a
+    :class:`CoinField`: two scalar callables ``(n, t) -> radians`` passed to
+    the constructor and evaluated through :func:`sample`, constants, dense
+    tables loaded from file, or any row sampler (:meth:`from_rows`).  One
+    callable passed twice is sampled once per row, its row returned as both
+    components, and the pair ``is_symmetric`` (``zeta == xi`` by
+    construction).
     """
 
-    xi_of: Callable[[int, int], float]
-    zeta_of: Callable[[int, int], float]
+    def __init__(self, xi_of: Callable[[int, int], float],
+                 zeta_of: Callable[[int, int], float]):
+        self.is_symmetric = zeta_of is xi_of
+        if self.is_symmetric:
+            self.rows = lambda ns, t: (sample(xi_of, ns, t),) * 2
+        else:
+            self.rows = lambda ns, t: (sample(xi_of, ns, t), sample(zeta_of, ns, t))
+
+    @classmethod
+    def from_rows(cls, rows: Callable[[np.ndarray, int], tuple]) -> "PhaseField":
+        """A pair backed directly by a row sampler ``rows(ns, t) -> (xi, zeta)``."""
+        field = cls.__new__(cls)
+        field.rows, field.is_symmetric = rows, False
+        return field
 
     @classmethod
     def from_functions(cls, xi_of, zeta_of) -> "PhaseField":
@@ -196,26 +214,22 @@ class PhaseField:
 
     @classmethod
     def constant(cls, xi: float, zeta: float | None = None) -> "PhaseField":
-        z = xi if zeta is None else zeta
-        return cls(lambda n, t: xi, lambda n, t: z)
+        values = (xi, xi if zeta is None else zeta)
+        return cls.from_rows(
+            lambda ns, t: tuple(np.full(len(ns), v, dtype=np.float64) for v in values))
 
     @classmethod
     def symmetric(cls, xi_of: Callable[[int, int], float]) -> "PhaseField":
         """Both components carry the same phase (``zeta == xi``)."""
         return cls(xi_of, xi_of)
 
-    @property
-    def is_symmetric(self) -> bool:
-        return self.zeta_of is self.xi_of
+    _at = CoinField._at
 
+    def xi_of(self, n: int, t: int) -> float:
+        return self._at(0, n, t)
 
-def _window_table_lookup(values: np.ndarray, t_max: int, what: str):
-    def lookup(n: int, t: int) -> float:
-        if t < 0 or t > t_max or abs(n) > t_max:
-            raise TotalityError(n, t, what=what)
-        return float(values[t, n + t_max])
-
-    return lookup
+    def zeta_of(self, n: int, t: int) -> float:
+        return self._at(1, n, t)
 
 
 def _window_table_rows(values: list, t_max: int, what: str):
@@ -246,8 +260,7 @@ def save_coin_field_csv(f: CoinField, t_max: int, path) -> None:
 
 def save_phase_field_csv(f: PhaseField, t_max: int, path) -> None:
     """Tabulate ``f`` on the square window ``|n| <= t_max, 0 <= t <= t_max``."""
-    _save_window_csv(path, PHASE_CSV_HEADER, t_max,
-                     lambda ns, t: (sample(f.xi_of, ns, t), sample(f.zeta_of, ns, t)))
+    _save_window_csv(path, PHASE_CSV_HEADER, t_max, f.rows)
 
 
 def _load_window_csv(path, header: str, what: str):
@@ -302,8 +315,5 @@ def load_coin_field_csv(path) -> CoinField:
 
 def load_phase_field_csv(path) -> PhaseField:
     """Load a tabulated phase pair written as ``n,t,xi,zeta``."""
-    t_max, (xi, zeta) = _load_window_csv(path, PHASE_CSV_HEADER, "phase field")
-    return PhaseField(
-        xi_of=_window_table_lookup(xi, t_max, "phase field"),
-        zeta_of=_window_table_lookup(zeta, t_max, "phase field"),
-    )
+    t_max, values = _load_window_csv(path, PHASE_CSV_HEADER, "phase field")
+    return PhaseField.from_rows(_window_table_rows(values, t_max, "phase field"))

@@ -16,13 +16,13 @@ axis 0) and coordinate vectors are 1-D.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cache
 from typing import Callable
 
 import numpy as np
 
 from ._csvio import grid_columns, write_csv
-from .coin import CoinAngles, CoinField, PhaseField, sample
+from .coin import CoinAngles, CoinField, PhaseField
 from .errors import GridError
 
 __all__ = [
@@ -75,6 +75,21 @@ def forward_differences(f, n: int, t: int) -> tuple[float, float]:
     return f(n + 1, t) - base, f(n, t + 1) - base
 
 
+def _row_readers(phases: PhaseField, ns):
+    """Readers ``xi(m, s)``, ``zeta(m, s)`` for sites ``m`` within one of ``ns``.
+
+    The first read at a step samples that step's row over all those sites;
+    later reads at the step index it.
+    """
+    sites = np.unique(np.concatenate((ns - 1, ns, ns + 1)))
+    row = cache(lambda s: phases.rows(sites, s))
+
+    def reader(k):
+        return lambda m, s: row(s)[k][np.searchsorted(sites, m)]
+
+    return reader(0), reader(1)
+
+
 def finite_difference_transform(
     ref: CoinField | CoinAngles, phases: PhaseField
 ) -> CoinField:
@@ -89,22 +104,23 @@ def finite_difference_transform(
     equality is not guaranteed).
     """
     base = CoinField.lift(ref)
-    xi, zeta = partial(sample, phases.xi_of), partial(sample, phases.zeta_of)
-
-    def minus_shifted_diff(m, s):
-        return xi(m, s) - zeta(m - 1, s)
-
-    def minus_shifted_sum(m, s):
-        return xi(m, s) + zeta(m - 1, s)
-
-    def local_sum(m, s):
-        return xi(m, s) + zeta(m, s)
-
-    def local_diff(m, s):
-        return xi(m, s) - zeta(m, s)
 
     def rows(ns, t):
         theta, alpha, beta, chi = base.rows(ns, t)
+        xi, zeta = _row_readers(phases, ns)
+
+        def minus_shifted_diff(m, s):
+            return xi(m, s) - zeta(m - 1, s)
+
+        def minus_shifted_sum(m, s):
+            return xi(m, s) + zeta(m - 1, s)
+
+        def local_sum(m, s):
+            return xi(m, s) + zeta(m, s)
+
+        def local_diff(m, s):
+            return xi(m, s) - zeta(m, s)
+
         d_n, _ = forward_differences(minus_shifted_diff, ns, t + 1)
         _, d_t = forward_differences(local_sum, ns, t)
         chi = chi + 0.5 * (d_n + d_t)
@@ -213,10 +229,13 @@ def lattice_phases_from_smooth(
 ) -> PhaseField:
     """Evaluate a continuum pair at the lattice points ``X = n ell, T = t tau``."""
     ell, tau = units.ell, units.tau
-    return PhaseField(
-        lambda n, t: float(pair.xi(n * ell, t * tau)),
-        lambda n, t: float(pair.zeta(n * ell, t * tau)),
-    )
+
+    def rows(ns, t):
+        xs, ts = ns * ell, t * tau
+        return tuple(np.broadcast_to(np.asarray(f(xs, ts), dtype=np.float64), ns.shape)
+                     for f in (pair.xi, pair.zeta))
+
+    return PhaseField.from_rows(rows)
 
 
 def _domain_grid(domain, resolution: int, halo: int = 0):

@@ -24,7 +24,7 @@ from functools import partial
 
 import numpy as np
 
-from .coin import CoinAngles, CoinField, PhaseField, sample
+from .coin import CoinAngles, CoinField, PhaseField
 from .errors import PhaseConditionError
 from .evolution import step_inhomogeneous
 from .observables import pmf
@@ -55,32 +55,42 @@ _COMMON_PHASE = "common-phase dressing needs zeta == xi, but they differ by"
 def _require_small(ns, t: int, *checks) -> None:
     """Raise :class:`PhaseConditionError` at the first site of a bad gap.
 
-    ``checks`` are ``(message, gap row)`` pairs over the sites ``ns``; a gap
-    fails unless its modulus is at most 1e-12 (so a NaN gap fails), and
-    where several fail at the same site the first pair is reported.
+    ``checks`` are ``(message, a, b)`` triples of rows over the sites
+    ``ns``; the gap ``a - b`` fails unless its modulus is at most 1e-12 (so
+    a NaN gap from non-finite phases fails), and where several fail at the
+    same site the first triple is reported.
     """
-    bad = ~(np.abs([gap for _, gap in checks]) <= _CONDITION_TOL)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gaps = [(message, a - b) for message, a, b in checks]
+    bad = ~(np.abs([gap for _, gap in gaps]) <= _CONDITION_TOL)
     hits = np.flatnonzero(bad.any(axis=0))
     if hits.size:
         i = hits[0]
-        message, gap = checks[int(np.argmax(bad[:, i]))]
+        message, gap = gaps[int(np.argmax(bad[:, i]))]
         raise PhaseConditionError(f"{message} {abs(gap[i]):.3e} at (n={ns[i]}, t={t})")
 
 
-def _dressed_field(ref: CoinField | CoinAngles, xi, zeta) -> CoinField:
-    """The transformed coin for dressing phases given as row samplers."""
+def _dressed_field(ref: CoinField | CoinAngles, phase_rows) -> CoinField:
+    """The transformed coin for dressing phases given as a row sampler.
+
+    Step ``t + 1`` is read once, over ``ns - 1`` and ``ns + 1`` together.
+    """
     base = CoinField.lift(ref)
 
     def rows(ns, t):
         theta, alpha, beta, chi = base.rows(ns, t)
-        xi1, xi0 = xi(ns + 1, t + 1), xi(ns, t)
-        zeta1, zeta0 = zeta(ns - 1, t + 1), zeta(ns, t)
-        return (
-            theta,
-            alpha + 0.5 * (xi1 - xi0 - zeta1 + zeta0),
-            beta + 0.5 * (zeta1 + zeta0 - xi1 - xi0),
-            chi + 0.5 * (xi1 - xi0 + zeta1 - zeta0),
-        )
+        xi0, zeta0 = phase_rows(ns, t)
+        ahead = np.union1d(ns - 1, ns + 1)
+        xi1, zeta1 = phase_rows(ahead, t + 1)
+        xi1 = xi1[np.searchsorted(ahead, ns + 1)]
+        zeta1 = zeta1[np.searchsorted(ahead, ns - 1)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            return (
+                theta,
+                alpha + 0.5 * (xi1 - xi0 - zeta1 + zeta0),
+                beta + 0.5 * (zeta1 + zeta0 - xi1 - xi0),
+                chi + 0.5 * (xi1 - xi0 + zeta1 - zeta0),
+            )
 
     return CoinField(rows)
 
@@ -94,8 +104,7 @@ def transform_coin_field(ref: CoinField | CoinAngles, phases: PhaseField) -> Coi
     ``alpha`` and ``beta`` uniquely and leaves ``theta`` alone.  This holds
     for every phase pair, with no smoothness or structure assumed.
     """
-    return _dressed_field(ref, partial(sample, phases.xi_of),
-                          partial(sample, phases.zeta_of))
+    return _dressed_field(ref, phases.rows)
 
 
 def exact_transform(ref: CoinField | CoinAngles, phases: PhaseField) -> CoinField:
@@ -110,14 +119,13 @@ def exact_transform(ref: CoinField | CoinAngles, phases: PhaseField) -> CoinFiel
     """
     if phases.is_symmetric:
         return transform_coin_field(ref, phases)
-    xi = partial(sample, phases.xi_of)
 
-    def checked_zeta(ns, t):
-        zv = sample(phases.zeta_of, ns, t)
-        _require_small(ns, t, (_COMMON_PHASE, xi(ns, t) - zv))
-        return zv
+    def checked_rows(ns, t):
+        xi, zeta = phases.rows(ns, t)
+        _require_small(ns, t, (_COMMON_PHASE, xi, zeta))
+        return xi, zeta
 
-    return _dressed_field(ref, xi, checked_zeta)
+    return _dressed_field(ref, checked_rows)
 
 
 def quasi_invariant_phases(rate: float) -> PhaseField:
@@ -130,13 +138,11 @@ def quasi_invariant_phases(rate: float) -> PhaseField:
     bitwise), while ``beta`` gains ``rate`` per step.
     """
 
-    def xi_of(n, t):
-        return 0.5 * rate * (n - t)
+    def rows(ns, t):
+        with np.errstate(over="ignore"):
+            return 0.5 * rate * (ns - t), 0.5 * rate * (ns + t)
 
-    def zeta_of(n, t):
-        return 0.5 * rate * (n + t)
-
-    return PhaseField(xi_of, zeta_of)
+    return PhaseField.from_rows(rows)
 
 
 def relative_phase_map(state: SpinorField, floor: float = _PAIR_PHASE_FLOOR):
@@ -153,11 +159,11 @@ def relative_phase_map(state: SpinorField, floor: float = _PAIR_PHASE_FLOOR):
 
 def _dressed_start(init: InitialState, phases: PhaseField) -> SpinorField:
     base = localized_state(init)
-    origin = np.zeros(1, dtype=np.int64)
+    xi, zeta = phases.rows(np.zeros(1, dtype=np.int64), 0)
     return SpinorField(
         t=0,
-        plus_amps=base.plus_amps * np.exp(1j * sample(phases.xi_of, origin, 0)),
-        minus_amps=base.minus_amps * np.exp(1j * sample(phases.zeta_of, origin, 0)),
+        plus_amps=base.plus_amps * np.exp(1j * xi),
+        minus_amps=base.minus_amps * np.exp(1j * zeta),
         parity_localized=True,
     )
 
@@ -195,8 +201,7 @@ def _component_comparison(a: SpinorField, b: SpinorField, phases: PhaseField) ->
     t = a.t
     occ = np.arange(-t, t + 1, 2)
     idx = occ + t
-    xi_vals = sample(phases.xi_of, occ, t)
-    zeta_vals = sample(phases.zeta_of, occ, t)
+    xi_vals, zeta_vals = phases.rows(occ, t)
     dressed_plus = a.plus_amps[idx] * np.exp(1j * xi_vals)
     dressed_minus = a.minus_amps[idx] * np.exp(1j * zeta_vals)
     comp = max(
@@ -289,14 +294,13 @@ def verify_quasi_invariance(
     deviations at rounding level at every step, while the relative-phase
     map drifts by ``xi - zeta``.
     """
-    xi, zeta = phases.xi_of, phases.zeta_of
+    # the support row at t + 1 covers ns - 1 and ns + 1 and is step t + 1's ns
+    xi, zeta = phases.rows(np.zeros(1, dtype=np.int64), 0)
     for t in range(t_final):
         ns = np.arange(-t, t + 1, 2)
-        _require_small(
-            ns, t,
-            (_RIGHT_MOVING, sample(xi, ns + 1, t + 1) - sample(xi, ns, t)),
-            (_LEFT_MOVING, sample(zeta, ns - 1, t + 1) - sample(zeta, ns, t)),
-        )
+        xi1, zeta1 = phases.rows(np.arange(-t - 1, t + 2, 2), t + 1)
+        _require_small(ns, t, (_RIGHT_MOVING, xi1[1:], xi), (_LEFT_MOVING, zeta1[:-1], zeta))
+        xi, zeta = xi1, zeta1
     return _verify("quasi", init, ref, phases, t_final, inputs, _compare_pair)
 
 
@@ -317,7 +321,6 @@ def verify_exact_invariance(
     if not phases.is_symmetric:
         for t in range(t_final + 1):
             ns = np.arange(-t, t + 1, 2)
-            _require_small(ns, t, (_COMMON_PHASE, sample(phases.xi_of, ns, t)
-                                   - sample(phases.zeta_of, ns, t)))
+            _require_small(ns, t, (_COMMON_PHASE, *phases.rows(ns, t)))
     return _verify("exact", init, ref, phases, t_final, inputs,
                    partial(_component_comparison, phases=phases))

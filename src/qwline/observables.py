@@ -6,10 +6,10 @@ envelope of the quantum position distribution.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, xlogy
 
 from ._csvio import write_csv
 from .errors import UnsupportedParameterError
@@ -102,21 +102,26 @@ def classical_pmf(p: float, t: int) -> np.ndarray:
 
     ``p`` is the probability of a step to the right; sites with ``n + t``
     odd are unreachable and get exactly zero.  Terms are computed in
-    log space through the log-gamma function, so large ``t`` neither
-    overflows nor loses the far tails.
+    log space through a table of log-factorials, so large ``t`` neither
+    overflows nor loses the far tails; ``p = 0`` and ``p = 1`` put all the
+    weight on the end site they walk to.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"step probability must lie in [0, 1], got {p}")
     if t < 0:
         raise ValueError(f"t must be non-negative, got {t}")
     out = np.zeros(2 * t + 1)
+    if p in (0.0, 1.0):
+        out[2 * t if p else 0] = 1.0
+        return out
+    log_factorial = np.array([math.lgamma(j) for j in range(1, t + 2)])
     k = np.arange(t + 1)
     log_terms = (
-        gammaln(t + 1.0)
-        - gammaln(k + 1.0)
-        - gammaln(t - k + 1.0)
-        + xlogy(k, p)
-        + xlogy(t - k, 1.0 - p)
+        log_factorial[t]
+        - log_factorial[k]
+        - log_factorial[t - k]
+        + k * math.log(p)
+        + (t - k) * math.log1p(-p)
     )
     out[::2] = np.exp(log_terms)
     return out

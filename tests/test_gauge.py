@@ -105,6 +105,40 @@ def test_transform_rows_equal_scalar_formulas():
                 assert np.array(rows).tobytes() == np.array(want, dtype=float).T.tobytes()
 
 
+def test_phase_rows_are_sampled_once_per_step():
+    """A shared callable is called once per site per row; the pointwise
+    transform reads step t + 1 once over ns - 1 and ns + 1, and the
+    difference form reads each of steps t, t + 1, t + 2 once over
+    ns - 1 .. ns + 1, for each phase component."""
+    calls = {"xi": [], "zeta": []}
+
+    def counted(name, fn):
+        def sampled(n, t):
+            calls[name].append((n, t))
+            return fn(n, t)
+        return sampled
+
+    ns, t = np.arange(-5, 8), 4
+    shared = PhaseField.symmetric(counted("xi", lambda n, t: 1e-3 * n * t))
+    xi, zeta = shared.rows(ns, t)
+    assert xi is zeta and calls["xi"] == [(n, t) for n in ns]
+
+    split = PhaseField(counted("xi", lambda n, t: 0.05 * (n - t)),
+                       counted("zeta", lambda n, t: 0.2 * np.cos(0.03 * n + 0.11 * t)))
+    for phases, names in ((shared, ("xi",)), (split, ("xi", "zeta"))):
+        for transform, reads in (
+            (transform_coin_field, [(ns, t), (np.arange(-6, 9), t + 1)]),
+            (finite_difference_transform,
+             [(np.arange(-6, 9), s) for s in (t, t + 1, t + 2)]),
+        ):
+            for log in calls.values():
+                log.clear()
+            transform(REF, phases).rows(ns, t)
+            want = sorted((n, s) for sites, s in reads for n in sites)
+            assert [sorted(calls[name]) for name in names] == [want] * len(names)
+            assert all(len(sites) <= len(ns) + 2 for sites, _ in reads)
+
+
 def test_finite_difference_transform_zero_phases():
     b = finite_difference_transform(REF, PhaseField.constant(0.0))
     assert b.chi_of(3, 7) == REF.chi
@@ -296,6 +330,19 @@ def test_lattice_phases_track_continuum_derivatives():
     assert errs_t[0] > errs_t[1] > errs_t[2]
     assert errs_x[0] > errs_x[1] > errs_x[2]
     assert errs_t[2] < 0.05 and errs_x[2] < 0.05
+
+
+def test_lattice_phases_broadcast_time_only_pairs():
+    """A pair that ignores X returns one value per row; it still samples as
+    a full row, so a time-only phase shifts chi alone, by its step."""
+    units = UnitSystem(ell=0.5, tau=0.5, c=1.0)
+    phases = lattice_phases_from_smooth(
+        SmoothPhasePair(xi=lambda X, T: 0.3 * T, zeta=lambda X, T: 0.3 * T), units)
+    xi, zeta = phases.rows(np.arange(-3, 4), 2)
+    assert xi.shape == zeta.shape == (7,) and np.all(xi == 0.3)
+    dressed = transform_coin_field(REF, phases)
+    theta, alpha, beta, chi = dressed.materialize(-3, 3, 2)
+    assert np.allclose(chi, REF.chi + 0.15) and np.allclose(alpha, REF.alpha)
 
 
 def test_gauge_csv_emitters(tmp_path):
