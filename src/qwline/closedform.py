@@ -55,23 +55,35 @@ def _check_parity(n: int, t: int) -> None:
         )
 
 
+# The mode sum's terms reach 1/sin(theta), so its rounding error grows as
+# theta -> 0 (at t = 4000: 4.9e-12 from stepping at theta = 1e-2, 6.7e-10 at
+# 1e-4).  Below this sin(theta), "auto" takes the recursion instead.
+_SPECTRAL_MIN_SIN = 1e-2
+
+
+def _require_spectral(theta: float) -> None:
+    if not 0.0 < theta < math.pi / 2 or math.cos(theta) == 1.0:
+        raise UnsupportedParameterError(
+            f"spectral form requires 0 < theta < pi/2 and cos(theta) < 1, got {theta}"
+        )
+
+
 def lambda_explicit(n: int, t: int, theta: float) -> float:
     """Spectral evaluation of the lattice kernel ``lam(n, t)``.
 
-    Only supports ``theta`` strictly inside ``(0, pi/2)``: at the endpoints
-    some mode denominators ``cos(omega_r)`` vanish.  Use the recursion table
-    for the degenerate angles.  Sites with ``|n| > t`` return exactly 0.
+    Only supports ``theta`` strictly inside ``(0, pi/2)`` with ``cos(theta)``
+    below 1 in floating point: otherwise some mode denominators
+    ``cos(omega_r)`` vanish.  Use the recursion table for the degenerate
+    angles.  Sites with ``|n| > t`` return exactly 0, the others their entry
+    of the FFT row.
     """
     if t < 0:
         raise ValueError(f"t must be non-negative, got {t}")
     _check_parity(n, t)
-    if not 0.0 < theta < math.pi / 2:
-        raise UnsupportedParameterError(
-            f"spectral form requires 0 < theta < pi/2, got {theta}"
-        )
+    _require_spectral(theta)
     if abs(n) > t:
         return 0.0
-    return float(kernels.lambda_spectral(n, t, math.cos(theta)))
+    return float(kernels.lambda_spectral(t, math.cos(theta))[(n + t) // 2])
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,37 +177,27 @@ def closed_form_amplitudes(
     """Evaluate the walk at time ``t`` without stepping.
 
     ``method`` selects how the kernel values are obtained: ``"spectral"``
-    (mode sum, requires ``0 < theta < pi/2``), ``"recursion"`` (table, any
-    ``theta``) or ``"auto"``, which uses the spectral form whenever the
-    angle allows it and falls back to the recursion at the degenerate
-    angles.
+    (mode sum, one FFT per row, requires ``0 < theta < pi/2``),
+    ``"recursion"`` (table, any ``theta``) or ``"auto"``, which uses the
+    spectral form when ``0 < theta < pi/2`` and ``sin(theta) >= 1e-2`` and
+    the recursion otherwise, where the mode sum would lose accuracy.
     """
     if t < 0:
         raise ValueError(f"t must be non-negative, got {t}")
     if method not in ("auto", "spectral", "recursion"):
         raise ValueError(f"unknown method {method!r}")
-    spectral_ok = 0.0 < c.theta < math.pi / 2
     if method == "auto":
-        method = "spectral" if spectral_ok else "recursion"
-    if method == "spectral" and not spectral_ok:
-        raise UnsupportedParameterError(
-            f"spectral form requires 0 < theta < pi/2, got {c.theta}"
-        )
+        usable = 0.0 < c.theta < math.pi / 2 and math.sin(c.theta) >= _SPECTRAL_MIN_SIN
+        method = "spectral" if usable else "recursion"
 
     ns = np.arange(-t, t + 1, 2)
     if method == "recursion":
         lam_t, row_next = _recursion_rows(c.theta, t)
     else:
+        _require_spectral(c.theta)
         cos_t = math.cos(c.theta)
-        lam_t = np.array(
-            [kernels.lambda_spectral(int(n), t, cos_t) for n in ns]
-        )
-        row_next = np.array(
-            [
-                kernels.lambda_spectral(int(n), t + 1, cos_t)
-                for n in np.arange(-(t + 1), t + 2, 2)
-            ]
-        )
+        lam_t = kernels.lambda_spectral(t, cos_t)
+        row_next = kernels.lambda_spectral(t + 1, cos_t)
     # row t+1 holds sites -(t+1) .. t+1; shifting by one site gives the
     # kernel at n -/+ 1 for every occupied n of row t
     lam_left = row_next[:-1]

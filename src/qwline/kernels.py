@@ -2,13 +2,11 @@
 
 ``walk_step`` advances a walker one step in place on a buffer pair,
 ``lambda_fill`` runs the two-step recursion of the lattice kernel and
-``lambda_spectral`` sums its mode expansion at one site.  Each is the only
-implementation of its operation, so repeated calls with identical inputs are
-bit-identical.
+``lambda_spectral`` evaluates one row of its mode expansion by FFT.  Each is
+the only implementation of its operation, so repeated calls with identical
+inputs are bit-identical.
 """
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -83,15 +81,17 @@ def lambda_fill(cos_theta, t_max, rolling=False):
 #
 #   lam(n, t) = 1/(t+1) * [ (1 + (-1)^t)/2
 #               + sum_{r=1..t} cos((t-1) w_r - pi r n/(t+1)) / cos(w_r) ]
-# with w_r = arcsin(cos(theta) sin(pi r/(t+1))).  The sum is accumulated in
-# compensated arithmetic: its terms reach 1/sin(theta) in magnitude while
-# the result can be orders of magnitude smaller.
+# with w_r = arcsin(cos(theta) sin(pi r/(t+1))).  The sum is the real part of
+# a length-2(t+1) DFT of a_r = e^{i(t-1) w_r} / cos(w_r) (a_0 = 0, a_r = 0 for
+# r > t) read at k = n mod 2(t+1), so one FFT gives the whole row.  Its terms
+# reach 1/sin(theta) in magnitude, so the rounding error grows as theta -> 0.
 
-def lambda_spectral(n, t, cos_theta):
-    if t == 0:
-        return 1.0 if n == 0 else 0.0
-    r = np.arange(1, t + 1, dtype=np.float64)
-    w = np.arcsin(cos_theta * np.sin(np.pi * r / (t + 1)))
-    terms = np.cos((t - 1) * w - np.pi * r * n / (t + 1)) / np.cos(w)
+def lambda_spectral(t, cos_theta):
+    """Kernel row ``t`` at the occupied sites ``-t, -t+2, .., t``."""
+    size = 2 * (t + 1)
+    w = np.arcsin(cos_theta * np.sin(np.pi * np.arange(1, t + 1) / (t + 1)))
+    modes = np.zeros(size, dtype=np.complex128)
+    modes[1:t + 1] = np.exp(1j * (t - 1) * w) / np.cos(w)
+    sums = np.fft.fft(modes).real[np.arange(-t, t + 1, 2) % size]
     head = 1.0 if t % 2 == 0 else 0.0
-    return (head + math.fsum(terms)) / (t + 1)
+    return (head + sums) / (t + 1)

@@ -153,6 +153,22 @@ def test_closedform_tolerance_gate(tmp_path, capsys):
     assert rc == 3
 
 
+def test_closedform_small_theta_passes_the_gate(tmp_path, capsys):
+    """At theta = 1e-4 the mode sum is off by 6.8e-10 at T = 4000; auto
+    takes the recursion there and stays inside the 1e-10 gate."""
+    rc = main(["closedform", "--theta", "1e-4", "--t-final", "4000",
+               "--outdir", str(tmp_path)])
+    assert rc == 0
+
+
+def test_closedform_spectral_at_unit_cosine_exits_2(tmp_path, capsys):
+    rc = main(["closedform", "--method", "spectral", "--theta", "1e-9",
+               "--t-final", "300", "--outdir", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error")
+
+
 def test_observables_outputs(tmp_path, capsys):
     rc = main(["observables", "--theta", "pi/4", "--eta", "pi/16",
                "--phi", "pi", "--t-final", "30", "--outdir", str(tmp_path)])

@@ -2,23 +2,31 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qwline import (
     CoinAngles,
     InitialState,
     ParityError,
     UnsupportedParameterError,
+    ballistic_slope,
     closed_form_amplitudes,
     evolve,
     initial_velocities,
     lambda_explicit,
     lambda_table,
     localized_state,
+    mean_position,
     omega,
     one_step_amplitudes,
+    pmf,
     save_lambda_csv,
+    stationary_pmf,
     step_homogeneous,
 )
+from qwline.closedform import _SPECTRAL_MIN_SIN
+from qwline.kernels import lambda_spectral
 
 
 def test_omega_values_and_bounds():
@@ -44,6 +52,16 @@ def test_lambda_explicit_guards():
         lambda_explicit(0, 2, np.pi / 2)
     assert lambda_explicit(6, 4, 0.5) == 0.0
     assert lambda_explicit(0, 0, 0.5) == 1.0
+    with pytest.raises(UnsupportedParameterError, match=r"cos\(theta\) < 1"):
+        lambda_explicit(0, 2, 1e-9)
+
+
+def test_lambda_explicit_reads_the_fft_row_bitwise():
+    for theta in (0.05, 0.7, 1.5):
+        for t in (0, 1, 2, 7, 60):
+            row = lambda_spectral(t, math.cos(theta))
+            got = [lambda_explicit(n, t, theta) for n in range(-t, t + 1, 2)]
+            assert np.array_equal(got, row)
 
 
 def test_lambda_hand_values():
@@ -145,6 +163,9 @@ def test_closed_form_degenerate_angles():
 
     with pytest.raises(UnsupportedParameterError):
         closed_form_amplitudes(init, c, t, method="spectral")
+    # cos(1e-9) rounds to 1.0, where some mode denominators vanish
+    with pytest.raises(UnsupportedParameterError, match=r"cos\(theta\) < 1"):
+        closed_form_amplitudes(init, CoinAngles(1e-9), t, method="spectral")
 
     c90 = CoinAngles(theta=np.pi / 2, alpha=-0.2, beta=0.4, chi=0.1)
     direct = closed_form_amplitudes(init, c90, 9)
@@ -224,3 +245,110 @@ def test_recursion_route_equals_full_table_rows_bitwise(monkeypatch):
         b = closed_form_amplitudes(init, c, t, method="recursion")
         assert np.array_equal(a.plus_amps, b.plus_amps)
         assert np.array_equal(a.minus_amps, b.minus_amps)
+
+
+def test_auto_takes_the_recursion_at_small_sin_theta():
+    """Below sin(theta) = 1e-2 the mode sum loses accuracy (6.7e-10 from
+    stepping at theta = 1e-4, t = 4000), so auto must equal the recursion."""
+    init = InitialState(eta=0.4, gamma=1.1)
+    for theta in (1e-9, 1e-4, -1e-3, math.asin(_SPECTRAL_MIN_SIN) * 0.999):
+        c = CoinAngles(theta, 0.3, -0.8, 0.5)
+        auto = closed_form_amplitudes(init, c, 300)
+        recursion = closed_form_amplitudes(init, c, 300, method="recursion")
+        assert np.array_equal(auto.plus_amps, recursion.plus_amps)
+        assert np.array_equal(auto.minus_amps, recursion.minus_amps)
+    c = CoinAngles(math.asin(_SPECTRAL_MIN_SIN) * 1.001, 0.3, -0.8, 0.5)
+    auto = closed_form_amplitudes(init, c, 300)
+    spectral = closed_form_amplitudes(init, c, 300, method="spectral")
+    assert np.array_equal(auto.plus_amps, spectral.plus_amps)
+
+
+_ANGLE = st.floats(-math.pi, math.pi)
+# A third of the draws are small angles, down to those whose cosine rounds
+# to 1, so the auto fallback and the spectral guard are exercised.
+_THETA = st.one_of(
+    _ANGLE,
+    st.floats(-0.05, 0.05),
+    st.sampled_from([0.0, math.pi / 2, -math.pi / 2, math.pi]),
+)
+# Worst deviation from stepping over 8000 draws of this test: 4.4e-13
+# (spectral, theta = 0.013, t = 175).  Drawn at the fallback edge
+# sin(theta) = 1e-2 with t in 150..200, the spectral route reaches 1.5e-12.
+_STEPPING_TOL = 5e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(theta=_THETA, alpha=_ANGLE, beta=_ANGLE, chi=_ANGLE, eta=_ANGLE,
+       gamma=_ANGLE, t=st.integers(0, 200))
+def test_closed_form_equals_stepping_for_all_angles(theta, alpha, beta, chi,
+                                                    eta, gamma, t):
+    init = InitialState(eta, gamma)
+    c = CoinAngles(theta, alpha, beta, chi)
+    stepped = evolve(init, c, t)
+    methods = ["auto", "recursion"]
+    spectral = 0.0 < theta < math.pi / 2 and math.sin(theta) >= _SPECTRAL_MIN_SIN
+    if spectral:
+        methods.append("spectral")
+    elif 0.0 < theta < math.pi / 2 and math.cos(theta) == 1.0:
+        with pytest.raises(UnsupportedParameterError):
+            closed_form_amplitudes(init, c, t, method="spectral")
+    direct = {m: closed_form_amplitudes(init, c, t, method=m) for m in methods}
+    for state in direct.values():
+        assert np.max(np.abs(state.plus_amps - stepped.plus_amps)) <= _STEPPING_TOL
+        assert np.max(np.abs(state.minus_amps - stepped.minus_amps)) <= _STEPPING_TOL
+    # auto is one of the two routes, bit for bit
+    same = direct["spectral" if spectral else "recursion"]
+    assert np.array_equal(direct["auto"].plus_amps, same.plus_amps)
+    assert np.array_equal(direct["auto"].minus_amps, same.minus_amps)
+
+
+# (theta, eta, phi) with phi = alpha + beta - gamma; the walks start at
+# gamma = -phi under a coin with alpha = beta = chi = 0.
+_LONG_TIME_CASES = ((math.pi / 6, math.pi / 6, 0.0),
+                    (math.pi / 4, math.pi / 16, math.pi),
+                    (0.9, 0.3, 1.0))
+
+
+@pytest.fixture(scope="module")
+def long_time_states():
+    """Closed-form states of each case at T = 1e3, 1e4 and 1e5."""
+    return {
+        (case, t): closed_form_amplitudes(
+            InitialState(eta=case[1], gamma=-case[2]), CoinAngles(case[0]), t)
+        for case in _LONG_TIME_CASES
+        for t in (1_000, 10_000, 100_000)
+    }
+
+
+def test_mean_position_approaches_ballistic_slope_as_one_over_t(long_time_states):
+    """``T |<x>/T - v|`` measured 0.249, 0.461 and 0.228 at T = 1e5, and the
+    gap shrinks 9.9-10.0x from T = 1e4 to 1e5."""
+    for case in _LONG_TIME_CASES:
+        slope = ballistic_slope(*case)
+        gaps = {t: abs(mean_position(long_time_states[case, t]) / t - slope)
+                for t in (10_000, 100_000)}
+        assert 100_000 * gaps[100_000] <= 0.5
+        assert 9.5 <= gaps[10_000] / gaps[100_000] <= 10.5
+
+
+def _worst_bin_deviation(state, theta, eta, phi, bins=16):
+    """Largest relative gap between the walk's mass and the envelope's in
+    equal bins over ``|n| < 0.8 t cos(theta)``, occupied sites only."""
+    t = state.t
+    half = 0.8 * t * math.cos(theta)
+    ns = state.n_values
+    keep = (np.abs(ns) < half) & ((ns + t) % 2 == 0)
+    ns, rho = ns[keep], pmf(state)[keep]
+    which = np.minimum(((ns + half) / (2 * half) * bins).astype(int), bins - 1)
+    mass = np.bincount(which, rho, bins)
+    envelope = np.bincount(which, stationary_pmf(ns, t, theta, eta, phi), bins)
+    return float(np.max(np.abs(mass - envelope) / envelope))
+
+
+def test_binned_distribution_approaches_stationary_envelope(long_time_states):
+    """The worst bin deviation measured 2.1e-4, 1.6e-4 and 1.7e-4 at
+    T = 1e5, and ``T * deviation`` stays within 10-22 over T = 1e3..1e5."""
+    for case in _LONG_TIME_CASES:
+        for t in (1_000, 10_000, 100_000):
+            deviation = _worst_bin_deviation(long_time_states[case, t], *case)
+            assert t * deviation <= 25.0, (case, t, deviation)
