@@ -44,7 +44,6 @@ from .gauge import (
     efield_invariance_residual,
     electric_field,
     finite_difference_transform,
-    forward_differences,
     lattice_phases_from_smooth,
     potentials_from_phase_pair,
     potentials_from_transform,
@@ -145,7 +144,6 @@ __all__ = [
     "verify_exact_invariance",
     # gauge
     "UnitSystem",
-    "forward_differences",
     "finite_difference_transform",
     "PotentialField",
     "potentials_from_transform",

@@ -132,12 +132,20 @@ class RunConfig:
     outdir: Path = Path(".")
 
 
+_METHODS = ("auto", "spectral", "recursion")
+_FAMILIES = ("quasi", "exact")
+_PAIRS = ("symmetric", "null", "wave")
+_FIGURES = ("1a", "1b", "2", "3")
 _ANGLE_FIELDS = ("theta", "eta", "gamma", "alpha", "beta", "chi", "phi", "beta1", "a")
 _NEEDS_T = ("evolve", "closedform", "observables", "invariance")
 _TYPED_FIELDS = {
     "record": bool, "method": str, "coin_file": str, "phase_file": str,
     "family": str, "pair": str, "which": str, "outdir": str,
 }
+
+
+def _either(choices: tuple) -> str:
+    return f"{', '.join(choices[:-1])} or {choices[-1]}"
 
 
 def _split(name: str, value) -> list:
@@ -252,12 +260,12 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"missing required field 'theta' for '{cfg.command}'")
     if cfg.command == "observables" and cfg.t_final == 0:
         raise ConfigError("observables needs t_final >= 1")
-    if cfg.command == "closedform" and cfg.method not in ("auto", "spectral", "recursion"):
+    if cfg.command == "closedform" and cfg.method not in _METHODS:
         raise ConfigError(f"unknown method {cfg.method!r}")
-    if cfg.command == "invariance" and cfg.family not in ("quasi", "exact"):
-        raise ConfigError(f"unknown family {cfg.family!r} (choose quasi or exact)")
-    if cfg.command == "figures" and cfg.which not in ("1a", "1b", "2", "3"):
-        raise ConfigError("figures needs --which one of 1a, 1b, 2, 3")
+    if cfg.command == "invariance" and cfg.family not in _FAMILIES:
+        raise ConfigError(f"unknown family {cfg.family!r} (choose {_either(_FAMILIES)})")
+    if cfg.command == "figures" and cfg.which not in _FIGURES:
+        raise ConfigError(f"figures needs --which one of {', '.join(_FIGURES)}")
     return cfg
 
 
@@ -395,7 +403,7 @@ def _smooth_pair(name: str, c: float) -> SmoothPhasePair:
             lambda X, T: np.sin(X - c * T) + 0.5 * np.cos(0.7 * (X + c * T)),
             lambda X, T: np.cos(1.1 * (X + c * T)) + 0.4 * np.sin(0.6 * (X - c * T)),
         )
-    raise ConfigError(f"unknown pair {name!r} (choose symmetric, null or wave)")
+    raise ConfigError(f"unknown pair {name!r} (choose {_either(_PAIRS)})")
 
 
 def _cmd_gauge(cfg: RunConfig) -> int:
@@ -552,7 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common, walk],
         help="evaluate the analytic solution and check it against stepping",
     )
-    p.add_argument("--method", choices=("auto", "spectral", "recursion"), help="kernel evaluation route")
+    p.add_argument("--method", choices=_METHODS, help="kernel evaluation route")
     p.add_argument("--tol", help="deviation gate (default 1e-10)")
 
     sub.add_parser(
@@ -566,7 +574,7 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common, walk],
         help="verify a phase-dressing family and write a JSON report",
     )
-    p.add_argument("--family", choices=("quasi", "exact"), help="dressing family (default quasi)")
+    p.add_argument("--family", choices=_FAMILIES, help="dressing family (default quasi)")
     p.add_argument("--beta0", dest="beta", help="reference coin beta (alias for --beta)")
     p.add_argument("--beta1", help="beta drift per step for the quasi family")
     p.add_argument("--a", help="coefficient of the bilinear exact family xi = a n t")
@@ -578,13 +586,13 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common],
         help="electric-field invariance residual under grid refinement",
     )
-    p.add_argument("--pair", choices=("symmetric", "null", "wave"), help="named smooth dressing pair")
+    p.add_argument("--pair", choices=_PAIRS, help="named smooth dressing pair")
     p.add_argument("--domain", help="x0,x1,t0,t1 (default -1,1,0,1.5)")
     p.add_argument("--resolutions", help="comma-separated grid sizes (default 32,64,128,256)")
     p.add_argument("--min-factor", dest="min_factor", help="required residual shrink per doubling (default 3.5)")
 
     p = sub.add_parser("figures", parents=[common], help="rebuild the data behind the standard figures")
-    p.add_argument("--which", choices=("1a", "1b", "2", "3"), help="figure preset")
+    p.add_argument("--which", choices=_FIGURES, help="figure preset")
 
     return parser
 

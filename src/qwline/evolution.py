@@ -20,7 +20,7 @@ import numpy as np
 from . import kernels
 from .coin import CoinAngles, CoinField, coin_entries
 from .observables import ObservableRecord, record_from_amplitudes
-from .state import InitialState, SpinorField, localized_state
+from .state import InitialState, SpinorField, _off_parity_zero, localized_state
 
 __all__ = ["step_homogeneous", "step_inhomogeneous", "evolve"]
 
@@ -47,12 +47,8 @@ def step_homogeneous(state: SpinorField, c: CoinAngles) -> SpinorField:
 
 def _stride(state: SpinorField) -> int:
     """2 when only every other site can carry weight, else 1."""
-    off_parity = slice(1, None, 2)
-    if state.parity_localized and not (
-        np.any(state.plus_amps[off_parity]) or np.any(state.minus_amps[off_parity])
-    ):
-        return 2
-    return 1
+    sparse = state.parity_localized and _off_parity_zero(state.plus_amps, state.minus_amps)
+    return 2 if sparse else 1
 
 
 def evolve(

@@ -16,7 +16,6 @@ axis 0) and coordinate vectors are 1-D.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -27,7 +26,6 @@ from .errors import GridError
 
 __all__ = [
     "UnitSystem",
-    "forward_differences",
     "finite_difference_transform",
     "PotentialField",
     "potentials_from_transform",
@@ -66,68 +64,39 @@ class UnitSystem:
             )
 
 
-def forward_differences(f, n: int, t: int) -> tuple[float, float]:
-    """One-sided lattice differences ``(f(n+1,t) - f(n,t), f(n,t+1) - f(n,t))``.
-
-    ``n`` may be an array of sites when ``f`` is a row function.
-    """
-    base = f(n, t)
-    return f(n + 1, t) - base, f(n, t + 1) - base
-
-
-def _row_readers(phases: PhaseField, ns):
-    """Readers ``xi(m, s)``, ``zeta(m, s)`` for sites ``m`` within one of ``ns``.
-
-    The first read at a step samples that step's row over all those sites;
-    later reads at the step index it.
-    """
-    sites = np.unique(np.concatenate((ns - 1, ns, ns + 1)))
-    row = cache(lambda s: phases.rows(sites, s))
-
-    def reader(k):
-        return lambda m, s: row(s)[k][np.searchsorted(sites, m)]
-
-    return reader(0), reader(1)
-
-
 def finite_difference_transform(
     ref: CoinField | CoinAngles, phases: PhaseField
 ) -> CoinField:
     """The dressing transform written through forward differences.
 
     Same mapping as :func:`qwline.invariance.transform_coin_field`, but each
-    phase shift is assembled from :func:`forward_differences` of four
-    auxiliary combinations of ``xi`` and ``zeta``.  Dividing the difference
-    operators by ``ell`` or ``tau`` turns these expressions into the
-    continuum derivatives, which is why this form exists; numerically the
-    two must agree to rounding (the association order differs, so bitwise
-    equality is not guaranteed).
+    phase shift is assembled from the spatial difference at step ``t + 1``
+    and the time difference from ``t`` to ``t + 1`` of four auxiliary
+    combinations of ``xi`` and ``zeta``.  Dividing the difference operators
+    by ``ell`` or ``tau`` turns these expressions into the continuum
+    derivatives, which is why this form exists; numerically the two must
+    agree to rounding (the association order differs, so bitwise equality
+    is not guaranteed).  Step ``t`` is read over ``ns`` and step ``t + 1``
+    once over ``ns - 1 .. ns + 1``.
     """
     base = CoinField.lift(ref)
 
     def rows(ns, t):
         theta, alpha, beta, chi = base.rows(ns, t)
-        xi, zeta = _row_readers(phases, ns)
-
-        def minus_shifted_diff(m, s):
-            return xi(m, s) - zeta(m - 1, s)
-
-        def minus_shifted_sum(m, s):
-            return xi(m, s) + zeta(m - 1, s)
-
-        def local_sum(m, s):
-            return xi(m, s) + zeta(m, s)
-
-        def local_diff(m, s):
-            return xi(m, s) - zeta(m, s)
-
-        d_n, _ = forward_differences(minus_shifted_diff, ns, t + 1)
-        _, d_t = forward_differences(local_sum, ns, t)
+        xi0, zeta0 = phases.rows(ns, t)
+        ahead = np.unique(np.concatenate((ns - 1, ns, ns + 1)))
+        xi1, zeta1 = phases.rows(ahead, t + 1)
+        # ns - 1 and ns + 1 sit right beside ns in the sorted distinct sites
+        here = np.searchsorted(ahead, ns)
+        xi_n, xi_r, zeta_n, zeta_l = xi1[here], xi1[here + 1], zeta1[here], zeta1[here - 1]
+        # d_n of xi(m) -+ zeta(m - 1) at t + 1, d_t of xi(n) +- zeta(n) from t
+        d_n = (xi_r - zeta_n) - (xi_n - zeta_l)
+        d_t = (xi_n + zeta_n) - (xi0 + zeta0)
         chi = chi + 0.5 * (d_n + d_t)
-        d_n, _ = forward_differences(minus_shifted_sum, ns, t + 1)
-        _, d_t = forward_differences(local_diff, ns, t)
+        d_n = (xi_r + zeta_n) - (xi_n + zeta_l)
+        d_t = (xi_n - zeta_n) - (xi0 - zeta0)
         alpha_shift = 0.5 * (d_n + d_t)
-        beta = beta + (zeta(ns, t) - xi(ns, t)) - alpha_shift
+        beta = beta + (zeta0 - xi0) - alpha_shift
         return theta, alpha + alpha_shift, beta, chi
 
     return CoinField(rows)
@@ -197,19 +166,22 @@ def potentials_from_transform(
     return PotentialField(x=units.ell * ns, t=units.tau * ts, a_t=a_t, a_x=a_x)
 
 
+def _gradient(values, coords, axis: int):
+    """``np.gradient`` along ``axis``, second order at the edges unless it has 2 points."""
+    return np.gradient(values, coords, axis=axis, edge_order=2 if coords.size > 2 else 1)
+
+
 def electric_field(p: PotentialField, units: UnitSystem = UnitSystem()) -> np.ndarray:
     """``E = dA_X/dT - c dA_T/dX`` on the stored grid.
 
-    Centered differences inside, one-sided at the boundary (second order
-    where the axis has at least 3 points, first order on a 2-point axis).
+    Centered differences inside, one-sided at the boundary (see
+    :func:`_gradient`).
     """
     if p.t.size < 2 or p.x.size < 2:
         raise GridError(
             f"need at least 2 points per axis, got {p.t.size} x {p.x.size}"
         )
-    da_x_dt = np.gradient(p.a_x, p.t, axis=0, edge_order=2 if p.t.size > 2 else 1)
-    da_t_dx = np.gradient(p.a_t, p.x, axis=1, edge_order=2 if p.x.size > 2 else 1)
-    return da_x_dt - units.c * da_t_dx
+    return _gradient(p.a_x, p.t, 0) - units.c * _gradient(p.a_t, p.x, 1)
 
 
 @dataclass(frozen=True)
@@ -242,10 +214,18 @@ def _domain_grid(domain, resolution: int, halo: int = 0):
     x0, x1, t0, t1 = (float(v) for v in domain)
     if not (np.isfinite([x0, x1, t0, t1]).all() and x1 > x0 and t1 > t0):
         raise GridError(f"domain must have positive extent, got {domain!r}")
+    # Python floats overflow to inf and underflow to 0 without a warning;
+    # np.gradient divides by products of two spacings
     dx = (x1 - x0) / (resolution - 1)
     dt = (t1 - t0) / (resolution - 1)
-    xs = x0 + dx * np.arange(-halo, resolution + halo)
-    ts = t0 + dt * np.arange(-halo, resolution + halo)
+    if not all(np.finfo(np.float64).tiny <= d * d < np.inf for d in (dx, dt)):
+        raise GridError(f"domain {domain!r} at resolution {resolution}: spacings "
+                        f"dx={dx!r}, dt={dt!r} square outside the normal float range")
+    steps = np.arange(-halo, resolution + halo)
+    xs, ts = x0 + dx * steps, t0 + dt * steps
+    if not all(np.isfinite(v).all() and (np.diff(v) > 0).all() for v in (xs, ts)):
+        raise GridError(f"domain {domain!r} at resolution {resolution}: sampled "
+                        "coordinates are not finite and strictly increasing")
     return xs, ts, dx, dt
 
 
@@ -269,14 +249,12 @@ def potentials_from_phase_pair(
     xs, ts, _, _ = _domain_grid(domain, resolution)
     tt, xx = np.meshgrid(ts, xs, indexing="ij")
     half = 0.5 * units.hbar_over_e
-    out = []
-    for f in (pair.xi, pair.zeta):
+
+    def light_cone(f, sign):
         vals = np.asarray(f(xx, tt), dtype=np.float64)
-        d_dt = np.gradient(vals, ts, axis=0, edge_order=2 if ts.size > 2 else 1)
-        d_dx = np.gradient(vals, xs, axis=1, edge_order=2 if xs.size > 2 else 1)
-        out.append(0.5 * (d_dt / units.c + d_dx))  # d_plus
-        out.append(0.5 * (d_dt / units.c - d_dx))  # d_minus
-    d_plus_xi, _, _, d_minus_zeta = out
+        return 0.5 * (_gradient(vals, ts, 0) / units.c + sign * _gradient(vals, xs, 1))
+
+    d_plus_xi, d_minus_zeta = light_cone(pair.xi, +1.0), light_cone(pair.zeta, -1.0)
     return PotentialField(
         x=xs,
         t=ts,

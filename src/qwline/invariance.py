@@ -27,7 +27,6 @@ import numpy as np
 from .coin import CoinAngles, CoinField, PhaseField
 from .errors import PhaseConditionError
 from .evolution import step_inhomogeneous
-from .observables import pmf
 from .state import InitialState, SpinorField, localized_state
 
 __all__ = [
@@ -157,53 +156,35 @@ def relative_phase_map(state: SpinorField, floor: float = _PAIR_PHASE_FLOOR):
     return ns, phases
 
 
-def _dressed_start(init: InitialState, phases: PhaseField) -> SpinorField:
-    base = localized_state(init)
-    xi, zeta = phases.rows(np.zeros(1, dtype=np.int64), 0)
-    return SpinorField(
-        t=0,
-        plus_amps=base.plus_amps * np.exp(1j * xi),
-        minus_amps=base.minus_amps * np.exp(1j * zeta),
-        parity_localized=True,
-    )
-
-
-def _pair_phase_divergence(a: SpinorField, b: SpinorField) -> float:
-    floor = _PAIR_PHASE_FLOOR
-    keep = (
-        (np.abs(a.plus_amps) > floor)
-        & (np.abs(a.minus_amps) > floor)
-        & (np.abs(b.plus_amps) > floor)
-        & (np.abs(b.minus_amps) > floor)
-    )
-    if not np.any(keep):
-        return 0.0
-    pa = np.angle(a.plus_amps[keep] * np.conj(a.minus_amps[keep]))
-    pb = np.angle(b.plus_amps[keep] * np.conj(b.minus_amps[keep]))
-    return float(np.max(np.abs(np.angle(np.exp(1j * (pb - pa))))))
+def _dressed(state: SpinorField, phases: PhaseField):
+    """Indices of the occupied sites of ``state`` and its two components
+    there, each multiplied by its dressing phase."""
+    idx = np.arange(0, 2 * state.t + 1, 2)
+    xi, zeta = phases.rows(idx - state.t, state.t)
+    return (idx, state.plus_amps[idx] * np.exp(1j * xi),
+            state.minus_amps[idx] * np.exp(1j * zeta))
 
 
 def _compare_pair(a: SpinorField, b: SpinorField) -> dict:
-    mod = max(
-        float(np.max(np.abs(np.abs(b.plus_amps) - np.abs(a.plus_amps)))),
-        float(np.max(np.abs(np.abs(b.minus_amps) - np.abs(a.minus_amps)))),
-    )
+    """Worst gaps of ``b`` from ``a`` in moduli, distribution and phase map."""
+    (ap, am), (bp, bm) = ((np.abs(s.plus_amps), np.abs(s.minus_amps)) for s in (a, b))
+    keep = (np.array([ap, am, bp, bm]) > _PAIR_PHASE_FLOOR).all(axis=0)
+    phase_map = 0.0
+    if np.any(keep):
+        pa = np.angle(a.plus_amps[keep] * np.conj(a.minus_amps[keep]))
+        pb = np.angle(b.plus_amps[keep] * np.conj(b.minus_amps[keep]))
+        phase_map = float(np.max(np.abs(np.angle(np.exp(1j * (pb - pa))))))
     return {
         "t": a.t,
-        "modulus": mod,
-        "pmf": float(np.max(np.abs(pmf(b) - pmf(a)))),
-        "phase_map": _pair_phase_divergence(a, b),
+        "modulus": max(float(np.max(np.abs(bp - ap))), float(np.max(np.abs(bm - am)))),
+        "pmf": float(np.max(np.abs((bp ** 2 + bm ** 2) - (ap ** 2 + am ** 2)))),
+        "phase_map": phase_map,
     }
 
 
 def _component_comparison(a: SpinorField, b: SpinorField, phases: PhaseField) -> dict:
     """Worst componentwise distance of ``b`` from the dressed copy of ``a``."""
-    t = a.t
-    occ = np.arange(-t, t + 1, 2)
-    idx = occ + t
-    xi_vals, zeta_vals = phases.rows(occ, t)
-    dressed_plus = a.plus_amps[idx] * np.exp(1j * xi_vals)
-    dressed_minus = a.minus_amps[idx] * np.exp(1j * zeta_vals)
+    idx, dressed_plus, dressed_minus = _dressed(a, phases)
     comp = max(
         float(np.max(np.abs(b.plus_amps[idx] - dressed_plus))),
         float(np.max(np.abs(b.minus_amps[idx] - dressed_minus))),
@@ -255,7 +236,8 @@ def _verify(kind, init, ref, phases, t_final, inputs, compare) -> InvarianceRepo
     base = CoinField.lift(ref)
     dressed_coin = transform_coin_field(base, phases)
     ref_state = localized_state(init)
-    dressed = _dressed_start(init, phases)
+    _, plus, minus = _dressed(ref_state, phases)
+    dressed = SpinorField(t=0, plus_amps=plus, minus_amps=minus)
     per_time = [compare(ref_state, dressed)]
     for _ in range(t_final):
         ref_state = step_inhomogeneous(ref_state, base)

@@ -128,13 +128,14 @@ def classical_pmf(p: float, t: int) -> np.ndarray:
 
 
 def stationary_pmf(n, t: int, theta: float, eta: float, phi: float):
-    """Long-time envelope of the position distribution at occupied sites.
+    """Long-time envelope of the position distribution.
 
     Valid well inside the support ``|n| < t cos(theta)``; returns 0 outside.
     The value approximates the fringe-averaged probability at a single
     occupied site (occupied sites are every other ``n``, hence the overall
     ``2 t`` scale factor on the unit-integral continuum density).  Accepts a
-    scalar or an array of sites.
+    scalar or an array of sites and evaluates every ``n`` given, so only the
+    entries at occupied sites (``n + t`` even) compare with :func:`pmf`.
     """
     if t < 1:
         raise ValueError(f"t must be positive, got {t}")

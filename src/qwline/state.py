@@ -38,6 +38,12 @@ class InitialState:
     gamma: float = 0.0
 
 
+def _off_parity_zero(plus: np.ndarray, minus: np.ndarray) -> bool:
+    """Whether both components vanish exactly on the sites with ``n + t``
+    odd, their odd window indices (``-0.0`` does, NaN does not)."""
+    return not (np.any(plus[1::2]) or np.any(minus[1::2]))
+
+
 @dataclass(frozen=True, eq=False)
 class SpinorField:
     """Walker state at a fixed time ``t``.
@@ -110,11 +116,8 @@ class SpinorField:
         drift = abs(self.norm() - 1.0)
         if drift > atol:
             raise ValueError(f"norm deviates from 1 by {drift:.3e} (atol={atol:.1e})")
-        if self.parity_localized:
-            odd = np.arange(1, 2 * self.t + 1, 2)
-            if self.t > 0 and (np.any(self.plus_amps[odd] != 0)
-                               or np.any(self.minus_amps[odd] != 0)):
-                raise ValueError("off-parity sites carry nonzero amplitude")
+        if self.parity_localized and not _off_parity_zero(self.plus_amps, self.minus_amps):
+            raise ValueError("off-parity sites carry nonzero amplitude")
 
 
 def localized_state(init: InitialState) -> SpinorField:
@@ -148,6 +151,5 @@ def load_spinor_csv(path) -> SpinorField:
     plus, minus = np.empty((2, 2 * t + 1), dtype=np.complex128)
     plus.real, plus.imag = cols["re_plus"], cols["im_plus"]
     minus.real, minus.imag = cols["re_minus"], cols["im_minus"]
-    odd = np.arange(1, 2 * t + 1, 2)
-    parity = bool(t == 0 or (np.all(plus[odd] == 0) and np.all(minus[odd] == 0)))
-    return SpinorField(t=t, plus_amps=plus, minus_amps=minus, parity_localized=parity)
+    return SpinorField(t=t, plus_amps=plus, minus_amps=minus,
+                       parity_localized=_off_parity_zero(plus, minus))

@@ -101,6 +101,16 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert main(["gauge", "--resolutions", "32"] + out) == 2
     assert main(["evolve", "--theta", "0.5", "--t-final", "5",
                  "--config", str(tmp_path / "missing.json")] + out) == 2
+    capsys.readouterr()
+    # gauge domains the stencils cannot resolve: dx overflows, dt squared
+    # overflows, dx squared underflows, x samples repeat
+    for domain in ("-1e308,1e308,0,1", "-1,1,0,1e308", "0,1e-320,0,1",
+                   "10000000000000000,10000000000000008,0,1"):
+        assert main(["gauge", "--resolutions", "8,16", f"--domain={domain}"] + out) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("config error")
+        assert "at resolution 8" in err and "Traceback" not in err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_config_file_merge(tmp_path, capsys):

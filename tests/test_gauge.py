@@ -12,11 +12,12 @@ from qwline import (
     efield_invariance_residual,
     electric_field,
     finite_difference_transform,
-    forward_differences,
     lattice_phases_from_smooth,
+    load_phase_field_csv,
     potentials_from_phase_pair,
     potentials_from_transform,
     save_potentials_csv,
+    save_phase_field_csv,
     save_residual_csv,
     transform_coin_field,
 )
@@ -37,13 +38,6 @@ def test_unit_system_validation():
         UnitSystem(tau=0.0)
     with pytest.raises(ValueError, match="finite and positive"):
         UnitSystem(hbar_over_e=-1.0)
-
-
-def test_forward_differences():
-    assert forward_differences(lambda n, t: float(n * t), 2, 3) == (3.0, 2.0)
-    assert forward_differences(lambda n, t: 7.0, 5, 1) == (0.0, 0.0)
-    dn, dt = forward_differences(lambda n, t: float(n * n), -3, 0)
-    assert dn == -5.0 and dt == 0.0
 
 
 def _phase_families():
@@ -86,11 +80,11 @@ def test_transform_rows_equal_scalar_formulas():
         )
 
     def differences(xi, zeta, n, t):
-        d_n, _ = forward_differences(lambda m, s: xi(m, s) - zeta(m - 1, s), n, t + 1)
-        _, d_t = forward_differences(lambda m, s: xi(m, s) + zeta(m, s), n, t)
+        d_n = (xi(n + 1, t + 1) - zeta(n, t + 1)) - (xi(n, t + 1) - zeta(n - 1, t + 1))
+        d_t = (xi(n, t + 1) + zeta(n, t + 1)) - (xi(n, t) + zeta(n, t))
         chi = REF.chi + 0.5 * (d_n + d_t)
-        d_n, _ = forward_differences(lambda m, s: xi(m, s) + zeta(m - 1, s), n, t + 1)
-        _, d_t = forward_differences(lambda m, s: xi(m, s) - zeta(m, s), n, t)
+        d_n = (xi(n + 1, t + 1) + zeta(n, t + 1)) - (xi(n, t + 1) + zeta(n - 1, t + 1))
+        d_t = (xi(n, t + 1) - zeta(n, t + 1)) - (xi(n, t) - zeta(n, t))
         shift = 0.5 * (d_n + d_t)
         return REF.alpha + shift, REF.beta + (zeta(n, t) - xi(n, t)) - shift, chi
 
@@ -106,10 +100,9 @@ def test_transform_rows_equal_scalar_formulas():
 
 
 def test_phase_rows_are_sampled_once_per_step():
-    """A shared callable is called once per site per row; the pointwise
-    transform reads step t + 1 once over ns - 1 and ns + 1, and the
-    difference form reads each of steps t, t + 1, t + 2 once over
-    ns - 1 .. ns + 1, for each phase component."""
+    """A shared callable is called once per site per row; both transforms
+    read step t over ns and step t + 1 once over ns - 1 .. ns + 1, and
+    nothing at t + 2, for each phase component."""
     calls = {"xi": [], "zeta": []}
 
     def counted(name, fn):
@@ -125,18 +118,25 @@ def test_phase_rows_are_sampled_once_per_step():
 
     split = PhaseField(counted("xi", lambda n, t: 0.05 * (n - t)),
                        counted("zeta", lambda n, t: 0.2 * np.cos(0.03 * n + 0.11 * t)))
+    reads = [(ns, t), (np.arange(-6, 9), t + 1)]
+    want = sorted((n, s) for sites, s in reads for n in sites)
     for phases, names in ((shared, ("xi",)), (split, ("xi", "zeta"))):
-        for transform, reads in (
-            (transform_coin_field, [(ns, t), (np.arange(-6, 9), t + 1)]),
-            (finite_difference_transform,
-             [(np.arange(-6, 9), s) for s in (t, t + 1, t + 2)]),
-        ):
+        for transform in (transform_coin_field, finite_difference_transform):
             for log in calls.values():
                 log.clear()
             transform(REF, phases).rows(ns, t)
-            want = sorted((n, s) for sites, s in reads for n in sites)
             assert [sorted(calls[name]) for name in names] == [want] * len(names)
-            assert all(len(sites) <= len(ns) + 2 for sites, _ in reads)
+
+
+def test_difference_form_reads_no_step_beyond_the_pointwise_form(tmp_path):
+    """On a phase table up to t_max = 10 the difference form materializes
+    step 9, which reads up to step 10, as the pointwise transform does."""
+    path = tmp_path / "phases.csv"
+    save_phase_field_csv(_phase_families()[2], t_max=10, path=path)
+    table = load_phase_field_csv(path)
+    a = transform_coin_field(REF, table).materialize(-9, 9, 9)
+    b = finite_difference_transform(REF, table).materialize(-9, 9, 9)
+    assert np.max(np.abs(np.array(a) - np.array(b))) < 1e-14
 
 
 def test_finite_difference_transform_zero_phases():
@@ -252,6 +252,11 @@ def test_potentials_from_phase_pair_linear_exact():
         potentials_from_phase_pair(pair, DOMAIN, resolution=1)
     with pytest.raises(GridError, match="positive extent"):
         potentials_from_phase_pair(pair, (1.0, -1.0, 0.0, 1.0), resolution=8)
+    # squared spacings outside the normal float range, repeated x samples
+    for domain in ((-1e308, 1e308, 0.0, 1.0), (-1.0, 1.0, 0.0, 1e308),
+                   (0.0, 1e-320, 0.0, 1.0), (1e16, 1e16 + 8, 0.0, 1.0)):
+        with pytest.raises(GridError, match="at resolution 8"):
+            potentials_from_phase_pair(pair, domain, resolution=8)
 
 
 def test_null_family_produces_no_time_potential():

@@ -8,6 +8,7 @@ from qwline import (
     localized_state,
     save_spinor_csv,
 )
+from qwline.evolution import _stride
 
 
 def _random_state(rng, t):
@@ -122,6 +123,27 @@ def test_csv_parity_flag_inference(tmp_path):
 
     save_spinor_csv(_random_state(np.random.default_rng(2), t=3), path)
     assert load_spinor_csv(path).parity_localized is True
+
+
+@pytest.mark.parametrize("value", [0.0, -0.0, complex(-0.0, -0.0), 1e-300, np.nan,
+                                   complex(0.0, np.nan)])
+def test_off_parity_zero_agrees_in_every_caller(tmp_path, value):
+    """validate, the evolve stride and the loader's parity flag share one
+    test: -0.0 is an exact zero, NaN is not."""
+    zero = value == 0
+    plus = np.array([0.6, value, 0.0], dtype=np.complex128)
+    minus = np.array([0.0, 0.0, 0.8], dtype=np.complex128)
+    state = SpinorField(t=1, plus_amps=plus, minus_amps=minus)
+    assert _stride(state) == (2 if zero else 1)
+    path = tmp_path / "state.csv"
+    save_spinor_csv(state, path)
+    assert load_spinor_csv(path).parity_localized is zero
+    if np.isfinite(value):
+        if zero:
+            state.validate()
+        else:
+            with pytest.raises(ValueError, match="off-parity"):
+                state.validate()
 
 
 def test_csv_load_rejects_bad_inputs(tmp_path):
