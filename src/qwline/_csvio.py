@@ -8,23 +8,45 @@ import numpy as np
 
 from .errors import TableError
 
-# rows are turned into Python floats a batch at a time: converting a whole
-# 256x256 grid at once raised the peak RSS of a gauge run by about 2 MiB
+# rows of a one-dimensional table are turned into Python numbers a batch at
+# a time, so a long table is never converted in one piece
 _BATCH = 1024
 
 # site and time labels; every other column holds doubles
 _INT_COLUMNS = ("n", "t")
 
 
-def write_csv(path, header: str, columns) -> None:
-    """Write equal-length ``columns`` under ``header``, one row per index.
+def _fmt(values) -> str:
+    """``%d`` for integer arrays, ``%.17g`` (exact for every double) otherwise."""
+    return "%d" if values.dtype.kind in "iub" else "%.17g"
 
-    Integer columns are written as ``%d`` and all others as ``%.17g``,
-    which round-trips every double exactly, so the bytes depend only on
-    the values.
+
+def write_csv(path, header: str, columns, grid=None) -> None:
+    """Write ``columns`` under ``header``, integers as ``%d`` and the rest as ``%.17g``.
+
+    Without ``grid`` the columns are equal-length and give one row per
+    index.  With ``grid=(xs, ts)`` each column is a time-major field of
+    ``ts.size x xs.size`` values and each row is ``x,t`` followed by the
+    fields at that point, time-major.  The ``x`` and ``t`` labels are then
+    formatted once each, and one time row at a time is turned into text,
+    with the same bytes as writing the tiled label columns row by row.
+    Either way the bytes depend only on the values.
     """
+    if grid is not None:
+        xs, ts = (np.asarray(v).ravel() for v in grid)
+        fields = [np.asarray(f).reshape(ts.size, xs.size) for f in columns]
+        x_labels = [_fmt(xs) % x for x in xs.tolist()]
+        t_fmt, tail = "," + _fmt(ts), "," + ",".join(map(_fmt, fields)) + "\n"
+        with open(path, "w", newline="") as fh:
+            fh.write(header + "\n")
+            for i, t in enumerate(ts.tolist() if xs.size else ()):
+                # labels are plain numbers, so they hold no % for the template
+                row = t_fmt % t + tail
+                values = np.column_stack([f[i] for f in fields]).ravel().tolist()
+                fh.write((row.join(x_labels) + row) % tuple(values))
+        return
     cols = [np.asarray(c).ravel() for c in columns]
-    fmt = ",".join("%d" if c.dtype.kind in "iub" else "%.17g" for c in cols) + "\n"
+    fmt = ",".join(map(_fmt, cols)) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(header + "\n")
         for lo in range(0, cols[0].size, _BATCH):
@@ -63,8 +85,3 @@ def read_csv(path, header: str, what: str) -> dict:
         raise error("no data rows")
     return {c: data[c] for c in names}
 
-
-def grid_columns(xs, ts) -> list:
-    """``x`` and ``t`` columns of a time-major ``[i_t, i_x]`` grid."""
-    xs, ts = np.asarray(xs), np.asarray(ts)
-    return [np.tile(xs, ts.size), np.repeat(ts, xs.size)]

@@ -417,14 +417,13 @@ def _cmd_gauge(cfg: RunConfig) -> int:
         maxima.append(peak)
         print(f"resolution {res}: max residual {peak:.6e}")
     finest = cfg.resolutions[-1]
-    x0, x1, t0, t1 = cfg.domain
-    xs = np.linspace(x0, x1, finest)
-    ts = np.linspace(t0, t1, finest)
+    # the residual at the finest resolution lies on the potentials' grid
+    potentials = potentials_from_phase_pair(pair, cfg.domain, finest, units)
     res_path = out / f"residual_res{finest}.csv"
-    save_residual_csv(res_path, xs, ts, residual)
+    save_residual_csv(res_path, potentials.x, potentials.t, residual)
     _wrote(res_path)
     pot_path = out / f"potentials_res{finest}.csv"
-    save_potentials_csv(potentials_from_phase_pair(pair, cfg.domain, finest, units), pot_path)
+    save_potentials_csv(potentials, pot_path)
     _wrote(pot_path)
     worst = math.inf
     for (r0, m0), (r1, m1) in zip(

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._csvio import grid_columns, read_csv, write_csv
+from ._csvio import read_csv, write_csv
 from .errors import TableError, TotalityError, UnsupportedParameterError
 
 __all__ = [
@@ -249,7 +249,7 @@ def _save_window_csv(path, header: str, t_max: int, rows) -> None:
     """Write ``rows(ns, t)`` on the square window ``|n| <= t_max, 0 <= t <= t_max``."""
     ns, ts = np.arange(-t_max, t_max + 1), np.arange(t_max + 1)
     values = zip(*(rows(ns, int(t)) for t in ts))
-    write_csv(path, header, [*grid_columns(ns, ts), *map(np.concatenate, values)])
+    write_csv(path, header, [np.stack(v) for v in values], grid=(ns, ts))
 
 
 def save_coin_field_csv(f: CoinField, t_max: int, path) -> None:

@@ -103,14 +103,29 @@ def test_config_errors_exit_2(tmp_path, capsys):
                  "--config", str(tmp_path / "missing.json")] + out) == 2
     capsys.readouterr()
     # gauge domains the stencils cannot resolve: dx overflows, dt squared
-    # overflows, dx squared underflows, x samples repeat
+    # overflows, dx squared underflows, x samples repeat, and the symmetric
+    # pair's 0.2 X T overflows on the grid
     for domain in ("-1e308,1e308,0,1", "-1,1,0,1e308", "0,1e-320,0,1",
-                   "10000000000000000,10000000000000008,0,1"):
-        assert main(["gauge", "--resolutions", "8,16", f"--domain={domain}"] + out) == 2
+                   "10000000000000000,10000000000000008,0,1",
+                   "-4.6e154,4.6e154,0,9e154"):
+        assert main(["gauge", "--pair", "symmetric", "--resolutions", "8,16",
+                     f"--domain={domain}"] + out) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("config error")
         assert "at resolution 8" in err and "Traceback" not in err
+    assert "xi is not finite at (x=" in err
     assert not list(tmp_path.glob("*.csv"))
+
+
+def test_gauge_files_share_one_grid(tmp_path, capsys):
+    # np.linspace ends this x axis at 0.1, the sampled grid at 0.10000000000000009
+    assert main(["gauge", "--resolutions", "8,16", "--domain=-3,0.1,0,1.5",
+                 "--outdir", str(tmp_path)]) == 0
+    res, pot = (np.loadtxt(tmp_path / f"{name}_res16.csv", delimiter=",", skiprows=1)
+                for name in ("residual", "potentials"))
+    assert res.shape == (256, 3) and pot.shape == (256, 4)
+    assert np.array_equal(res[:, :2], pot[:, :2])
+    assert res[-1, 0] == pot[-1, 0] != 0.1
 
 
 def test_config_file_merge(tmp_path, capsys):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from qwline import (
     CoinField,
     PhaseField,
+    PotentialField,
     SpinorField,
     TableError,
     load_coin_field_csv,
@@ -14,6 +15,8 @@ from qwline import (
     load_spinor_csv,
     save_coin_field_csv,
     save_phase_field_csv,
+    save_potentials_csv,
+    save_residual_csv,
     save_spinor_csv,
 )
 from qwline._csvio import read_csv, write_csv
@@ -86,6 +89,67 @@ def test_phase_table_round_trip_is_byte_identical(tmp_path_factory, data, t_max)
         for n in range(-t_max, t_max + 1):
             assert _same_bits(loaded.xi_of(n, t), xi[t, n + t_max])
             assert _same_bits(loaded.zeta_of(n, t), zeta[t, n + t_max])
+
+
+def _naive_grid_csv(header, xs, ts, fields):
+    """Reference bytes of a time-major grid file: one row per point, every
+    cell formatted on its own, ``%d`` for ints and ``%.17g`` for floats."""
+    def cell(v):
+        return ("%d" if isinstance(v, int) else "%.17g") % v
+
+    fields = [np.asarray(f).tolist() for f in fields]
+    rows = [header]
+    for i, t in enumerate(np.asarray(ts).tolist()):
+        for j, x in enumerate(np.asarray(xs).tolist()):
+            rows.append(",".join(cell(v) for v in [x, t, *(f[i][j] for f in fields)]))
+    return "".join(row + "\n" for row in rows).encode()
+
+
+_GRID_SHAPES = st.one_of(
+    st.just((1, 1)),
+    st.tuples(st.just(1), st.integers(1, 6)),
+    st.tuples(st.integers(1, 6), st.just(1)),
+    st.tuples(st.integers(1, 6), st.integers(1, 6)),
+)
+
+
+@_ROUND_TRIP
+@given(data=st.data(), shape=_GRID_SHAPES, int_labels=st.booleans())
+def test_gauge_grid_files_match_a_naive_writer(tmp_path_factory, data, shape,
+                                               int_labels):
+    n_t, n_x = shape
+    labels = st.integers(-10**6, 10**6) if int_labels else _DOUBLES
+    xs, ts = (np.array(data.draw(st.lists(labels, min_size=k, max_size=k)))
+              for k in (n_x, n_t))
+    a_t, a_x, residual = (
+        np.array(data.draw(st.lists(_DOUBLES, min_size=n_t * n_x, max_size=n_t * n_x)))
+        .reshape(shape) for _ in range(3))
+    tmp = tmp_path_factory.mktemp("grid")
+    save_residual_csv(tmp / "res.csv", xs, ts, residual)
+    assert (tmp / "res.csv").read_bytes() == _naive_grid_csv(
+        "x,t,residual", xs, ts, [residual])
+    # a potential field stores its coordinates as doubles
+    p = PotentialField(x=xs, t=ts, a_t=a_t, a_x=a_x)
+    save_potentials_csv(p, tmp / "pot.csv")
+    assert (tmp / "pot.csv").read_bytes() == _naive_grid_csv(
+        "x,t,a_t,a_x", xs.astype(np.float64), ts.astype(np.float64), [a_t, a_x])
+
+
+@_ROUND_TRIP
+@given(data=st.data(), t_max=st.integers(0, 3))
+def test_window_tables_match_a_naive_writer(tmp_path_factory, data, t_max):
+    values = _grid(data.draw, t_max, 4)
+    ns, ts = np.arange(-t_max, t_max + 1), np.arange(t_max + 1)
+    tmp = tmp_path_factory.mktemp("window")
+    save_coin_field_csv(CoinField(lambda n, t: tuple(v[t, n + t_max] for v in values)),
+                        t_max, tmp / "coin.csv")
+    assert (tmp / "coin.csv").read_bytes() == _naive_grid_csv(
+        "n,t,theta,alpha,beta,chi", ns, ts, values)
+    save_phase_field_csv(PhaseField.from_rows(lambda n, t: (values[0][t, n + t_max],
+                                                            values[1][t, n + t_max])),
+                         t_max, tmp / "phase.csv")
+    assert (tmp / "phase.csv").read_bytes() == _naive_grid_csv(
+        "n,t,xi,zeta", ns, ts, values[:2])
 
 
 def test_read_csv_types_columns_by_name(tmp_path):

@@ -21,6 +21,7 @@ from qwline import (
     save_residual_csv,
     transform_coin_field,
 )
+from qwline.cli import _smooth_pair
 
 REF = CoinAngles(theta=0.8, alpha=0.15, beta=-0.6, chi=0.25)
 # Spatial and temporal spacings intentionally differ so light-cone
@@ -312,6 +313,62 @@ def test_residual_field_covers_requested_domain():
     top, field = efield_invariance_residual(pair, DOMAIN, 32)
     assert field.shape == (32, 32)
     assert top < 1e-3
+
+
+def _out_of_place_residual(pair, domain, res, units):
+    """The residual with every stencil and the scaling written out of place,
+    in the float order the library's in-place stencils must keep."""
+    x0, x1, t0, t1 = domain
+    dx, dt = (x1 - x0) / (res - 1), (t1 - t0) / (res - 1)
+    steps = np.arange(-3, res + 3)
+    tt, xx = np.meshgrid(t0 + dt * steps, x0 + dx * steps, indexing="ij")
+    c = units.c
+
+    def null(arr, sign, k):
+        d_dt = (arr[2 * k:, k:-k] - arr[:-2 * k, k:-k]) / (2 * k * dt)
+        d_dx = (arr[k:-k, 2 * k:] - arr[k:-k, :-2 * k]) / (2 * k * dx)
+        return 0.5 * (d_dt / c + sign * d_dx)
+
+    term_xi = null(null(pair.xi(xx, tt), +1.0, 1), -1.0, 2)
+    term_zeta = null(null(pair.zeta(xx, tt), -1.0, 1), +1.0, 2)
+    return 0.5 * units.hbar_over_e * c * (term_xi - term_zeta)
+
+
+@pytest.mark.parametrize("units", [UnitSystem(),
+                                   UnitSystem(ell=0.5, tau=0.25, c=2.0, hbar_over_e=0.7)])
+def test_residual_is_bitwise_the_out_of_place_composition(units):
+    pairs = [_smooth_pair(name, units.c) for name in ("symmetric", "null", "wave")]
+    pairs.append(SmoothPhasePair(xi=lambda X, T: X * X * T,
+                                 zeta=lambda X, T: np.zeros_like(X)))
+    # 64 and 75 span several row blocks of the stencils, 75 a partial last one
+    for pair in pairs:
+        for res in (4, 5, 17, 64, 75):
+            top, field = efield_invariance_residual(pair, DOMAIN, res, units)
+            want = _out_of_place_residual(pair, DOMAIN, res, units)
+            assert np.array_equal(field.view(np.int64), want.view(np.int64))
+            assert top == np.max(np.abs(want))
+
+
+def test_non_finite_samples_raise_grid_error():
+    # 0.2 X T overflows to inf on this domain (halo included)
+    overflow = SmoothPhasePair(xi=lambda X, T: 0.2 * X * T, zeta=lambda X, T: 0 * X)
+    domain = (-4.6e154, 4.6e154, 0.0, 9e154)
+    for compute in (efield_invariance_residual, potentials_from_phase_pair):
+        with pytest.raises(GridError, match=r"at resolution 8: xi is not finite at \(x="):
+            compute(overflow, domain, 8)
+    # the first time-major point past x = 0.5, t = 1 is (0.75, 1.5), halo or not
+    hole = SmoothPhasePair(xi=lambda X, T: X,
+                           zeta=lambda X, T: np.where((X > 0.5) & (T > 1.0), np.nan, T))
+    for compute in (efield_invariance_residual, potentials_from_phase_pair):
+        with pytest.raises(GridError, match=r"zeta is not finite at \(x=0.75, t=1.5\)"):
+            compute(hole, (0.0, 1.0, 0.0, 2.0), 5)
+    # finite samples whose differences overflow
+    cliff = SmoothPhasePair(xi=lambda X, T: np.where(X > 0.4, 1.7e308, -1.7e308),
+                            zeta=lambda X, T: 0 * X)
+    with pytest.raises(GridError, match=r"residual is not finite at \(x="):
+        efield_invariance_residual(cliff, (0.0, 1.0, 0.0, 2.0), 5)
+    with pytest.raises(GridError, match=r"a_t is not finite at \(x="):
+        potentials_from_phase_pair(cliff, (0.0, 1.0, 0.0, 2.0), 5)
 
 
 def test_lattice_phases_track_continuum_derivatives():
