@@ -16,6 +16,7 @@ stepping, are the strongest internal consistency checks in the package.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -83,7 +84,14 @@ def lambda_explicit(n: int, t: int, theta: float) -> float:
     _require_spectral(theta)
     if abs(n) > t:
         return 0.0
-    return float(kernels.lambda_spectral(t, math.cos(theta))[(n + t) // 2])
+    return float(_spectral_row(t, math.cos(theta))[(n + t) // 2])
+
+
+@functools.lru_cache(maxsize=1)
+def _spectral_row(t: int, cos_theta: float) -> np.ndarray:
+    """The last kernel row :func:`lambda_explicit` read, kept for its next
+    entry (callers sweep a row site by site); never written into."""
+    return kernels.lambda_spectral(t, cos_theta)
 
 
 @dataclass(frozen=True, eq=False)

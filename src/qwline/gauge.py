@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from ._csvio import write_csv
-from .coin import CoinAngles, CoinField, PhaseField
+from .coin import CoinAngles, CoinField, PhaseField, _site_step
 from .errors import GridError
 
 __all__ = [
@@ -84,11 +84,18 @@ def finite_difference_transform(
     def rows(ns, t):
         theta, alpha, beta, chi = base.rows(ns, t)
         xi0, zeta0 = phases.rows(ns, t)
-        ahead = np.unique(np.concatenate((ns - 1, ns, ns + 1)))
+        step = _site_step(ns)
+        if step is None:
+            ahead = np.unique(np.concatenate((ns - 1, ns, ns + 1)))
+            # ns - 1 and ns + 1 sit right beside ns in the sorted distinct sites
+            here = np.searchsorted(ahead, ns)
+            left, here, right = here - 1, here, here + 1
+        else:
+            # the same sites np.unique gives here, in the same order
+            ahead = np.arange(ns[0] - 1, ns[-1] + 2)
+            left, here, right = slice(0, -2, step), slice(1, -1, step), slice(2, None, step)
         xi1, zeta1 = phases.rows(ahead, t + 1)
-        # ns - 1 and ns + 1 sit right beside ns in the sorted distinct sites
-        here = np.searchsorted(ahead, ns)
-        xi_n, xi_r, zeta_n, zeta_l = xi1[here], xi1[here + 1], zeta1[here], zeta1[here - 1]
+        xi_n, xi_r, zeta_n, zeta_l = xi1[here], xi1[right], zeta1[here], zeta1[left]
         # d_n of xi(m) -+ zeta(m - 1) at t + 1, d_t of xi(n) +- zeta(n) from t
         d_n = (xi_r - zeta_n) - (xi_n - zeta_l)
         d_t = (xi_n + zeta_n) - (xi0 + zeta0)

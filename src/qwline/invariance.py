@@ -24,7 +24,7 @@ from functools import partial
 
 import numpy as np
 
-from .coin import CoinAngles, CoinField, PhaseField
+from .coin import CoinAngles, CoinField, PhaseField, _site_step
 from .errors import PhaseConditionError
 from .evolution import step_inhomogeneous
 from .state import InitialState, SpinorField, localized_state
@@ -69,6 +69,31 @@ def _require_small(ns, t: int, *checks) -> None:
         raise PhaseConditionError(f"{message} {abs(gap[i]):.3e} at (n={ns[i]}, t={t})")
 
 
+def _row_memo(rows, check=None):
+    """``rows`` with its last row kept: a read at the same ``t`` over equal
+    ``ns`` returns the stored arrays, which nobody may write into.
+
+    ``check(ns, t, row)`` runs once per row, when it is first sampled.
+    """
+    last = None
+
+    def memo(ns, t):
+        nonlocal last
+        if last is not None and last[0] == t and np.array_equal(last[1], ns):
+            return last[2]
+        row = rows(ns, t)
+        if check is not None:
+            check(ns, t, row)
+        last = (t, np.array(ns), row)  # a copy: the caller may reuse its ns
+        return row
+
+    return memo
+
+
+def _common_phase(ns, t, row) -> None:
+    _require_small(ns, t, (_COMMON_PHASE, *row))
+
+
 def _dressed_field(ref: CoinField | CoinAngles, phase_rows) -> CoinField:
     """The transformed coin for dressing phases given as a row sampler.
 
@@ -79,10 +104,16 @@ def _dressed_field(ref: CoinField | CoinAngles, phase_rows) -> CoinField:
     def rows(ns, t):
         theta, alpha, beta, chi = base.rows(ns, t)
         xi0, zeta0 = phase_rows(ns, t)
-        ahead = np.union1d(ns - 1, ns + 1)
+        step = _site_step(ns)
+        if step is None:
+            ahead = np.union1d(ns - 1, ns + 1)
+            right, left = np.searchsorted(ahead, ns + 1), np.searchsorted(ahead, ns - 1)
+        else:
+            # the same sites union1d gives here, in the same order
+            ahead = np.arange(ns[0] - 1, ns[-1] + 2, step)
+            right, left = slice(2 // step, None), slice(0, len(ns))
         xi1, zeta1 = phase_rows(ahead, t + 1)
-        xi1 = xi1[np.searchsorted(ahead, ns + 1)]
-        zeta1 = zeta1[np.searchsorted(ahead, ns - 1)]
+        xi1, zeta1 = xi1[right], zeta1[left]
         with np.errstate(over="ignore", invalid="ignore"):
             return (
                 theta,
@@ -118,13 +149,7 @@ def exact_transform(ref: CoinField | CoinAngles, phases: PhaseField) -> CoinFiel
     """
     if phases.is_symmetric:
         return transform_coin_field(ref, phases)
-
-    def checked_rows(ns, t):
-        xi, zeta = phases.rows(ns, t)
-        _require_small(ns, t, (_COMMON_PHASE, xi, zeta))
-        return xi, zeta
-
-    return _dressed_field(ref, checked_rows)
+    return _dressed_field(ref, _row_memo(phases.rows, _common_phase))
 
 
 def quasi_invariant_phases(rate: float) -> PhaseField:
@@ -229,11 +254,22 @@ class InvarianceReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
-def _verify(kind, init, ref, phases, t_final, inputs, compare) -> InvarianceReport:
-    """Step a walk and its dressed copy side by side, comparing every step."""
+def _verify(kind, init, ref, phases, t_final, inputs, check=None) -> InvarianceReport:
+    """Step a walk and its dressed copy side by side, comparing every step.
+
+    Each base-coin row and each phase row is sampled once: the reference
+    walk, the dressed coin, the start dressing and the comparisons read
+    them through one-row memos, and ``check`` runs on each phase row as it
+    is first sampled.
+    """
     if t_final < 0:
         raise ValueError(f"t_final must be non-negative, got {t_final}")
-    base = CoinField.lift(ref)
+    lifted = CoinField.lift(ref)
+    # angles stay, so a constant coin still takes evolve's constant path
+    base = CoinField(_row_memo(lifted.rows), lifted.angles)
+    phases = PhaseField.from_rows(_row_memo(phases.rows, check))
+    compare = (partial(_component_comparison, phases=phases) if kind == "exact"
+               else _compare_pair)
     dressed_coin = transform_coin_field(base, phases)
     ref_state = localized_state(init)
     _, plus, minus = _dressed(ref_state, phases)
@@ -283,7 +319,7 @@ def verify_quasi_invariance(
         xi1, zeta1 = phases.rows(np.arange(-t - 1, t + 2, 2), t + 1)
         _require_small(ns, t, (_RIGHT_MOVING, xi1[1:], xi), (_LEFT_MOVING, zeta1[:-1], zeta))
         xi, zeta = xi1, zeta1
-    return _verify("quasi", init, ref, phases, t_final, inputs, _compare_pair)
+    return _verify("quasi", init, ref, phases, t_final, inputs)
 
 
 def verify_exact_invariance(
@@ -296,13 +332,11 @@ def verify_exact_invariance(
     """Run a walk and its common-phase dressed copy side by side.
 
     Requires ``zeta == xi`` over the support (structural for pairs built
-    from one callable, otherwise checked pointwise at 1e-12).  Every
-    reported deviation, componentwise distance included, should sit at
-    rounding level for any ``xi`` whatsoever.
+    from one callable, otherwise checked pointwise at 1e-12 on each row
+    before its first use, so a row ``t`` split raises
+    :class:`PhaseConditionError` naming its first site).  Every reported
+    deviation, componentwise distance included, should sit at rounding
+    level for any ``xi`` whatsoever.
     """
-    if not phases.is_symmetric:
-        for t in range(t_final + 1):
-            ns = np.arange(-t, t + 1, 2)
-            _require_small(ns, t, (_COMMON_PHASE, *phases.rows(ns, t)))
-    return _verify("exact", init, ref, phases, t_final, inputs,
-                   partial(_component_comparison, phases=phases))
+    check = None if phases.is_symmetric else _common_phase
+    return _verify("exact", init, ref, phases, t_final, inputs, check)

@@ -64,6 +64,27 @@ def test_lambda_explicit_reads_the_fft_row_bitwise():
             assert np.array_equal(got, row)
 
 
+def test_lambda_explicit_builds_one_row_per_sweep(monkeypatch):
+    """Sweeping a row site by site builds its FFT row once; moving to
+    another t or theta builds the next one."""
+    from qwline import closedform, kernels
+
+    built = []
+
+    def counted(t, cos_theta):
+        built.append((t, cos_theta))
+        return lambda_spectral(t, cos_theta)
+
+    monkeypatch.setattr(kernels, "lambda_spectral", counted)
+    closedform._spectral_row.cache_clear()
+    for theta in (0.7, 1.1):
+        for t in (9, 10):
+            got = [lambda_explicit(n, t, theta) for n in range(-t, t + 1, 2)]
+            assert np.array_equal(got, lambda_spectral(t, math.cos(theta)))
+    assert built == [(t, math.cos(theta)) for theta in (0.7, 1.1) for t in (9, 10)]
+    closedform._spectral_row.cache_clear()
+
+
 def test_lambda_hand_values():
     theta = 0.6
     c = math.cos(theta)

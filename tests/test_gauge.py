@@ -22,6 +22,7 @@ from qwline import (
     transform_coin_field,
 )
 from qwline.cli import _smooth_pair
+from qwline.coin import _site_step
 
 REF = CoinAngles(theta=0.8, alpha=0.15, beta=-0.6, chi=0.25)
 # Spatial and temporal spacings intentionally differ so light-cone
@@ -127,6 +128,24 @@ def test_phase_rows_are_sampled_once_per_step():
                 log.clear()
             transform(REF, phases).rows(ns, t)
             assert [sorted(calls[name]) for name in names] == [want] * len(names)
+
+
+def test_evenly_spaced_reads_equal_the_irregular_fallback():
+    """Over sites spaced by 1 or 2 (or one site) both transforms read step
+    t + 1 as one arange and slice it; the same sites with the first one
+    repeated at the end take the sorted-distinct fallback, and give the
+    same rows bit for bit."""
+    for ns in (np.arange(-9, 10, 2), np.arange(-4, 8), np.array([3])):
+        irregular = np.concatenate((ns, ns[:1]))
+        assert _site_step(ns) in (1, 2) and _site_step(irregular) is None
+        for phases in _phase_families():
+            for transform in (transform_coin_field, finite_difference_transform):
+                f = transform(REF, phases)
+                for t in (0, 5):
+                    even = np.array(f.rows(ns, t), dtype=float)
+                    fallback = np.array(f.rows(irregular, t), dtype=float)
+                    assert even.tobytes() == fallback[:, :-1].tobytes()
+                    assert fallback[:, -1].tobytes() == even[:, 0].tobytes()
 
 
 def test_difference_form_reads_no_step_beyond_the_pointwise_form(tmp_path):

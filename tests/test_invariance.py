@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -9,18 +10,22 @@ from qwline import (
     CoinAngles,
     CoinField,
     InitialState,
+    InvarianceReport,
     PhaseConditionError,
     PhaseField,
     SpinorField,
+    UnsupportedParameterError,
     evolve,
     exact_transform,
     localized_state,
     quasi_invariant_phases,
     relative_phase_map,
+    step_inhomogeneous,
     transform_coin_field,
     verify_exact_invariance,
     verify_quasi_invariance,
 )
+from qwline import invariance
 
 REF = CoinAngles(theta=np.pi / 3, alpha=0.2, beta=-0.4, chi=0.7)
 
@@ -223,3 +228,138 @@ def test_transform_is_exact_for_random_phase_tables(data, t_max):
     idx = plain.n_values + t_max
     assert np.max(np.abs(dressed.plus_amps - plain.plus_amps * np.exp(1j * xi[t_max, idx]))) < 1e-14
     assert np.max(np.abs(dressed.minus_amps - plain.minus_amps * np.exp(1j * zeta[t_max, idx]))) < 1e-14
+
+
+def _counting(calls, name, fn):
+    def counted(n, t):
+        calls[name] += 1
+        return fn(n, t)
+    return counted
+
+
+def _formula_coin(calls=None):
+    fns = {
+        "theta": lambda n, t: 0.9 + 0.01 * n - 0.02 * t,
+        "alpha": lambda n, t: 0.1 * np.sin(0.3 * n + 0.1 * t),
+        "beta": lambda n, t: -0.2 + 0.005 * n * t,
+        "chi": lambda n, t: 0.3 * np.cos(0.2 * n),
+    }
+    if calls is not None:
+        fns = {k: _counting(calls, k, fn) for k, fn in fns.items()}
+    return CoinField.from_functions(*fns.values())
+
+
+def _common(n, t):
+    return 0.1 * n * t + 0.05 * n * n
+
+
+@pytest.mark.parametrize("t_final", [0, 1, 6, 13])
+def test_verification_samples_each_row_once(t_final):
+    """A coin callable runs once per site the walk occupies before its last
+    step, T(T+1)/2 times; a phase callable once per occupied site of rows
+    0 .. T, (T+1)(T+2)/2 times, with or without the twin check."""
+    init = InitialState(eta=0.4, gamma=0.3)
+    coin_calls = t_final * (t_final + 1) // 2
+    phase_calls = (t_final + 1) * (t_final + 2) // 2
+    coin = ("theta", "alpha", "beta", "chi")
+
+    calls = dict.fromkeys(coin, 0) | {"shared": 0}
+    shared = PhaseField.symmetric(_counting(calls, "shared", _common))
+    verify_exact_invariance(init, _formula_coin(calls), shared, t_final)
+    assert calls == dict.fromkeys(coin, coin_calls) | {"shared": phase_calls}
+
+    calls = dict.fromkeys(coin, 0) | {"xi": 0, "zeta": 0}
+    twins = PhaseField(_counting(calls, "xi", _common),
+                       _counting(calls, "zeta", lambda n, t: _common(n, t)))
+    verify_exact_invariance(init, _formula_coin(calls), twins, t_final)
+    assert calls == dict.fromkeys(coin, coin_calls) | dict.fromkeys(("xi", "zeta"), phase_calls)
+
+    calls = dict.fromkeys(coin, 0)
+    verify_quasi_invariance(init, _formula_coin(calls), quasi_invariant_phases(0.1), t_final)
+    assert calls == dict.fromkeys(coin, coin_calls)
+
+
+def _split_at(n0, t0):
+    return PhaseField(_common, lambda n, t: _common(n, t) + (1e-6 if (n, t) == (n0, t0) else 0.0))
+
+
+@pytest.mark.parametrize("site,t_final", [((3, 7), 11), ((3, 7), 7), ((0, 0), 0)])
+def test_twin_split_names_its_site(site, t_final):
+    n, t = site
+    with pytest.raises(PhaseConditionError,
+                       match=re.escape(f"zeta == xi, but they differ by 1.000e-06 at (n={n}, t={t})")):
+        verify_exact_invariance(InitialState(eta=0.3), _formula_coin(), _split_at(n, t), t_final)
+
+
+def test_twin_split_outside_the_checked_rows_passes():
+    """Rows beyond t_final and off-parity sites are never sampled."""
+    init = InitialState(eta=0.3)
+    for split in (_split_at(3, 8), _split_at(4, 7)):
+        report = verify_exact_invariance(init, _formula_coin(), split, 7)
+        assert report.max_component_deviation < 1e-12
+
+
+def test_coin_fault_before_a_later_twin_split_is_reported_first():
+    """Each row is checked as it is first sampled, so a coin fault at an
+    earlier step than the twin split surfaces first."""
+    coin = CoinField.from_functions(
+        lambda n, t: float("nan") if (n, t) == (1, 3) else 0.8,
+        lambda n, t: 0.0, lambda n, t: 0.0, lambda n, t: 0.0)
+    with pytest.raises(UnsupportedParameterError, match=re.escape("theta is not finite at (n=1, t=3)")):
+        verify_exact_invariance(InitialState(eta=0.3), coin, _split_at(3, 7), 10)
+
+
+def _unmemoised_report(kind, init, ref, phases, t_final):
+    """The report from the plain composition: public stepping and transform,
+    every row sampled by whoever needs it."""
+    ref = CoinField.lift(ref)
+    coin = transform_coin_field(ref, phases)
+    a = localized_state(init)
+    _, plus, minus = invariance._dressed(a, phases)
+    b = SpinorField(t=0, plus_amps=plus, minus_amps=minus)
+    if kind == "exact":
+        def compare(a, b):
+            return invariance._component_comparison(a, b, phases)
+    else:
+        compare = invariance._compare_pair
+    per_time = [compare(a, b)]
+    for _ in range(t_final):
+        a, b = step_inhomogeneous(a, ref), step_inhomogeneous(b, coin)
+        per_time.append(compare(a, b))
+
+    def worst(key):
+        return max(d[key] for d in per_time) if key in per_time[0] else None
+
+    return InvarianceReport(
+        kind=kind, t_final=t_final, max_modulus_deviation=worst("modulus"),
+        max_pmf_deviation=worst("pmf"), phase_map_divergence=worst("phase_map"),
+        max_relative_phase_deviation=worst("relative_phase"),
+        max_component_deviation=worst("component"), per_time_deviations=per_time,
+        inputs={"case": kind})
+
+
+def _random_profile(seed):
+    values = np.random.default_rng(seed).uniform(-np.pi, np.pi, size=200)
+    return lambda m: float(values[m + 100])
+
+
+@pytest.mark.parametrize("case", ["quasi-constant", "quasi-formula", "quasi-profiles",
+                                  "exact-shared", "exact-twin", "exact-constant",
+                                  "exact-constant-coin"])
+def test_reports_are_bitwise_the_unmemoised_composition(case):
+    init, t_final = InitialState(eta=0.7, gamma=-0.4), 24
+    right, left = _random_profile(1), _random_profile(2)
+    kind, ref, phases = {
+        "quasi-constant": ("quasi", REF, quasi_invariant_phases(0.1)),
+        "quasi-formula": ("quasi", _formula_coin(), quasi_invariant_phases(-0.07)),
+        "quasi-profiles": ("quasi", _formula_coin(), PhaseField(
+            lambda n, t: right(n - t), lambda n, t: left(n + t))),
+        "exact-shared": ("exact", _formula_coin(), PhaseField.symmetric(_common)),
+        "exact-twin": ("exact", _formula_coin(),
+                       PhaseField(_common, lambda n, t: _common(n, t))),
+        "exact-constant": ("exact", _formula_coin(), PhaseField.constant(0.3)),
+        "exact-constant-coin": ("exact", REF, PhaseField(_common, lambda n, t: _common(n, t))),
+    }[case]
+    verify = verify_exact_invariance if kind == "exact" else verify_quasi_invariance
+    got = verify(init, ref, phases, t_final, inputs={"case": kind})
+    assert got.to_json() == _unmemoised_report(kind, init, ref, phases, t_final).to_json()
