@@ -84,13 +84,14 @@ def _row_memo(rows, check=None):
         row = rows(ns, t)
         if check is not None:
             check(ns, t, row)
-        last = (t, np.array(ns), row)  # a copy: the caller may reuse its ns
+        last = (t, ns, row)
         return row
 
     return memo
 
 
 def _common_phase(ns, t, row) -> None:
+    """Raise at the first site of a phase row where ``zeta`` splits from ``xi``."""
     _require_small(ns, t, (_COMMON_PHASE, *row))
 
 

@@ -279,6 +279,16 @@ def test_verification_samples_each_row_once(t_final):
     assert calls == dict.fromkeys(coin, coin_calls)
 
 
+def test_exact_transform_rows_follow_their_sites():
+    """exact_transform keeps its last phase row, but a read over other sites
+    at the same step samples those sites."""
+    twins = PhaseField(_common, lambda n, t: _common(n, t))
+    kept, plain = exact_transform(REF, twins), transform_coin_field(REF, twins)
+    for ns in (np.array([0]), np.array([2]), np.arange(-3, 4, 2), np.arange(-3, 4), np.array([5, -1])):
+        for t in (4, 4, 5):
+            assert np.array(kept.rows(ns, t)).tobytes() == np.array(plain.rows(ns, t)).tobytes()
+
+
 def _split_at(n0, t0):
     return PhaseField(_common, lambda n, t: _common(n, t) + (1e-6 if (n, t) == (n0, t0) else 0.0))
 
