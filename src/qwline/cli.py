@@ -237,6 +237,12 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     for name in ("tol", "min_factor"):
         if name in merged:
             kwargs[name] = _parse_number(name, merged[name])
+    # a negative tolerance fails every run and a non-positive factor turns
+    # the refinement gate off
+    if kwargs.get("tol", 0.0) < 0:
+        raise ConfigError(f"tol must be non-negative, got {merged['tol']!r}")
+    if kwargs.get("min_factor", 1.0) <= 0:
+        raise ConfigError(f"min_factor must be positive, got {merged['min_factor']!r}")
     if "domain" in merged:
         kwargs["domain"] = _parse_domain(merged["domain"])
     if "resolutions" in merged:

@@ -184,13 +184,18 @@ class CoinField:
         """
         ns = np.arange(n_lo, n_hi + 1, stride)
         out = self.rows(ns, t)
-        for arr, name in zip(out, ("theta", "alpha", "beta", "chi")):
-            bad = np.flatnonzero(~np.isfinite(arr))
-            if bad.size:
-                raise UnsupportedParameterError(
-                    f"{name} is not finite at (n={ns[bad[0]]}, t={t})"
-                )
+        _require_finite(ns, t, out)
         return out
+
+
+def _require_finite(ns, t: int, rows) -> None:
+    """Raise :class:`UnsupportedParameterError` at the first non-finite entry
+    of the coin rows ``(theta, alpha, beta, chi)`` over the sites ``ns``,
+    naming its parameter and site."""
+    for arr, name in zip(rows, ("theta", "alpha", "beta", "chi")):
+        bad = np.flatnonzero(~np.isfinite(arr))
+        if bad.size:
+            raise UnsupportedParameterError(f"{name} is not finite at (n={ns[bad[0]]}, t={t})")
 
 
 class PhaseField:

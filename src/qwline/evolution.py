@@ -51,6 +51,33 @@ def _stride(state: SpinorField) -> int:
     return 2 if sparse else 1
 
 
+class _InPlace:
+    """A walk stepped in place on one buffer pair spanning its final window.
+
+    Site n sits at index n + half of both buffers (``half = state.t +
+    t_final``), so the window of step t is ``slice(half - t, half + t + 1)``.
+    """
+
+    def __init__(self, state: SpinorField, t_final: int):
+        self.half = state.t + t_final
+        self.plus = np.zeros(2 * self.half + 1, dtype=np.complex128)
+        self.minus = np.zeros(2 * self.half + 1, dtype=np.complex128)
+        self.plus[self.window(state.t)] = state.plus_amps
+        self.minus[self.window(state.t)] = state.minus_amps
+
+    def window(self, t: int, stride: int = 1) -> slice:
+        """Buffer indices of the sites ``-t, -t + stride, .. t``."""
+        return slice(self.half - t, self.half + t + 1, stride)
+
+    def step(self, t: int, stride: int, entries) -> slice:
+        """Advance from step t to t + 1 under the coin ``entries`` at the
+        sites ``-t, -t + stride, .. t``; returns the window of the sites it
+        filled, ``-t - 1, -t - 1 + stride, .. t + 1``."""
+        target = self.window(t + 1)
+        kernels.walk_step(self.plus[target], self.minus[target], stride, *entries)
+        return self.window(t + 1, stride)
+
+
 def evolve(
     init: InitialState | SpinorField,
     f: CoinField | CoinAngles,
@@ -76,38 +103,25 @@ def evolve(
     state = localized_state(init) if isinstance(init, InitialState) else init
     t0 = state.t
     stride = _stride(state)
-    # site n sits at index n + half of both buffers; the window at time t
-    # is slice(half - t, half + t + 1)
-    half = t0 + t_final
-    plus = np.zeros(2 * half + 1, dtype=np.complex128)
-    minus = np.zeros(2 * half + 1, dtype=np.complex128)
-    plus[half - t0:half + t0 + 1] = state.plus_amps
-    minus[half - t0:half + t0 + 1] = state.minus_amps
-    constant = None
-    if f.angles is not None:
-        c = f.angles
-        constant = coin_entries(c.theta, c.alpha, c.beta, c.chi)
+    walk = _InPlace(state, t_final)
+    c = f.angles
+    constant = None if c is None else coin_entries(c.theta, c.alpha, c.beta, c.chi)
     records: list[ObservableRecord] | None = None
     if record_trajectory:
-        ns = np.arange(-half, half + 1)
-        occupied = slice(half - t0, half + t0 + 1, stride)
-        records = [record_from_amplitudes(
-            t0, plus[occupied], minus[occupied], ns[occupied], ell=ell
-        )]
+        ns = np.arange(-walk.half, walk.half + 1)
+
+        def record(t, occupied):
+            return record_from_amplitudes(
+                t, walk.plus[occupied], walk.minus[occupied], ns[occupied], ell=ell)
+
+        records = [record(t0, walk.window(t0, stride))]
     for t in range(t0, t0 + t_final):
-        if constant is None:
-            entries = coin_entries(*f.materialize(-t, t, t, stride))
-        else:
-            entries = constant
-        target = slice(half - t - 1, half + t + 2)
-        kernels.walk_step(plus[target], minus[target], stride, *entries)
+        entries = coin_entries(*f.materialize(-t, t, t, stride)) if c is None else constant
+        occupied = walk.step(t, stride, entries)
         if record_trajectory:
-            occupied = slice(half - t - 1, half + t + 2, stride)
-            records.append(record_from_amplitudes(
-                t + 1, plus[occupied], minus[occupied], ns[occupied], ell=ell
-            ))
+            records.append(record(t + 1, occupied))
     final = SpinorField(
-        t=half, plus_amps=plus, minus_amps=minus,
+        t=walk.half, plus_amps=walk.plus, minus_amps=walk.minus,
         parity_localized=state.parity_localized,
     )
     if record_trajectory:

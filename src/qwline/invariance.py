@@ -20,13 +20,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from functools import partial
 
 import numpy as np
 
-from .coin import CoinAngles, CoinField, PhaseField, _site_step
+from .coin import CoinAngles, CoinField, PhaseField, _require_finite, _site_step, coin_entries
 from .errors import PhaseConditionError
-from .evolution import step_inhomogeneous
+from .evolution import _InPlace
 from .state import InitialState, SpinorField, localized_state
 
 __all__ = [
@@ -69,30 +68,33 @@ def _require_small(ns, t: int, *checks) -> None:
         raise PhaseConditionError(f"{message} {abs(gap[i]):.3e} at (n={ns[i]}, t={t})")
 
 
-def _row_memo(rows, check=None):
-    """``rows`` with its last row kept: a read at the same ``t`` over equal
-    ``ns`` returns the stored arrays, which nobody may write into.
+def _twin_checked(phases: PhaseField):
+    """``phases.rows``, raising :class:`PhaseConditionError` at the first
+    site of each sampled row where ``zeta`` splits from ``xi``; a pair built
+    from one callable passes structurally."""
+    if phases.is_symmetric:
+        return phases.rows
 
-    ``check(ns, t, row)`` runs once per row, when it is first sampled.
-    """
-    last = None
-
-    def memo(ns, t):
-        nonlocal last
-        if last is not None and last[0] == t and np.array_equal(last[1], ns):
-            return last[2]
-        row = rows(ns, t)
-        if check is not None:
-            check(ns, t, row)
-        last = (t, ns, row)
+    def rows(ns, t):
+        row = phases.rows(ns, t)
+        _require_small(ns, t, (_COMMON_PHASE, *row))
         return row
 
-    return memo
+    return rows
 
 
-def _common_phase(ns, t, row) -> None:
-    """Raise at the first site of a phase row where ``zeta`` splits from ``xi``."""
-    _require_small(ns, t, (_COMMON_PHASE, *row))
+def _shifted(coin, xi0, zeta0, xi1, zeta1):
+    """Coin row ``(theta, alpha, beta, chi)`` at step t shifted by a dressing:
+    ``xi0``, ``zeta0`` at its sites n, ``xi1`` at n + 1 and ``zeta1`` at
+    n - 1 of step t + 1."""
+    theta, alpha, beta, chi = coin
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (
+            theta,
+            alpha + 0.5 * (xi1 - xi0 - zeta1 + zeta0),
+            beta + 0.5 * (zeta1 + zeta0 - xi1 - xi0),
+            chi + 0.5 * (xi1 - xi0 + zeta1 - zeta0),
+        )
 
 
 def _dressed_field(ref: CoinField | CoinAngles, phase_rows) -> CoinField:
@@ -103,8 +105,7 @@ def _dressed_field(ref: CoinField | CoinAngles, phase_rows) -> CoinField:
     base = CoinField.lift(ref)
 
     def rows(ns, t):
-        theta, alpha, beta, chi = base.rows(ns, t)
-        xi0, zeta0 = phase_rows(ns, t)
+        coin, (xi0, zeta0) = base.rows(ns, t), phase_rows(ns, t)
         step = _site_step(ns)
         if step is None:
             ahead = np.union1d(ns - 1, ns + 1)
@@ -114,14 +115,7 @@ def _dressed_field(ref: CoinField | CoinAngles, phase_rows) -> CoinField:
             ahead = np.arange(ns[0] - 1, ns[-1] + 2, step)
             right, left = slice(2 // step, None), slice(0, len(ns))
         xi1, zeta1 = phase_rows(ahead, t + 1)
-        xi1, zeta1 = xi1[right], zeta1[left]
-        with np.errstate(over="ignore", invalid="ignore"):
-            return (
-                theta,
-                alpha + 0.5 * (xi1 - xi0 - zeta1 + zeta0),
-                beta + 0.5 * (zeta1 + zeta0 - xi1 - xi0),
-                chi + 0.5 * (xi1 - xi0 + zeta1 - zeta0),
-            )
+        return _shifted(coin, xi0, zeta0, xi1[right], zeta1[left])
 
     return CoinField(rows)
 
@@ -144,13 +138,12 @@ def exact_transform(ref: CoinField | CoinAngles, phases: PhaseField) -> CoinFiel
     With ``zeta == xi`` the dressing is an overall local phase, so the
     dressed walk reproduces the original in every observable, relative
     phases included.  A pair built from one shared callable passes
-    structurally; otherwise every sampled ``zeta`` row is cross-checked
-    against ``xi`` and the first site where they split by more than 1e-12
-    raises :class:`PhaseConditionError`.
+    structurally; otherwise every ``zeta`` row a read samples is
+    cross-checked against ``xi`` and the first site where they split by more
+    than 1e-12 raises :class:`PhaseConditionError`.  No row is cached: each
+    read samples phase rows t and t + 1 afresh.
     """
-    if phases.is_symmetric:
-        return transform_coin_field(ref, phases)
-    return _dressed_field(ref, _row_memo(phases.rows, _common_phase))
+    return _dressed_field(ref, _twin_checked(phases))
 
 
 def quasi_invariant_phases(rate: float) -> PhaseField:
@@ -182,49 +175,36 @@ def relative_phase_map(state: SpinorField, floor: float = _PAIR_PHASE_FLOOR):
     return ns, phases
 
 
-def _dressed(state: SpinorField, phases: PhaseField):
-    """Indices of the occupied sites of ``state`` and its two components
-    there, each multiplied by its dressing phase."""
-    idx = np.arange(0, 2 * state.t + 1, 2)
-    xi, zeta = phases.rows(idx - state.t, state.t)
-    return (idx, state.plus_amps[idx] * np.exp(1j * xi),
-            state.minus_amps[idx] * np.exp(1j * zeta))
+def _compare(t: int, a, b, dressing=None) -> dict:
+    """Worst gaps of walk ``b`` from walk ``a`` at the occupied sites of step
+    ``t``, in moduli, distribution and phase map.
 
-
-def _compare_pair(a: SpinorField, b: SpinorField) -> dict:
-    """Worst gaps of ``b`` from ``a`` in moduli, distribution and phase map."""
-    (ap, am), (bp, bm) = ((np.abs(s.plus_amps), np.abs(s.minus_amps)) for s in (a, b))
+    ``a`` and ``b`` are ``(plus, minus)`` rows over those sites.  Given the
+    ``(xi, zeta)`` rows of a common ``dressing``, also the worst distance of
+    ``b`` from the dressed ``a``, componentwise and in phase.
+    """
+    (ap, am), (bp, bm) = ((np.abs(plus), np.abs(minus)) for plus, minus in (a, b))
     keep = (np.array([ap, am, bp, bm]) > _PAIR_PHASE_FLOOR).all(axis=0)
     phase_map = 0.0
     if np.any(keep):
-        pa = np.angle(a.plus_amps[keep] * np.conj(a.minus_amps[keep]))
-        pb = np.angle(b.plus_amps[keep] * np.conj(b.minus_amps[keep]))
+        pa = np.angle(a[0][keep] * np.conj(a[1][keep]))
+        pb = np.angle(b[0][keep] * np.conj(b[1][keep]))
         phase_map = float(np.max(np.abs(np.angle(np.exp(1j * (pb - pa))))))
-    return {
-        "t": a.t,
+    out = {
+        "t": t,
         "modulus": max(float(np.max(np.abs(bp - ap))), float(np.max(np.abs(bm - am)))),
         "pmf": float(np.max(np.abs((bp ** 2 + bm ** 2) - (ap ** 2 + am ** 2)))),
         "phase_map": phase_map,
     }
-
-
-def _component_comparison(a: SpinorField, b: SpinorField, phases: PhaseField) -> dict:
-    """Worst componentwise distance of ``b`` from the dressed copy of ``a``."""
-    idx, dressed_plus, dressed_minus = _dressed(a, phases)
-    comp = max(
-        float(np.max(np.abs(b.plus_amps[idx] - dressed_plus))),
-        float(np.max(np.abs(b.minus_amps[idx] - dressed_minus))),
-    )
-    errs = []
-    for ref_vals, got_vals in ((dressed_plus, b.plus_amps[idx]),
-                               (dressed_minus, b.minus_amps[idx])):
-        keep = np.abs(ref_vals) > _COMPONENT_PHASE_FLOOR
-        if np.any(keep):
-            wrapped = np.angle(got_vals[keep] * np.conj(ref_vals[keep]))
-            errs.append(float(np.max(np.abs(wrapped))))
-    out = _compare_pair(a, b)
-    out["component"] = comp
-    out["relative_phase"] = max(errs) if errs else 0.0
+    if dressing is not None:
+        dressed = [amps * np.exp(1j * phase) for amps, phase in zip(a, dressing)]
+        out["component"] = max(float(np.max(np.abs(got - ref))) for ref, got in zip(dressed, b))
+        errs = []
+        for ref, got in zip(dressed, b):
+            keep = np.abs(ref) > _COMPONENT_PHASE_FLOOR
+            if np.any(keep):
+                errs.append(float(np.max(np.abs(np.angle(got[keep] * np.conj(ref[keep]))))))
+        out["relative_phase"] = max(errs) if errs else 0.0
     return out
 
 
@@ -255,31 +235,46 @@ class InvarianceReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
-def _verify(kind, init, ref, phases, t_final, inputs, check=None) -> InvarianceReport:
-    """Step a walk and its dressed copy side by side, comparing every step.
+def _verify(kind, init, ref, phase_rows, t_final, inputs) -> InvarianceReport:
+    """Step a walk and its dressed copy side by side, each in place on its
+    own buffers, and compare them at the occupied sites after every step.
 
-    Each base-coin row and each phase row is sampled once: the reference
-    walk, the dressed coin, the start dressing and the comparisons read
-    them through one-row memos, and ``check`` runs on each phase row as it
-    is first sampled.
+    Step t samples base-coin row t, then phase row t + 1, each once.  Row
+    t + 1 is checked as soon as it is sampled (``zeta == xi`` inside a
+    twin-checked ``phase_rows``, the characteristics against row t for
+    ``quasi``), before the dressed coin row is formed and checked finite.
     """
     if t_final < 0:
         raise ValueError(f"t_final must be non-negative, got {t_final}")
-    lifted = CoinField.lift(ref)
-    # angles stay, so a constant coin still takes evolve's constant path
-    base = CoinField(_row_memo(lifted.rows), lifted.angles)
-    phases = PhaseField.from_rows(_row_memo(phases.rows, check))
-    compare = (partial(_component_comparison, phases=phases) if kind == "exact"
-               else _compare_pair)
-    dressed_coin = transform_coin_field(base, phases)
-    ref_state = localized_state(init)
-    _, plus, minus = _dressed(ref_state, phases)
-    dressed = SpinorField(t=0, plus_amps=plus, minus_amps=minus)
-    per_time = [compare(ref_state, dressed)]
-    for _ in range(t_final):
-        ref_state = step_inhomogeneous(ref_state, base)
-        dressed = step_inhomogeneous(dressed, dressed_coin)
-        per_time.append(compare(ref_state, dressed))
+    base = CoinField.lift(ref)
+    c = base.angles
+    constant = None if c is None else coin_entries(c.theta, c.alpha, c.beta, c.chi)
+    ns = np.zeros(1, dtype=np.int64)
+    xi, zeta = phase_rows(ns, 0)
+    start = localized_state(init)
+    dressed_start = SpinorField(t=0, plus_amps=start.plus_amps * np.exp(1j * xi),
+                                minus_amps=start.minus_amps * np.exp(1j * zeta))
+    walk, dressed = _InPlace(start, t_final), _InPlace(dressed_start, t_final)
+    common = kind == "exact"
+
+    def compare(t, occupied, row):
+        return _compare(t, (walk.plus[occupied], walk.minus[occupied]),
+                        (dressed.plus[occupied], dressed.minus[occupied]),
+                        row if common else None)
+
+    per_time = [compare(0, walk.window(0, 2), (xi, zeta))]
+    for t in range(t_final):
+        coin = base.materialize(-t, t, t, 2)
+        ns1 = np.arange(-t - 1, t + 2, 2)
+        xi1, zeta1 = phase_rows(ns1, t + 1)
+        if not common:
+            _require_small(ns, t, (_RIGHT_MOVING, xi1[1:], xi), (_LEFT_MOVING, zeta1[:-1], zeta))
+        shifted = _shifted(coin, xi, zeta, xi1[1:], zeta1[:-1])
+        _require_finite(ns, t, shifted)
+        walk.step(t, 2, coin_entries(*coin) if c is None else constant)
+        occupied = dressed.step(t, 2, coin_entries(*shifted))
+        ns, xi, zeta = ns1, xi1, zeta1
+        per_time.append(compare(t + 1, occupied, (xi, zeta)))
 
     def worst(key):
         return max(d[key] for d in per_time) if key in per_time[0] else None
@@ -307,20 +302,14 @@ def verify_quasi_invariance(
     """Run a walk and its characteristic-riding dressed copy side by side.
 
     The dressing must satisfy ``xi(n+1, t+1) == xi(n, t)`` and
-    ``zeta(n-1, t+1) == zeta(n, t)`` wherever the walk has support (checked
-    up front, tolerance 1e-12); the transformed coin then differs from
-    ``ref`` in beta only.  Expected outcome: modulus and distribution
+    ``zeta(n-1, t+1) == zeta(n, t)`` wherever the walk has support
+    (tolerance 1e-12, checked in step t as soon as row t + 1 is sampled, so
+    a coin fault at an earlier step surfaces first); the transformed coin
+    then differs from ``ref`` in beta only.  Expected outcome: modulus and distribution
     deviations at rounding level at every step, while the relative-phase
     map drifts by ``xi - zeta``.
     """
-    # the support row at t + 1 covers ns - 1 and ns + 1 and is step t + 1's ns
-    xi, zeta = phases.rows(np.zeros(1, dtype=np.int64), 0)
-    for t in range(t_final):
-        ns = np.arange(-t, t + 1, 2)
-        xi1, zeta1 = phases.rows(np.arange(-t - 1, t + 2, 2), t + 1)
-        _require_small(ns, t, (_RIGHT_MOVING, xi1[1:], xi), (_LEFT_MOVING, zeta1[:-1], zeta))
-        xi, zeta = xi1, zeta1
-    return _verify("quasi", init, ref, phases, t_final, inputs)
+    return _verify("quasi", init, ref, phases.rows, t_final, inputs)
 
 
 def verify_exact_invariance(
@@ -339,5 +328,4 @@ def verify_exact_invariance(
     deviation, componentwise distance included, should sit at rounding
     level for any ``xi`` whatsoever.
     """
-    check = None if phases.is_symmetric else _common_phase
-    return _verify("exact", init, ref, phases, t_final, inputs, check)
+    return _verify("exact", init, ref, _twin_checked(phases), t_final, inputs)

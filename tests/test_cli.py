@@ -373,6 +373,23 @@ def test_non_numeric_gates_exit_2(tmp_path, capsys, argv, value):
     assert "must be" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, value, message", [
+    (["closedform", "--theta", "0.5", "--t-final", "4", "--tol"], "-1", "tol must be non-negative"),
+    (["invariance", "--theta", "pi/3", "--t-final", "5", "--tol"], "-0.001",
+     "tol must be non-negative"),
+    (["gauge", "--pair", "null", "--resolutions", "8,16", "--min-factor"], "-5",
+     "min_factor must be positive"),
+    (["gauge", "--pair", "null", "--resolutions", "8,16", "--min-factor"], "0",
+     "min_factor must be positive"),
+])
+def test_gates_out_of_range_exit_2(tmp_path, capsys, argv, value, message):
+    out = tmp_path / "out"
+    assert main(argv + [value, "--outdir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"config error: {message}")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, fields", [
     ("gauge", {"domain": 5}),
     ("gauge", {"resolutions": 5}),
@@ -391,13 +408,14 @@ def test_config_values_of_wrong_type_exit_2(tmp_path, capsys, command, fields):
 
 
 def test_non_finite_sampled_angle_exits_2(tmp_path, capsys):
-    # beta1 = 1e308 gives inf - inf = nan characteristic gaps, which fail the
-    # precondition before any coin is sampled
+    # beta1 = 1e308 overflows the dressed beta at step 1, which is reached
+    # before the characteristic check meets its first inf - inf = nan gap
+    # (row 3 against row 2)
     rc = main(["invariance", "--theta", "0.5", "--t-final", "3", "--beta1", "1e308",
                "--outdir", str(tmp_path)])
     assert rc == 2
     err = capsys.readouterr().err
-    assert "xi must be constant along right-moving characteristics" in err
+    assert "beta is not finite at (n=-1, t=1)" in err
     # no numpy warning precedes the one config error line
     assert err.count("\n") == 1 and err.startswith("config error")
     # a = 1e308 overflows the dressed alpha at the first site sampled

@@ -25,7 +25,6 @@ from qwline import (
     verify_exact_invariance,
     verify_quasi_invariance,
 )
-from qwline import invariance
 
 REF = CoinAngles(theta=np.pi / 3, alpha=0.2, beta=-0.4, chi=0.7)
 
@@ -94,6 +93,11 @@ def test_characteristic_precondition_is_enforced():
     bad = PhaseField.from_functions(lambda n, t: 0.0,
                                     lambda n, t: 0.01 * t * t)
     with pytest.raises(PhaseConditionError, match="left-moving"):
+        verify_quasi_invariance(InitialState(eta=0.3), REF, bad, 6)
+    # a NaN gap fails the check; row 2 is checked against row 1 in step 1
+    bad = PhaseField.from_functions(lambda n, t: float("nan") if t == 2 else 0.0,
+                                    lambda n, t: 0.0)
+    with pytest.raises(PhaseConditionError, match=re.escape("= nan at (n=-1, t=1)")):
         verify_quasi_invariance(InitialState(eta=0.3), REF, bad, 6)
 
 
@@ -257,7 +261,8 @@ def _common(n, t):
 def test_verification_samples_each_row_once(t_final):
     """A coin callable runs once per site the walk occupies before its last
     step, T(T+1)/2 times; a phase callable once per occupied site of rows
-    0 .. T, (T+1)(T+2)/2 times, with or without the twin check."""
+    0 .. T, (T+1)(T+2)/2 times, with or without the twin or characteristic
+    check."""
     init = InitialState(eta=0.4, gamma=0.3)
     coin_calls = t_final * (t_final + 1) // 2
     phase_calls = (t_final + 1) * (t_final + 2) // 2
@@ -278,10 +283,17 @@ def test_verification_samples_each_row_once(t_final):
     verify_quasi_invariance(init, _formula_coin(calls), quasi_invariant_phases(0.1), t_final)
     assert calls == dict.fromkeys(coin, coin_calls)
 
+    # the characteristic check reads the rows the verification samples
+    calls = dict.fromkeys(coin, 0) | {"xi": 0, "zeta": 0}
+    riding = PhaseField(_counting(calls, "xi", lambda n, t: 0.05 * (n - t)),
+                        _counting(calls, "zeta", lambda n, t: 0.05 * (n + t)))
+    verify_quasi_invariance(init, _formula_coin(calls), riding, t_final)
+    assert calls == dict.fromkeys(coin, coin_calls) | dict.fromkeys(("xi", "zeta"), phase_calls)
+
 
 def test_exact_transform_rows_follow_their_sites():
-    """exact_transform keeps its last phase row, but a read over other sites
-    at the same step samples those sites."""
+    """exact_transform returns the bytes transform_coin_field does, on
+    repeated and varying sites at the same step."""
     twins = PhaseField(_common, lambda n, t: _common(n, t))
     kept, plain = exact_transform(REF, twins), transform_coin_field(REF, twins)
     for ns in (np.array([0]), np.array([2]), np.arange(-3, 4, 2), np.arange(-3, 4), np.array([5, -1])):
@@ -319,19 +331,67 @@ def test_coin_fault_before_a_later_twin_split_is_reported_first():
         verify_exact_invariance(InitialState(eta=0.3), coin, _split_at(3, 7), 10)
 
 
+def _dressed(state, phases):
+    """Indices of the occupied sites of ``state`` and its two components
+    there, each multiplied by its dressing phase."""
+    idx = np.arange(0, 2 * state.t + 1, 2)
+    xi, zeta = phases.rows(idx - state.t, state.t)
+    return (idx, state.plus_amps[idx] * np.exp(1j * xi),
+            state.minus_amps[idx] * np.exp(1j * zeta))
+
+
+def _compare_pair(a, b):
+    """Worst gaps of ``b`` from ``a`` over their full windows, off-parity
+    zeros included."""
+    (ap, am), (bp, bm) = ((np.abs(s.plus_amps), np.abs(s.minus_amps)) for s in (a, b))
+    keep = (np.array([ap, am, bp, bm]) > 1e-9).all(axis=0)
+    phase_map = 0.0
+    if np.any(keep):
+        pa = np.angle(a.plus_amps[keep] * np.conj(a.minus_amps[keep]))
+        pb = np.angle(b.plus_amps[keep] * np.conj(b.minus_amps[keep]))
+        phase_map = float(np.max(np.abs(np.angle(np.exp(1j * (pb - pa))))))
+    return {
+        "t": a.t,
+        "modulus": max(float(np.max(np.abs(bp - ap))), float(np.max(np.abs(bm - am)))),
+        "pmf": float(np.max(np.abs((bp ** 2 + bm ** 2) - (ap ** 2 + am ** 2)))),
+        "phase_map": phase_map,
+    }
+
+
+def _component_comparison(a, b, phases):
+    """Worst componentwise distance of ``b`` from the dressed copy of ``a``."""
+    idx, dressed_plus, dressed_minus = _dressed(a, phases)
+    comp = max(
+        float(np.max(np.abs(b.plus_amps[idx] - dressed_plus))),
+        float(np.max(np.abs(b.minus_amps[idx] - dressed_minus))),
+    )
+    errs = []
+    for ref_vals, got_vals in ((dressed_plus, b.plus_amps[idx]),
+                               (dressed_minus, b.minus_amps[idx])):
+        keep = np.abs(ref_vals) > 1e-12
+        if np.any(keep):
+            wrapped = np.angle(got_vals[keep] * np.conj(ref_vals[keep]))
+            errs.append(float(np.max(np.abs(wrapped))))
+    out = _compare_pair(a, b)
+    out["component"] = comp
+    out["relative_phase"] = max(errs) if errs else 0.0
+    return out
+
+
 def _unmemoised_report(kind, init, ref, phases, t_final):
-    """The report from the plain composition: public stepping and transform,
-    every row sampled by whoever needs it."""
+    """The report from the plain composition: public stepping and transform
+    on immutable states, every row sampled by whoever needs it, and full
+    windows compared."""
     ref = CoinField.lift(ref)
     coin = transform_coin_field(ref, phases)
     a = localized_state(init)
-    _, plus, minus = invariance._dressed(a, phases)
+    _, plus, minus = _dressed(a, phases)
     b = SpinorField(t=0, plus_amps=plus, minus_amps=minus)
     if kind == "exact":
         def compare(a, b):
-            return invariance._component_comparison(a, b, phases)
+            return _component_comparison(a, b, phases)
     else:
-        compare = invariance._compare_pair
+        compare = _compare_pair
     per_time = [compare(a, b)]
     for _ in range(t_final):
         a, b = step_inhomogeneous(a, ref), step_inhomogeneous(b, coin)
