@@ -98,7 +98,9 @@ def _spectral_row(t: int, cos_theta: float) -> np.ndarray:
 class LambdaTable:
     """Dense table of ``lam(n, t)`` for ``t <= t_max``, filled by recursion.
 
-    Storage is one padded row per time; use :meth:`value` for checked
+    Storage is one row per time holding its occupied sites ``-t, -t+2, ..,
+    t`` in columns ``1 .. t + 1`` (the layout of
+    :func:`qwline.kernels.lambda_fill`); use :meth:`value` for checked
     access.
     """
 
@@ -106,24 +108,19 @@ class LambdaTable:
     t_max: int
     _rows: np.ndarray
 
-    @property
-    def _center(self) -> int:
-        return self.t_max + 1
-
     def value(self, n: int, t: int) -> float:
         if not 0 <= t <= self.t_max:
             raise ValueError(f"table covers 0 <= t <= {self.t_max}, got t={t}")
         _check_parity(n, t)
         if abs(n) > t:
             return 0.0
-        return float(self._rows[t, n + self._center])
+        return float(self._rows[t, (n + t) // 2 + 1])
 
     def occupied_row(self, t: int) -> tuple[np.ndarray, np.ndarray]:
         """Sites ``-t, -t+2, .., t`` and their kernel values at time ``t``."""
         if not 0 <= t <= self.t_max:
             raise ValueError(f"table covers 0 <= t <= {self.t_max}, got t={t}")
-        ns = np.arange(-t, t + 1, 2)
-        return ns, self._rows[t, ns + self._center]
+        return np.arange(-t, t + 1, 2), self._rows[t, 1:t + 2]
 
 
 def lambda_table(theta: float, t_max: int) -> LambdaTable:
@@ -146,11 +143,7 @@ def _recursion_rows(theta: float, t: int) -> tuple[np.ndarray, np.ndarray]:
     a fill that keeps three rows instead of the whole table.
     """
     rows = kernels.lambda_fill(math.cos(theta), t + 1, rolling=True)
-    center = t + 2
-    return (
-        rows[0, center - t:center + t + 1:2],
-        rows[1, center - t - 1:center + t + 2:2],
-    )
+    return rows[0, 1:t + 2], rows[1, 1:t + 3]
 
 
 def save_lambda_csv(table: LambdaTable, path) -> None:
@@ -222,10 +215,8 @@ def closed_form_amplitudes(
         m00 * lam_t + np.exp(-1j * (c.chi - c.alpha)) * m11 * lam_right
     )
 
-    plus = np.zeros(2 * t + 1, dtype=np.complex128)
-    minus = np.zeros(2 * t + 1, dtype=np.complex128)
-    plus[::2] = plus_vals
-    minus[::2] = minus_vals
+    plus, minus = np.zeros((2, 2 * t + 1), dtype=np.complex128)
+    plus[::2], minus[::2] = plus_vals, minus_vals
     return SpinorField(t=t, plus_amps=plus, minus_amps=minus, parity_localized=True)
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import kernels
 from .coin import CoinAngles, CoinField, coin_entries
-from .observables import ObservableRecord, record_from_amplitudes
+from .observables import record_from_amplitudes
 from .state import InitialState, SpinorField, _off_parity_zero, localized_state
 
 __all__ = ["step_homogeneous", "step_inhomogeneous", "evolve"]
@@ -45,37 +45,41 @@ def step_homogeneous(state: SpinorField, c: CoinAngles) -> SpinorField:
     return step_inhomogeneous(state, CoinField.homogeneous(c))
 
 
-def _stride(state: SpinorField) -> int:
-    """2 when only every other site can carry weight, else 1."""
-    sparse = state.parity_localized and _off_parity_zero(state.plus_amps, state.minus_amps)
-    return 2 if sparse else 1
+class _Rows:
+    """A walk stepped on two ping-pong row pairs sized for its final step.
 
-
-class _InPlace:
-    """A walk stepped in place on one buffer pair spanning its final window.
-
-    Site n sits at index n + half of both buffers (``half = state.t +
-    t_final``), so the window of step t is ``slice(half - t, half + t + 1)``.
+    ``plus`` and ``minus`` hold the amplitudes of step ``t`` at its stored
+    sites ``-t, -t + stride, .. t``; ``stride`` is 2 when the start carries
+    weight on every other site only, else 1.
     """
 
     def __init__(self, state: SpinorField, t_final: int):
-        self.half = state.t + t_final
-        self.plus = np.zeros(2 * self.half + 1, dtype=np.complex128)
-        self.minus = np.zeros(2 * self.half + 1, dtype=np.complex128)
-        self.plus[self.window(state.t)] = state.plus_amps
-        self.minus[self.window(state.t)] = state.minus_amps
+        sparse = state.parity_localized and _off_parity_zero(state.plus_amps, state.minus_amps)
+        self.t, self.stride = state.t, 2 if sparse else 1
+        plus, minus = state.plus_amps[::self.stride], state.minus_amps[::self.stride]
+        self._pairs = np.zeros((2, 2, plus.size + 2 * t_final // self.stride),
+                               dtype=np.complex128)
+        self._front = 0
+        self.plus, self.minus = self._pairs[0, :, :plus.size]
+        self.plus[:], self.minus[:] = plus, minus
 
-    def window(self, t: int, stride: int = 1) -> slice:
-        """Buffer indices of the sites ``-t, -t + stride, .. t``."""
-        return slice(self.half - t, self.half + t + 1, stride)
+    def step(self, entries) -> None:
+        """Advance one step under the coin ``entries`` at the stored sites."""
+        self.t += 1
+        self._front ^= 1
+        out_plus, out_minus = self._pairs[self._front, :, :self.plus.size + 2 // self.stride]
+        kernels.walk_step(self.plus, self.minus, out_plus, out_minus, self.stride, *entries)
+        self.plus, self.minus = out_plus, out_minus
 
-    def step(self, t: int, stride: int, entries) -> slice:
-        """Advance from step t to t + 1 under the coin ``entries`` at the
-        sites ``-t, -t + stride, .. t``; returns the window of the sites it
-        filled, ``-t - 1, -t - 1 + stride, .. t + 1``."""
-        target = self.window(t + 1)
-        kernels.walk_step(self.plus[target], self.minus[target], stride, *entries)
-        return self.window(t + 1, stride)
+    def field(self, parity_localized: bool) -> SpinorField:
+        """The full-window state of step ``t``.  Ends the walk: its rows are
+        released before the state copies the expansion, so no more than two
+        full windows are held at once."""
+        plus, minus = np.zeros((2, 2 * self.t + 1), dtype=np.complex128)
+        plus[::self.stride], minus[::self.stride] = self.plus, self.minus
+        del self._pairs, self.plus, self.minus
+        return SpinorField(t=self.t, plus_amps=plus, minus_amps=minus,
+                           parity_localized=parity_localized)
 
 
 def evolve(
@@ -91,39 +95,29 @@ def evolve(
     returns ``(final, records)`` where ``records[k]`` is the
     :class:`ObservableRecord` after ``k`` steps (``k = 0 .. t_final``).
 
-    The walk runs in place on one buffer pair spanning the final window.  A
-    constant coin is reduced to its four entries once; any other coin is
-    materialized at every step on the sites that step updates.  A
-    parity-localized state updates (and samples the coin at) only its
-    occupied sites and keeps exact zeros on the others.
+    The walk steps on two row pairs sized for the final step and is expanded
+    to the full window once, at the end.  A parity-localized state stores,
+    updates and samples the coin at only its occupied sites, one row entry
+    per site, and keeps exact zeros on the others.  A constant coin is
+    reduced to its four entries once; any other coin is materialized at
+    every step on the sites that step updates.
     """
     if t_final < 0:
         raise ValueError(f"t_final must be non-negative, got {t_final}")
     f = CoinField.lift(f)
     state = localized_state(init) if isinstance(init, InitialState) else init
-    t0 = state.t
-    stride = _stride(state)
-    walk = _InPlace(state, t_final)
+    walk = _Rows(state, t_final)
     c = f.angles
     constant = None if c is None else coin_entries(c.theta, c.alpha, c.beta, c.chi)
-    records: list[ObservableRecord] | None = None
-    if record_trajectory:
-        ns = np.arange(-walk.half, walk.half + 1)
 
-        def record(t, occupied):
-            return record_from_amplitudes(
-                t, walk.plus[occupied], walk.minus[occupied], ns[occupied], ell=ell)
+    def record():
+        ns = np.arange(-walk.t, walk.t + 1, walk.stride)
+        return record_from_amplitudes(walk.t, walk.plus, walk.minus, ns, ell=ell)
 
-        records = [record(t0, walk.window(t0, stride))]
-    for t in range(t0, t0 + t_final):
-        entries = coin_entries(*f.materialize(-t, t, t, stride)) if c is None else constant
-        occupied = walk.step(t, stride, entries)
+    records = [record()] if record_trajectory else None
+    for t in range(state.t, state.t + t_final):
+        walk.step(coin_entries(*f.materialize(-t, t, t, walk.stride)) if c is None else constant)
         if record_trajectory:
-            records.append(record(t + 1, occupied))
-    final = SpinorField(
-        t=walk.half, plus_amps=walk.plus, minus_amps=walk.minus,
-        parity_localized=state.parity_localized,
-    )
-    if record_trajectory:
-        return final, records
-    return final
+            records.append(record())
+    final = walk.field(state.parity_localized)
+    return (final, records) if record_trajectory else final

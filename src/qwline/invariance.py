@@ -25,7 +25,7 @@ import numpy as np
 
 from .coin import CoinAngles, CoinField, PhaseField, _require_finite, _site_step, coin_entries
 from .errors import PhaseConditionError
-from .evolution import _InPlace
+from .evolution import _Rows
 from .state import InitialState, SpinorField, localized_state
 
 __all__ = [
@@ -236,8 +236,8 @@ class InvarianceReport:
 
 
 def _verify(kind, init, ref, phase_rows, t_final, inputs) -> InvarianceReport:
-    """Step a walk and its dressed copy side by side, each in place on its
-    own buffers, and compare them at the occupied sites after every step.
+    """Step a walk and its dressed copy side by side, each on its own rows of
+    occupied sites, and compare the rows after every step.
 
     Step t samples base-coin row t, then phase row t + 1, each once.  Row
     t + 1 is checked as soon as it is sampled (``zeta == xi`` inside a
@@ -254,15 +254,14 @@ def _verify(kind, init, ref, phase_rows, t_final, inputs) -> InvarianceReport:
     start = localized_state(init)
     dressed_start = SpinorField(t=0, plus_amps=start.plus_amps * np.exp(1j * xi),
                                 minus_amps=start.minus_amps * np.exp(1j * zeta))
-    walk, dressed = _InPlace(start, t_final), _InPlace(dressed_start, t_final)
+    walk, dressed = _Rows(start, t_final), _Rows(dressed_start, t_final)
     common = kind == "exact"
 
-    def compare(t, occupied, row):
-        return _compare(t, (walk.plus[occupied], walk.minus[occupied]),
-                        (dressed.plus[occupied], dressed.minus[occupied]),
+    def compare(t, row):
+        return _compare(t, (walk.plus, walk.minus), (dressed.plus, dressed.minus),
                         row if common else None)
 
-    per_time = [compare(0, walk.window(0, 2), (xi, zeta))]
+    per_time = [compare(0, (xi, zeta))]
     for t in range(t_final):
         coin = base.materialize(-t, t, t, 2)
         ns1 = np.arange(-t - 1, t + 2, 2)
@@ -271,10 +270,10 @@ def _verify(kind, init, ref, phase_rows, t_final, inputs) -> InvarianceReport:
             _require_small(ns, t, (_RIGHT_MOVING, xi1[1:], xi), (_LEFT_MOVING, zeta1[:-1], zeta))
         shifted = _shifted(coin, xi, zeta, xi1[1:], zeta1[:-1])
         _require_finite(ns, t, shifted)
-        walk.step(t, 2, coin_entries(*coin) if c is None else constant)
-        occupied = dressed.step(t, 2, coin_entries(*shifted))
+        walk.step(coin_entries(*coin) if c is None else constant)
+        dressed.step(coin_entries(*shifted))
         ns, xi, zeta = ns1, xi1, zeta1
-        per_time.append(compare(t + 1, occupied, (xi, zeta)))
+        per_time.append(compare(t + 1, (xi, zeta)))
 
     def worst(key):
         return max(d[key] for d in per_time) if key in per_time[0] else None

@@ -117,6 +117,33 @@ def test_lambda_table_guards():
     assert vals[1] == 1.0
 
 
+def test_lambda_table_layout():
+    """``value``, ``occupied_row`` and the rolling rows read one layout:
+    every site of every row, the zeros outside the cone and the parity
+    guard, for t <= 40 and |n| <= t + 2."""
+    from qwline.closedform import _recursion_rows
+
+    for theta in (0.9, math.pi / 2, 2.5):
+        table = lambda_table(theta, 40)
+        for t in range(41):
+            ns, vals = table.occupied_row(t)
+            assert np.array_equal(ns, np.arange(-t, t + 1, 2))
+            for n in range(-t - 2, t + 3):
+                if (n + t) % 2:
+                    with pytest.raises(ParityError):
+                        table.value(n, t)
+                elif abs(n) > t:
+                    assert table.value(n, t) == 0.0
+                else:
+                    assert table.value(n, t) == vals[(n + t) // 2]
+            if t < 40:
+                full = lambda_table(theta, t + 1)
+                got = _recursion_rows(theta, t)
+                for k in (0, 1):
+                    want = full.occupied_row(t + k)[1]
+                    assert np.array_equal(got[k].view(np.int64), want.view(np.int64))
+
+
 def test_spectral_matches_recursion_over_window():
     for theta in (np.pi / 8, np.pi / 4, np.pi / 3):
         table = lambda_table(theta, 60)
