@@ -276,9 +276,9 @@ def _windowed_evolve(state, f, t_final, record_trajectory=False, ell=1.0):
         ns = np.arange(-t, t + 1)[::stride]
         return record_from_amplitudes(t, plus[::stride], minus[::stride], ns, ell=ell)
 
+    c = f.angles
     records = [record(state.t)]
     for t in range(state.t, state.t + t_final):
-        c = f.angles
         angles = f.materialize(-t, t, t, stride) if c is None else (c.theta, c.alpha, c.beta, c.chi)
         a, b, cc, d = coin_entries(*angles)
         src_plus, src_minus = plus[::stride], minus[::stride]
