@@ -78,11 +78,9 @@ def parse_angle(value) -> float:
     Accepts plain numbers plus exact rational multiples of pi written as
     strings: "pi/4", "3pi/16", "-pi", "2*pi/5".
     """
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        if not np.isfinite(value):
-            raise ConfigError(f"angle must be finite, got {value!r}")
-        return float(value)
-    text = str(value).strip().lower().replace(" ", "")
+    if not isinstance(value, str):
+        return _parse_number("angle", value)
+    text = value.strip().lower().replace(" ", "")
     m = _PI_FORM.fullmatch(text)
     if m:
         sign = -1 if m.group(1) == "-" else 1
@@ -91,13 +89,7 @@ def parse_angle(value) -> float:
         if den == 0:
             raise ConfigError(f"zero denominator in angle {value!r}")
         return sign * float(Fraction(num, den)) * math.pi
-    try:
-        out = float(text)
-    except ValueError:
-        raise ConfigError(f"cannot parse angle {value!r}") from None
-    if not np.isfinite(out):
-        raise ConfigError(f"angle must be finite, got {value!r}")
-    return out
+    return _parse_number("angle", text)
 
 
 @dataclass
@@ -180,6 +172,8 @@ def _parse_number(name: str, value) -> float:
         if isinstance(value, bool):
             raise TypeError
         out = float(value)
+    except OverflowError:  # an integer beyond the float range
+        out = math.inf
     except (TypeError, ValueError):
         raise ConfigError(f"{name} must be a number, got {value!r}") from None
     if not math.isfinite(out):
@@ -210,7 +204,7 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
                 data = json.load(fh)
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {args.config}") from None
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or an integer too long to parse
             raise ConfigError(f"config file is not valid JSON: {exc}") from None
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a JSON object")
@@ -270,6 +264,8 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"unknown method {cfg.method!r}")
     if cfg.command == "invariance" and cfg.family not in _FAMILIES:
         raise ConfigError(f"unknown family {cfg.family!r} (choose {_either(_FAMILIES)})")
+    if cfg.command == "gauge" and cfg.pair not in _PAIRS:
+        raise ConfigError(f"unknown pair {cfg.pair!r} (choose {_either(_PAIRS)})")
     if cfg.command == "figures" and cfg.which not in _FIGURES:
         raise ConfigError(f"figures needs --which one of {', '.join(_FIGURES)}")
     return cfg
@@ -290,6 +286,15 @@ def _outdir(cfg: RunConfig) -> Path:
 
 def _wrote(path: Path) -> None:
     print(f"wrote {path}")
+
+
+def _save_comparison(final, theta: float, eta: float, phi: float, path: Path) -> None:
+    """Write the distribution of ``final`` beside its stationary envelope and
+    the classical walk at the same step."""
+    ns, t = final.n_values, final.t
+    save_comparison_csv(path, ns, pmf(final), stationary_pmf(ns, t, theta, eta, phi),
+                        classical_pmf(math.cos(theta) ** 2, t))
+    _wrote(path)
 
 
 def _cmd_evolve(cfg: RunConfig) -> int:
@@ -336,17 +341,8 @@ def _cmd_observables(cfg: RunConfig) -> int:
     traj = out / "trajectory.csv"
     save_trajectory_csv(traj, records)
     _wrote(traj)
-    ns = final.n_values
     phi = cfg.alpha + cfg.beta - cfg.gamma
-    comparison = out / f"comparison_t{cfg.t_final}.csv"
-    save_comparison_csv(
-        comparison,
-        ns,
-        pmf(final),
-        stationary_pmf(ns, cfg.t_final, cfg.theta, cfg.eta, phi),
-        classical_pmf(math.cos(cfg.theta) ** 2, cfg.t_final),
-    )
-    _wrote(comparison)
+    _save_comparison(final, cfg.theta, cfg.eta, phi, out / f"comparison_t{cfg.t_final}.csv")
     return EXIT_OK
 
 
@@ -404,12 +400,11 @@ def _smooth_pair(name: str, c: float) -> SmoothPhasePair:
             lambda X, T: np.sin(X - c * T),
             lambda X, T: np.cos(0.8 * (X + c * T)),
         )
-    if name == "wave":
-        return SmoothPhasePair(
-            lambda X, T: np.sin(X - c * T) + 0.5 * np.cos(0.7 * (X + c * T)),
-            lambda X, T: np.cos(1.1 * (X + c * T)) + 0.4 * np.sin(0.6 * (X - c * T)),
-        )
-    raise ConfigError(f"unknown pair {name!r} (choose {_either(_PAIRS)})")
+    # "wave": _build_config admits no name outside _PAIRS
+    return SmoothPhasePair(
+        lambda X, T: np.sin(X - c * T) + 0.5 * np.cos(0.7 * (X + c * T)),
+        lambda X, T: np.cos(1.1 * (X + c * T)) + 0.4 * np.sin(0.6 * (X - c * T)),
+    )
 
 
 def _cmd_gauge(cfg: RunConfig) -> int:
@@ -457,16 +452,7 @@ def _cmd_figures(cfg: RunConfig) -> int:
         phi, t_final = math.pi, 100
         init = InitialState(eta=eta, gamma=-phi)  # alpha = beta = 0
         final = evolve(init, CoinAngles(theta), t_final)
-        ns = final.n_values
-        path = out / f"fig{cfg.which}_comparison_t{t_final}.csv"
-        save_comparison_csv(
-            path,
-            ns,
-            pmf(final),
-            stationary_pmf(ns, t_final, theta, eta, phi),
-            classical_pmf(math.cos(theta) ** 2, t_final),
-        )
-        _wrote(path)
+        _save_comparison(final, theta, eta, phi, out / f"fig{cfg.which}_comparison_t{t_final}.csv")
         return EXIT_OK
     if cfg.which == "2":
         theta = eta = math.pi / 6

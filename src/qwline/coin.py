@@ -114,20 +114,6 @@ def sample(fn: Callable[[int, int], float], ns, t: int) -> np.ndarray:
                        dtype=np.float64, count=len(ns))
 
 
-def _site_step(ns) -> int | None:
-    """1 or 2 when the sites ``ns`` ascend evenly by that step, else ``None``.
-
-    One site counts as step 2.  The dressing transforms read the sites
-    beside such ``ns`` as one ``np.arange`` and take them by slicing.
-    """
-    if len(ns) == 1:
-        return 2
-    if len(ns) < 2:
-        return None
-    step = ns[1] - ns[0]
-    return int(step) if step in (1, 2) and (np.diff(ns) == step).all() else None
-
-
 @dataclass(frozen=True)
 class CoinField:
     """Coin parameters as a row sampler ``rows(ns, t) -> (theta, alpha, beta, chi)``.

@@ -21,8 +21,9 @@ from typing import Callable
 import numpy as np
 
 from ._csvio import write_csv
-from .coin import CoinAngles, CoinField, PhaseField, _site_step
+from .coin import CoinAngles, CoinField, PhaseField
 from .errors import GridError
+from .invariance import _dressed_field
 
 __all__ = [
     "UnitSystem",
@@ -79,34 +80,24 @@ def finite_difference_transform(
     is not guaranteed).  Step ``t`` is read over ``ns`` and step ``t + 1``
     once over ``ns - 1 .. ns + 1``.
     """
-    base = CoinField.lift(ref)
+    return _dressed_field(ref, phases.rows, (-1, 0, 1), _differenced)
 
-    def rows(ns, t):
-        theta, alpha, beta, chi = base.rows(ns, t)
-        xi0, zeta0 = phases.rows(ns, t)
-        step = _site_step(ns)
-        if step is None:
-            ahead = np.unique(np.concatenate((ns - 1, ns, ns + 1)))
-            # ns - 1 and ns + 1 sit right beside ns in the sorted distinct sites
-            here = np.searchsorted(ahead, ns)
-            left, here, right = here - 1, here, here + 1
-        else:
-            # the same sites np.unique gives here, in the same order
-            ahead = np.arange(ns[0] - 1, ns[-1] + 2)
-            left, here, right = slice(0, -2, step), slice(1, -1, step), slice(2, None, step)
-        xi1, zeta1 = phases.rows(ahead, t + 1)
-        xi_n, xi_r, zeta_n, zeta_l = xi1[here], xi1[right], zeta1[here], zeta1[left]
-        # d_n of xi(m) -+ zeta(m - 1) at t + 1, d_t of xi(n) +- zeta(n) from t
-        d_n = (xi_r - zeta_n) - (xi_n - zeta_l)
-        d_t = (xi_n + zeta_n) - (xi0 + zeta0)
-        chi = chi + 0.5 * (d_n + d_t)
-        d_n = (xi_r + zeta_n) - (xi_n + zeta_l)
-        d_t = (xi_n - zeta_n) - (xi0 - zeta0)
-        alpha_shift = 0.5 * (d_n + d_t)
-        beta = beta + (zeta0 - xi0) - alpha_shift
-        return theta, alpha + alpha_shift, beta, chi
 
-    return CoinField(rows)
+def _differenced(coin, xi0, zeta0, xi1, zeta1, left, here, right):
+    """Coin row at step t shifted through the forward differences of
+    :func:`finite_difference_transform`; ``xi1``, ``zeta1`` are step t + 1,
+    indexed at n - 1, n and n + 1 by ``left``, ``here`` and ``right``."""
+    theta, alpha, beta, chi = coin
+    xi_n, xi_r, zeta_n, zeta_l = xi1[here], xi1[right], zeta1[here], zeta1[left]
+    # d_n of xi(m) -+ zeta(m - 1) at t + 1, d_t of xi(n) +- zeta(n) from t
+    d_n = (xi_r - zeta_n) - (xi_n - zeta_l)
+    d_t = (xi_n + zeta_n) - (xi0 + zeta0)
+    chi = chi + 0.5 * (d_n + d_t)
+    d_n = (xi_r + zeta_n) - (xi_n + zeta_l)
+    d_t = (xi_n - zeta_n) - (xi0 - zeta0)
+    alpha_shift = 0.5 * (d_n + d_t)
+    beta = beta + (zeta0 - xi0) - alpha_shift
+    return theta, alpha + alpha_shift, beta, chi
 
 
 def _require_finite(where: str, xs, ts, **fields) -> None:

@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .coin import CoinAngles, CoinField, PhaseField, _require_finite, _site_step, coin_entries
+from .coin import CoinAngles, CoinField, PhaseField, _require_finite, coin_entries
 from .errors import PhaseConditionError
 from .evolution import _Rows
 from .state import InitialState, SpinorField, localized_state
@@ -83,11 +83,12 @@ def _twin_checked(phases: PhaseField):
     return rows
 
 
-def _shifted(coin, xi0, zeta0, xi1, zeta1):
+def _shifted(coin, xi0, zeta0, xi1, zeta1, right, left):
     """Coin row ``(theta, alpha, beta, chi)`` at step t shifted by a dressing:
-    ``xi0``, ``zeta0`` at its sites n, ``xi1`` at n + 1 and ``zeta1`` at
-    n - 1 of step t + 1."""
+    ``xi0``, ``zeta0`` at its sites n, ``xi1[right]`` at n + 1 and
+    ``zeta1[left]`` at n - 1 of step t + 1."""
     theta, alpha, beta, chi = coin
+    xi1, zeta1 = xi1[right], zeta1[left]
     with np.errstate(over="ignore", invalid="ignore"):
         return (
             theta,
@@ -97,25 +98,24 @@ def _shifted(coin, xi0, zeta0, xi1, zeta1):
         )
 
 
-def _dressed_field(ref: CoinField | CoinAngles, phase_rows) -> CoinField:
+def _dressed_field(ref: CoinField | CoinAngles, phase_rows,
+                   offsets=(1, -1), formula=_shifted) -> CoinField:
     """The transformed coin for dressing phases given as a row sampler.
 
-    Step ``t + 1`` is read once, over ``ns - 1`` and ``ns + 1`` together.
+    Reads base-coin row t and phase row t over ``ns``, then phase row
+    ``t + 1`` once over the sorted distinct sites ``ns + d`` for ``d`` in
+    ``offsets``.  ``formula(coin, xi0, zeta0, xi1, zeta1, *at)`` forms the
+    coin row, where ``at`` holds, per offset, the index of ``ns + d`` in
+    the ``t + 1`` rows ``xi1``, ``zeta1``.
     """
     base = CoinField.lift(ref)
 
     def rows(ns, t):
         coin, (xi0, zeta0) = base.rows(ns, t), phase_rows(ns, t)
-        step = _site_step(ns)
-        if step is None:
-            ahead = np.union1d(ns - 1, ns + 1)
-            right, left = np.searchsorted(ahead, ns + 1), np.searchsorted(ahead, ns - 1)
-        else:
-            # the same sites union1d gives here, in the same order
-            ahead = np.arange(ns[0] - 1, ns[-1] + 2, step)
-            right, left = slice(2 // step, None), slice(0, len(ns))
+        ahead = np.unique(np.concatenate([ns + d for d in offsets]))
         xi1, zeta1 = phase_rows(ahead, t + 1)
-        return _shifted(coin, xi0, zeta0, xi1[right], zeta1[left])
+        return formula(coin, xi0, zeta0, xi1, zeta1,
+                       *(np.searchsorted(ahead, ns + d) for d in offsets))
 
     return CoinField(rows)
 
@@ -268,7 +268,7 @@ def _verify(kind, init, ref, phase_rows, t_final, inputs) -> InvarianceReport:
         xi1, zeta1 = phase_rows(ns1, t + 1)
         if not common:
             _require_small(ns, t, (_RIGHT_MOVING, xi1[1:], xi), (_LEFT_MOVING, zeta1[:-1], zeta))
-        shifted = _shifted(coin, xi, zeta, xi1[1:], zeta1[:-1])
+        shifted = _shifted(coin, xi, zeta, xi1, zeta1, np.s_[1:], np.s_[:-1])
         _require_finite(ns, t, shifted)
         walk.step(coin_entries(*coin) if c is None else constant)
         dressed.step(coin_entries(*shifted))

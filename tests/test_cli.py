@@ -407,6 +407,29 @@ def test_config_values_of_wrong_type_exit_2(tmp_path, capsys, command, fields):
     assert not out.exists()
 
 
+# JSON integers beyond the float range, the longer one beyond what Python
+# converts from text by default
+_HUGE, _LONG = "1" + "0" * 400, "1" + "0" * 5000
+
+
+@pytest.mark.parametrize("command, text", [
+    ("closedform", f'{{"theta": 0.5, "t_final": 3, "tol": {_HUGE}}}'),
+    ("gauge", f'{{"min_factor": {_HUGE}}}'),
+    ("gauge", f'{{"domain": [0, {_HUGE}, 0, 1]}}'),
+    ("evolve", f'{{"theta": {_HUGE}, "t_final": 3}}'),
+    ("evolve", f'{{"theta": {_LONG}, "t_final": 3}}'),
+    ("gauge", '{"pair": "bogus"}'),
+], ids=["tol", "min_factor", "domain", "theta", "long_theta", "pair"])
+def test_config_out_of_reach_exits_2_without_a_directory(tmp_path, capsys, command, text):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--outdir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error: ")
+    assert not out.exists()
+
+
 def test_non_finite_sampled_angle_exits_2(tmp_path, capsys):
     # beta1 = 1e308 overflows the dressed beta at step 1, which is reached
     # before the characteristic check meets its first inf - inf = nan gap

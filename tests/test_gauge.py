@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qwline import (
     CoinAngles,
@@ -22,7 +24,6 @@ from qwline import (
     transform_coin_field,
 )
 from qwline.cli import _smooth_pair
-from qwline.coin import _site_step
 
 REF = CoinAngles(theta=0.8, alpha=0.15, beta=-0.6, chi=0.25)
 # Spatial and temporal spacings intentionally differ so light-cone
@@ -103,8 +104,10 @@ def test_transform_rows_equal_scalar_formulas():
 
 def test_phase_rows_are_sampled_once_per_step():
     """A shared callable is called once per site per row; both transforms
-    read step t over ns and step t + 1 once over ns - 1 .. ns + 1, and
-    nothing at t + 2, for each phase component."""
+    read step t over ns and step t + 1 once, over the distinct sites beside
+    ns (m + 1 sites for the pointwise form and 2m + 1 for the difference
+    form when m sites are spaced by 2), and nothing at t + 2, for each
+    phase component."""
     calls = {"xi": [], "zeta": []}
 
     def counted(name, fn):
@@ -120,32 +123,34 @@ def test_phase_rows_are_sampled_once_per_step():
 
     split = PhaseField(counted("xi", lambda n, t: 0.05 * (n - t)),
                        counted("zeta", lambda n, t: 0.2 * np.cos(0.03 * n + 0.11 * t)))
-    reads = [(ns, t), (np.arange(-6, 9), t + 1)]
-    want = sorted((n, s) for sites, s in reads for n in sites)
+    beside, stride2 = np.arange(-6, 9), ns[::2]
+    # m = 7 sites spaced by 2: m + 1 = 8 sites beside them at n +- 1, and
+    # 2m + 1 = 15 at n - 1, n and n + 1
+    cases = ((ns, transform_coin_field, beside),
+             (ns, finite_difference_transform, beside),
+             (stride2, transform_coin_field, beside[::2]),
+             (stride2, finite_difference_transform, beside))
     for phases, names in ((shared, ("xi",)), (split, ("xi", "zeta"))):
-        for transform in (transform_coin_field, finite_difference_transform):
+        for sites, transform, ahead in cases:
             for log in calls.values():
                 log.clear()
-            transform(REF, phases).rows(ns, t)
-            assert [sorted(calls[name]) for name in names] == [want] * len(names)
+            transform(REF, phases).rows(sites, t)
+            want = [(n, t) for n in sites] + [(n, t + 1) for n in ahead]
+            assert [calls[name] for name in names] == [want] * len(names)
 
 
-def test_evenly_spaced_reads_equal_the_irregular_fallback():
-    """Over sites spaced by 1 or 2 (or one site) both transforms read step
-    t + 1 as one arange and slice it; the same sites with the first one
-    repeated at the end take the sorted-distinct fallback, and give the
-    same rows bit for bit."""
-    for ns in (np.arange(-9, 10, 2), np.arange(-4, 8), np.array([3])):
-        irregular = np.concatenate((ns, ns[:1]))
-        assert _site_step(ns) in (1, 2) and _site_step(irregular) is None
-        for phases in _phase_families():
-            for transform in (transform_coin_field, finite_difference_transform):
-                f = transform(REF, phases)
-                for t in (0, 5):
-                    even = np.array(f.rows(ns, t), dtype=float)
-                    fallback = np.array(f.rows(irregular, t), dtype=float)
-                    assert even.tobytes() == fallback[:, :-1].tobytes()
-                    assert fallback[:, -1].tobytes() == even[:, 0].tobytes()
+@settings(max_examples=60, deadline=None)
+@given(sites=st.lists(st.integers(-20, 20), min_size=1, max_size=30), t=st.integers(0, 12))
+def test_rows_over_any_sites_equal_the_window_rows(sites, t):
+    """Rows over any subset or permutation of sites, repeats included, are
+    bitwise the contiguous-window rows at those sites."""
+    ns = np.array(sites)
+    window = np.arange(-20, 21)
+    for phases in _phase_families():
+        for transform in (transform_coin_field, finite_difference_transform):
+            f = transform(REF, phases)
+            want = np.array(f.rows(window, t), dtype=float)[:, ns + 20]
+            assert np.array(f.rows(ns, t), dtype=float).tobytes() == want.tobytes()
 
 
 def test_difference_form_reads_no_step_beyond_the_pointwise_form(tmp_path):
