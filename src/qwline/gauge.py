@@ -140,11 +140,15 @@ class PotentialField:
 
     @classmethod
     def from_functions(cls, a_t_of, a_x_of, x, t) -> "PotentialField":
-        """Sample two callables of ``(X, T)`` on the grid spanned by ``x``, ``t``."""
+        """Sample two callables of ``(X, T)`` on the grid spanned by ``x``, ``t``.
+
+        The callables follow the :class:`SmoothPhasePair` contract: ``X`` is
+        a row, ``T`` a column, and the result broadcasts to the grid.
+        """
         x = np.asarray(x, dtype=np.float64)
         t = np.asarray(t, dtype=np.float64)
-        tt, xx = np.meshgrid(t, x, indexing="ij")
-        return cls(x=x, t=t, a_t=a_t_of(xx, tt), a_x=a_x_of(xx, tt))
+        a_t, a_x = _sample_pair(a_t_of, a_x_of, x, t, ("a_t", "a_x"))
+        return cls(x=x, t=t, a_t=np.array(a_t, order="C"), a_x=np.array(a_x, order="C"))
 
 
 def potentials_from_transform(
@@ -197,8 +201,14 @@ def electric_field(p: PotentialField, units: UnitSystem = UnitSystem()) -> np.nd
 class SmoothPhasePair:
     """Continuum dressing phases as callables ``(X, T) -> real``.
 
-    Both callables must accept numpy arrays and be twice differentiable on
-    the domains they are queried over; that is the caller's contract.
+    Both callables must be twice differentiable on the domains they are
+    queried over; that is the caller's contract.  The grid samplers pass
+    ``X`` as a row and ``T`` as a column (``lattice_phases_from_smooth``
+    passes a row and a scalar), so a callable must broadcast elementwise;
+    its result may have any shape that broadcasts to the grid, a scalar
+    included.  A callable shared by ``xi`` and ``zeta`` runs once per
+    sampling, and :func:`efield_invariance_residual` samples one block of
+    rows at a time.
     """
 
     xi: Callable
@@ -238,17 +248,29 @@ def _domain_grid(domain, resolution: int, halo: int = 0):
     return xs, ts, dx, dt
 
 
-def _sample_pair(pair: SmoothPhasePair, xs, ts, where: str) -> list:
-    """``xi`` and ``zeta`` of ``pair`` on the time-major grid of ``xs``, ``ts``.
+def _sample_pair(f, g, xs, ts, names=("xi", "zeta")) -> tuple:
+    """Callables ``f`` and ``g`` of ``(X, T)`` on the time-major grid of
+    ``xs``, ``ts``, as read-only float64 arrays of the grid's shape.
 
-    Overflow inside the pair is not warned about: a value that is not
-    finite raises :class:`GridError` instead.
+    Each is called on the sparse grid, ``X`` a row and ``T`` a column, and
+    its result broadcast to the full shape; ``g is f`` is called once and
+    both entries are the same array.  Overflow is not warned about: callers
+    check the samples with :func:`_require_finite`.
     """
-    tt, xx = np.meshgrid(ts, xs, indexing="ij")
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals = [np.asarray(f(xx, tt), dtype=np.float64) for f in (pair.xi, pair.zeta)]
-    _require_finite(where, xs, ts, xi=vals[0], zeta=vals[1])
-    return vals
+    tt, xx = np.meshgrid(ts, xs, indexing="ij", sparse=True)
+    shape = (ts.size, xs.size)
+
+    def sample(fn, name):
+        with np.errstate(over="ignore", invalid="ignore"):
+            v = np.asarray(fn(xx, tt), dtype=np.float64)
+        try:
+            return np.broadcast_to(v, shape)
+        except ValueError:
+            raise GridError(f"{name} returned shape {v.shape}, which does not "
+                            f"broadcast to the grid {shape}") from None
+
+    first = sample(f, names[0])
+    return first, first if g is f else sample(g, names[1])
 
 
 def potentials_from_phase_pair(
@@ -271,14 +293,19 @@ def potentials_from_phase_pair(
         raise GridError(f"resolution must be at least 2, got {resolution}")
     xs, ts, _, _ = _domain_grid(domain, resolution)
     where = f"domain {domain!r} at resolution {resolution}"
-    xi_vals, zeta_vals = _sample_pair(pair, xs, ts, where)
+    xi_vals, zeta_vals = _sample_pair(pair.xi, pair.zeta, xs, ts)
+    _require_finite(where, xs, ts, xi=xi_vals, zeta=zeta_vals)
     half = 0.5 * units.hbar_over_e
 
-    def light_cone(vals, sign):
-        return 0.5 * (_gradient(vals, ts, 0) / units.c + sign * _gradient(vals, xs, 1))
+    def gradients(vals):
+        return _gradient(vals, ts, 0) / units.c, _gradient(vals, xs, 1)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        d_plus_xi, d_minus_zeta = light_cone(xi_vals, +1.0), light_cone(zeta_vals, -1.0)
+        d_t, d_x = gradients(xi_vals)
+        d_plus_xi = 0.5 * (d_t + d_x)
+        if zeta_vals is not xi_vals:
+            d_t, d_x = gradients(zeta_vals)
+        d_minus_zeta = 0.5 * (d_t - d_x)
         a_t = half * (d_plus_xi + d_minus_zeta)
         a_x = half * (d_plus_xi - d_minus_zeta)
     return PotentialField(x=xs, t=ts, a_t=a_t, a_x=a_x)
@@ -336,20 +363,24 @@ def efield_invariance_residual(
     halo = 3
     xs, ts, dx, dt = _domain_grid(domain, resolution, halo=halo)
     where = f"domain {domain!r} at resolution {resolution}"
-    xi_vals, zeta_vals = _sample_pair(pair, xs, ts, where)
     c = units.c
     residual = np.empty((resolution, resolution))
     with np.errstate(over="ignore", invalid="ignore"):
-        # a block of output rows reads its rows plus the halo on each side;
-        # small blocks keep the stencils' buffers in cache
+        # a block of output rows samples its rows plus the halo on each
+        # side; small blocks keep the samples and the stencils' buffers in
+        # cache.  Blocks run in time order and overlap only on rows an
+        # earlier block found finite, so the first non-finite sample found
+        # is the first of the whole grid.
         for lo in range(0, resolution, _BLOCK_ROWS):
             hi = min(lo + _BLOCK_ROWS, resolution)
-            rows = slice(lo, hi + 2 * halo)
+            rows_t = ts[lo : hi + 2 * halo]
+            xi_vals, zeta_vals = _sample_pair(pair.xi, pair.zeta, xs, rows_t)
+            _require_finite(where, xs, rows_t, xi=xi_vals, zeta=zeta_vals)
             block = _null_derivative(
-                _null_derivative(xi_vals[rows], +1.0, dx, dt, 1, c), -1.0, dx, dt, 2, c
+                _null_derivative(xi_vals, +1.0, dx, dt, 1, c), -1.0, dx, dt, 2, c
             )
             block -= _null_derivative(
-                _null_derivative(zeta_vals[rows], -1.0, dx, dt, 1, c), +1.0, dx, dt, 2, c
+                _null_derivative(zeta_vals, -1.0, dx, dt, 1, c), +1.0, dx, dt, 2, c
             )
             np.multiply(block, 0.5 * units.hbar_over_e * c, out=residual[lo:hi])
     _require_finite(where, xs[halo:-halo], ts[halo:-halo], residual=residual)

@@ -1,3 +1,7 @@
+import math
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +28,7 @@ from qwline import (
     transform_coin_field,
 )
 from qwline.cli import _smooth_pair
+from qwline.gauge import _BLOCK_ROWS
 
 REF = CoinAngles(theta=0.8, alpha=0.15, beta=-0.6, chi=0.25)
 # Spatial and temporal spacings intentionally differ so light-cone
@@ -364,9 +369,15 @@ def test_residual_is_bitwise_the_out_of_place_composition(units):
     pairs = [_smooth_pair(name, units.c) for name in ("symmetric", "null", "wave")]
     pairs.append(SmoothPhasePair(xi=lambda X, T: X * X * T,
                                  zeta=lambda X, T: np.zeros_like(X)))
-    # 64 and 75 span several row blocks of the stencils, 75 a partial last one
+    pairs.append(SmoothPhasePair(xi=lambda X, T: 0.8 * X * T * T + np.sin(X - T),
+                                 zeta=lambda X, T: np.zeros_like(X)))
+    # constant phases; on the sampler's sparse grid these are a row and a column
+    pairs.append(SmoothPhasePair(xi=lambda X, T: np.full_like(X, 0.7),
+                                 zeta=lambda X, T: np.full_like(T, -0.2)))
+    # 64, 75 and 129 span several row blocks of the stencils, 75 and 129 a
+    # partial last one (129 a last block of one row)
     for pair in pairs:
-        for res in (4, 5, 17, 64, 75):
+        for res in (4, 5, 17, 64, 75, 129):
             top, field = efield_invariance_residual(pair, DOMAIN, res, units)
             want = _out_of_place_residual(pair, DOMAIN, res, units)
             assert np.array_equal(field.view(np.int64), want.view(np.int64))
@@ -386,6 +397,24 @@ def test_non_finite_samples_raise_grid_error():
     for compute in (efield_invariance_residual, potentials_from_phase_pair):
         with pytest.raises(GridError, match=r"zeta is not finite at \(x=0.75, t=1.5\)"):
             compute(hole, (0.0, 1.0, 0.0, 2.0), 5)
+    # a hole starting in a later row block, and in rows two blocks share,
+    # is named at the first time-major point of the whole haloed grid
+    res, x0, x1, t0, t1 = 100, 0.0, 1.0, 0.0, 2.0
+    steps = np.arange(-3, res + 3)
+    xs = x0 + (x1 - x0) / (res - 1) * steps
+    ts = t0 + (t1 - t0) / (res - 1) * steps
+    x_hole = 0.5 + 0.1 * (xs[1] - xs[0])
+    x_first = xs[np.argmax(xs > x_hole)]
+    # haloed row 51 is sampled by block 1 alone; 35 by blocks 0 and 1, 67
+    # by blocks 1 and 2
+    for row in (51, 35, 67):
+        t_hole = 0.5 * (ts[row - 1] + ts[row])
+        hole = SmoothPhasePair(
+            xi=lambda X, T: np.where((X > x_hole + 0.2) & (T > t_hole), np.nan, X),
+            zeta=lambda X, T: np.where((X > x_hole) & (T > t_hole), np.inf, T))
+        at = re.escape(f"zeta is not finite at (x={float(x_first)!r}, t={float(ts[row])!r})")
+        with pytest.raises(GridError, match=at):
+            efield_invariance_residual(hole, (x0, x1, t0, t1), res)
     # finite samples whose differences overflow
     cliff = SmoothPhasePair(xi=lambda X, T: np.where(X > 0.4, 1.7e308, -1.7e308),
                             zeta=lambda X, T: 0 * X)
@@ -393,6 +422,106 @@ def test_non_finite_samples_raise_grid_error():
         efield_invariance_residual(cliff, (0.0, 1.0, 0.0, 2.0), 5)
     with pytest.raises(GridError, match=r"a_t is not finite at \(x="):
         potentials_from_phase_pair(cliff, (0.0, 1.0, 0.0, 2.0), 5)
+
+
+def _full(f):
+    """``f`` with its result spread over the whole grid of ``X`` and ``T``."""
+    def full(X, T):
+        shape = np.broadcast_shapes(np.shape(X), np.shape(T))
+        return np.array(np.broadcast_to(f(X, T), shape), dtype=np.float64)
+    return full
+
+
+# constant and X-only results, which the samplers broadcast to the grid
+_LOWER_RANK = (
+    (lambda X, T: 0.3, lambda X, T: 0.0),
+    (lambda X, T: np.sin(1.3 * X), lambda X, T: 0.2 * X * X),
+)
+
+
+def _bits(*arrays):
+    return [np.ascontiguousarray(a).tobytes() for a in arrays]
+
+
+def test_residual_of_lower_rank_callables_equals_full_grid():
+    for xi, zeta in _LOWER_RANK:
+        for res in (4, 75):
+            top, field = efield_invariance_residual(SmoothPhasePair(xi, zeta), DOMAIN, res)
+            want_top, want = efield_invariance_residual(
+                SmoothPhasePair(_full(xi), _full(zeta)), DOMAIN, res)
+            assert field.shape == (res, res) and top == want_top
+            assert _bits(field) == _bits(want)
+
+
+def test_potentials_of_lower_rank_callables_equal_full_grid():
+    for xi, zeta in _LOWER_RANK:
+        got = potentials_from_phase_pair(SmoothPhasePair(xi, zeta), DOMAIN, 17)
+        want = potentials_from_phase_pair(SmoothPhasePair(_full(xi), _full(zeta)), DOMAIN, 17)
+        assert got.a_t.shape == (17, 17)
+        assert _bits(got.a_t, got.a_x) == _bits(want.a_t, want.a_x)
+
+
+def test_from_functions_of_lower_rank_callables_stores_full_grids():
+    xs, ts = np.linspace(-1, 1, 9), np.linspace(0, 1.5, 7)
+    for a_t_of, a_x_of in _LOWER_RANK:
+        got = PotentialField.from_functions(a_t_of, a_x_of, xs, ts)
+        want = PotentialField.from_functions(_full(a_t_of), _full(a_x_of), xs, ts)
+        assert _bits(got.a_t, got.a_x) == _bits(want.a_t, want.a_x)
+        for arr in (got.a_t, got.a_x):
+            assert arr.shape == (7, 9) and arr.flags.writeable and arr.flags.c_contiguous
+    f = lambda X, T: np.sin(X * T)
+    same = PotentialField.from_functions(f, f, xs, ts)
+    assert not np.shares_memory(same.a_t, same.a_x)
+    with pytest.raises(GridError, match=r"a_x returned shape \(3,\)"):
+        PotentialField.from_functions(f, lambda X, T: np.zeros(3), xs, ts)
+
+
+def test_shared_callable_runs_once_per_row_block():
+    """The residual samples one block of rows at a time, calling a callable
+    shared by xi and zeta once per block; the potentials call it once."""
+    calls = []
+
+    def f(X, T):
+        calls.append(T.size)
+        return np.sin(1.3 * X) * np.cos(0.9 * T)
+
+    pair = SmoothPhasePair(f, f)
+    for res in (4, _BLOCK_ROWS, _BLOCK_ROWS + 1, 129):
+        calls.clear()
+        efield_invariance_residual(pair, DOMAIN, res)
+        assert len(calls) == math.ceil(res / _BLOCK_ROWS)
+        # each block reads its rows plus the 3-row halo on both sides
+        assert sum(calls) == res + 6 * len(calls)
+        calls.clear()
+        potentials_from_phase_pair(pair, DOMAIN, res)
+        assert calls == [res]
+
+
+def test_shared_callable_equals_two_equal_callables():
+    f = _smooth_pair("symmetric", 1.0).xi
+    shared, twins = SmoothPhasePair(f, f), SmoothPhasePair(f, lambda X, T: f(X, T))
+    for res in (5, 64, 75):
+        (top, field), (want_top, want) = (efield_invariance_residual(p, DOMAIN, res)
+                                          for p in (shared, twins))
+        assert top == want_top and _bits(field) == _bits(want)
+        got, want = (potentials_from_phase_pair(p, DOMAIN, res) for p in (shared, twins))
+        assert _bits(got.a_t, got.a_x) == _bits(want.a_t, want.a_x)
+
+
+def test_residual_peak_memory_is_bounded():
+    """tracemalloc peak of one res-1024 residual (numpy 2.4): 16.9 MiB, of
+    which the 8 MiB field and the 8 MiB ``abs`` for its maximum are most;
+    48.6 MiB when the whole haloed grid was sampled up front.  The cap sits
+    about 20 % above the reading."""
+    pair = _smooth_pair("wave", 1.0)
+    efield_invariance_residual(pair, DOMAIN, 8)
+    tracemalloc.start()
+    try:
+        efield_invariance_residual(pair, DOMAIN, 1024)
+        peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20.0, peak
 
 
 def test_lattice_phases_track_continuum_derivatives():
