@@ -177,7 +177,11 @@ class CoinField:
 def _require_finite(ns, t: int, rows) -> None:
     """Raise :class:`UnsupportedParameterError` at the first non-finite entry
     of the coin rows ``(theta, alpha, beta, chi)`` over the sites ``ns``,
-    naming its parameter and site."""
+    naming its parameter and site.  One pass checks the four rows joined
+    (flattened, so a scalar row passes too); the bad site is looked for
+    only when that pass fails."""
+    if np.isfinite(np.concatenate(rows, axis=None)).all():
+        return
     for arr, name in zip(rows, ("theta", "alpha", "beta", "chi")):
         bad = np.flatnonzero(~np.isfinite(arr))
         if bad.size:
