@@ -607,6 +607,11 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except MemoryError as exc:
+        # the sizes a request sets (T, a resolution) fix its arrays' sizes
+        print(f"config error: the {args.command} request does not fit in memory: "
+              f"{exc or 'MemoryError'}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

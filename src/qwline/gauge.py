@@ -316,19 +316,31 @@ def potentials_from_phase_pair(
 _BLOCK_ROWS = 32
 
 
-def _null_derivative(arr, sign: float, dx: float, dt: float, k: int, c: float):
+def _null_derivative(flat, width: int, sign: float, dx: float, dt: float, k: int,
+                     c: float):
     """Centered light-cone derivative with half-width ``k`` cells.
 
-    Trims ``k`` cells from every edge so repeated applications stay on a
-    uniform grid.  Works in place on two buffers with the rounding of
-    ``0.5 * (d_dt / c + sign * d_dx)``: ``sign`` is ``+-1.0``, so adding
-    ``sign * d_dx`` is adding or subtracting ``d_dx``.
+    ``flat`` holds a block of grid rows, each ``width`` cells wide, raveled
+    in C order.  The result has ``2 k`` fewer rows of the same width, also
+    raveled, and every pass runs on contiguous memory: the time difference
+    subtracts ``flat`` from itself shifted by ``2 k`` rows, the space
+    difference by ``2 k`` cells.  The ``k`` cells at each end of a result
+    row difference across the seam between two rows, so they are no
+    derivative and may overflow.  Applied again with half-width ``k'``,
+    they reach only the ``k + k'`` cells at each row end, which the caller
+    trims once.  Works in place on two buffers with the rounding of ``0.5 *
+    (d_dt / c + sign * d_dx)``: ``sign`` is ``+-1.0``, so adding ``sign *
+    d_dx`` is adding or subtracting ``d_dx``; dividing by ``c == 1.0`` is
+    the identity and is skipped.
     """
-    d_dt = np.subtract(arr[2 * k :, k:-k], arr[: -2 * k, k:-k])
+    rows = 2 * k * width
+    d_dt = np.subtract(flat[rows:], flat[:-rows])
     d_dt /= 2 * k * dt
-    d_dx = np.subtract(arr[k:-k, 2 * k :], arr[k:-k, : -2 * k])
+    middle = flat[k * width - k : flat.size - k * width + k]
+    d_dx = np.subtract(middle[2 * k :], middle[: -2 * k])
     d_dx /= 2 * k * dx
-    d_dt /= c
+    if c != 1.0:
+        d_dt /= c
     (np.add if sign > 0 else np.subtract)(d_dt, d_dx, out=d_dt)
     d_dt *= 0.5
     return d_dt
@@ -364,33 +376,51 @@ def efield_invariance_residual(
     xs, ts, dx, dt = _domain_grid(domain, resolution, halo=halo)
     where = f"domain {domain!r} at resolution {resolution}"
     c = units.c
+    width = xs.size
     residual = np.empty((resolution, resolution))
-    peak = 0.0
+    # a block of output rows needs its rows plus the halo on each side; the
+    # last 2 * halo sampled rows of a block are the first of the next, so
+    # they move to the front of these buffers and only new rows are sampled
+    samples = np.empty((2, min(_BLOCK_ROWS, resolution) + 2 * halo, width))
+    carried = 0
+    peak, finite = 0.0, True
     with np.errstate(over="ignore", invalid="ignore"):
-        # a block of output rows samples its rows plus the halo on each
-        # side; small blocks keep the samples and the stencils' buffers in
-        # cache.  Blocks run in time order and overlap only on rows an
-        # earlier block found finite, so the first non-finite sample found
-        # is the first of the whole grid.
+        # small blocks keep the samples and the stencils' buffers in cache.
+        # Blocks run in time order and each sampled row is checked once, so
+        # the first non-finite sample found is the first of the whole grid
         for lo in range(0, resolution, _BLOCK_ROWS):
             hi = min(lo + _BLOCK_ROWS, resolution)
-            rows_t = ts[lo : hi + 2 * halo]
-            xi_vals, zeta_vals = _sample_pair(pair.xi, pair.zeta, xs, rows_t)
+            rows = hi - lo + 2 * halo
+            new_t = ts[lo + carried : hi + 2 * halo]
+            xi_vals, zeta_vals = _sample_pair(pair.xi, pair.zeta, xs, new_t)
             # a callable shared by both phases has one sample to check
             fields = ({"xi": xi_vals} if zeta_vals is xi_vals
                       else {"xi": xi_vals, "zeta": zeta_vals})
-            _require_finite(where, xs, rows_t, **fields)
+            _require_finite(where, xs, new_t, **fields)
+            used = samples[: len(fields)]
+            for buf, vals in zip(used, fields.values()):
+                buf[carried:rows] = vals
+            flats = [buf[:rows].ravel() for buf in used]
+            xi_flat, zeta_flat = flats[0], flats[-1]
             block = _null_derivative(
-                _null_derivative(xi_vals, +1.0, dx, dt, 1, c), -1.0, dx, dt, 2, c
+                _null_derivative(xi_flat, width, +1.0, dx, dt, 1, c), width, -1.0, dx, dt, 2, c
             )
             block -= _null_derivative(
-                _null_derivative(zeta_vals, -1.0, dx, dt, 1, c), +1.0, dx, dt, 2, c
+                _null_derivative(zeta_flat, width, -1.0, dx, dt, 1, c), width, +1.0, dx, dt, 2, c
             )
-            np.multiply(block, 0.5 * units.hbar_over_e * c, out=residual[lo:hi])
-            # the block's |residual| goes into its own buffer; a non-finite
-            # maximum is never returned, the check below raises first
-            peak = max(peak, float(np.abs(residual[lo:hi], out=block).max()))
-    _require_finite(where, xs[halo:-halo], ts[halo:-halo], residual=residual)
+            out = residual[lo:hi]
+            np.multiply(block.reshape(hi - lo, width)[:, halo:-halo],
+                        0.5 * units.hbar_over_e * c, out=out)
+            # the block's |residual| goes into the block's own buffer; its
+            # maximum is not finite exactly when the block holds a value
+            # that is not, which the check after the loop then names
+            top = float(np.abs(out, out=block[: out.size].reshape(out.shape)).max())
+            finite = finite and np.isfinite(top)
+            peak = max(peak, top)
+            used[:, : 2 * halo] = used[:, rows - 2 * halo : rows]
+            carried = 2 * halo
+    if not finite:
+        _require_finite(where, xs[halo:-halo], ts[halo:-halo], residual=residual)
     return peak, residual
 
 

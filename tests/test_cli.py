@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qwline
 from qwline import (
     CoinAngles,
     CoinField,
@@ -115,6 +120,36 @@ def test_config_errors_exit_2(tmp_path, capsys):
         assert "at resolution 8" in err and "Traceback" not in err
     assert "xi is not finite at (x=" in err
     assert not list(tmp_path.glob("*.csv"))
+
+
+# the child caps its own address space before it imports numpy; the limit
+# acts on that process alone (set there rather than in a ``preexec_fn``,
+# which is unsafe to fork from a process with threads)
+_CAPPED_MAIN = """import resource, sys
+soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+cap = 2 * 10 ** 9 if hard == resource.RLIM_INFINITY else min(2 * 10 ** 9, hard)
+resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+from qwline.cli import main
+sys.exit(main())
+"""
+
+
+@pytest.mark.parametrize("argv,size", [
+    (["gauge", "--pair", "null", "--resolutions", "64,1000000"], "7.28 TiB"),
+    (["evolve", "--theta", "pi/4", "--t-final", "1000000000"], "59.6 GiB"),
+])
+def test_requests_beyond_memory_exit_2(tmp_path, argv, size):
+    """A request whose arrays do not fit in memory exits 2 with one config
+    error line naming the command and the allocation, not a traceback."""
+    src = str(Path(qwline.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    run = subprocess.run([sys.executable, "-c", _CAPPED_MAIN, *argv, "--outdir", str(tmp_path)],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 2, run.stderr
+    assert run.stderr.count("\n") == 1
+    assert run.stderr.startswith(f"config error: the {argv[0]} request does not fit in memory: "
+                                 f"Unable to allocate {size}")
 
 
 def test_gauge_files_share_one_grid(tmp_path, capsys):

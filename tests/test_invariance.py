@@ -100,6 +100,12 @@ def test_characteristic_precondition_is_enforced():
                                     lambda n, t: 0.0)
     with pytest.raises(PhaseConditionError, match=re.escape("= nan at (n=-1, t=1)")):
         verify_quasi_invariance(InitialState(eta=0.3), REF, bad, 6)
+    # a gap at the last site of a late row is named at that site
+    bad = PhaseField.from_functions(lambda n, t: 1e-6 if (n, t) == (151, 151) else 0.0,
+                                    lambda n, t: 0.0)
+    with pytest.raises(PhaseConditionError,
+                       match=re.escape("xi(n, t) = 1.000e-06 at (n=150, t=150)")):
+        verify_quasi_invariance(InitialState(eta=0.3), REF, bad, 151)
 
 
 def test_quasi_invariance_deviations_at_rounding_level():
@@ -306,7 +312,8 @@ def _split_at(n0, t0):
     return PhaseField(_common, lambda n, t: _common(n, t) + (1e-6 if (n, t) == (n0, t0) else 0.0))
 
 
-@pytest.mark.parametrize("site,t_final", [((3, 7), 11), ((3, 7), 7), ((0, 0), 0)])
+@pytest.mark.parametrize("site,t_final",
+                         [((3, 7), 11), ((3, 7), 7), ((0, 0), 0), ((150, 150), 151)])
 def test_twin_split_names_its_site(site, t_final):
     n, t = site
     with pytest.raises(PhaseConditionError,
