@@ -27,14 +27,7 @@ from .coin import (
     load_coin_field_csv,
     load_phase_field_csv,
 )
-from .errors import (
-    GridError,
-    ParityError,
-    PhaseConditionError,
-    TableError,
-    TotalityError,
-    UnsupportedParameterError,
-)
+from .errors import InputError
 from .evolution import evolve
 from .gauge import (
     SmoothPhasePair,
@@ -65,7 +58,7 @@ EXIT_CONFIG = 2
 EXIT_TOLERANCE = 3
 
 
-class ConfigError(ValueError):
+class ConfigError(InputError):
     """Bad flag, config field, or input file; maps to exit code 2."""
 
 
@@ -408,7 +401,6 @@ def _smooth_pair(name: str, c: float) -> SmoothPhasePair:
 
 
 def _cmd_gauge(cfg: RunConfig) -> int:
-    out = _outdir(cfg)
     units = UnitSystem()
     pair = _smooth_pair(cfg.pair, units.c)
     maxima = []
@@ -416,10 +408,13 @@ def _cmd_gauge(cfg: RunConfig) -> int:
     for res in cfg.resolutions:
         peak, residual = efield_invariance_residual(pair, cfg.domain, res, units)
         maxima.append(peak)
-        print(f"resolution {res}: max residual {peak:.6e}")
     finest = cfg.resolutions[-1]
     # the residual at the finest resolution lies on the potentials' grid
     potentials = potentials_from_phase_pair(pair, cfg.domain, finest, units)
+    # a request that fails anywhere above leaves no directory and prints nothing
+    out = _outdir(cfg)
+    for res, peak in zip(cfg.resolutions, maxima):
+        print(f"resolution {res}: max residual {peak:.6e}")
     res_path = out / f"residual_res{finest}.csv"
     save_residual_csv(res_path, potentials.x, potentials.t, residual)
     _wrote(res_path)
@@ -593,18 +588,9 @@ def main(argv=None) -> int:
     try:
         cfg = _build_config(args)
         return _HANDLERS[cfg.command](cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (
-        TotalityError,
-        ParityError,
-        UnsupportedParameterError,
-        PhaseConditionError,
-        GridError,
-        TableError,
-        FileNotFoundError,
-    ) as exc:
+    except (InputError, OSError) as exc:
+        # OSError: an input file or the output directory cannot be opened
+        # or created
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except MemoryError as exc:

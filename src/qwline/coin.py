@@ -18,14 +18,13 @@ from typing import Callable
 import numpy as np
 
 from ._csvio import read_csv, write_csv
-from .errors import TableError, TotalityError, UnsupportedParameterError
+from .errors import TableError, TotalityError, UnsupportedParameterError, first_fault
 
 __all__ = [
     "CoinAngles",
     "CoinField",
     "PhaseField",
     "coin_matrix",
-    "coin_entries",
     "bloch_vector",
     "sample",
     "save_coin_field_csv",
@@ -175,17 +174,16 @@ class CoinField:
 
 
 def _require_finite(ns, t: int, rows) -> None:
-    """Raise :class:`UnsupportedParameterError` at the first non-finite entry
-    of the coin rows ``(theta, alpha, beta, chi)`` over the sites ``ns``,
-    naming its parameter and site.  One pass checks the four rows joined
+    """Raise :class:`UnsupportedParameterError` at the first site of ``ns``
+    where a coin row ``(theta, alpha, beta, chi)`` is not finite, naming
+    the first such parameter there.  One pass checks the four rows joined
     (flattened, so a scalar row passes too); the bad site is looked for
     only when that pass fails."""
     if np.isfinite(np.concatenate(rows, axis=None)).all():
         return
-    for arr, name in zip(rows, ("theta", "alpha", "beta", "chi")):
-        bad = np.flatnonzero(~np.isfinite(arr))
-        if bad.size:
-            raise UnsupportedParameterError(f"{name} is not finite at (n={ns[bad[0]]}, t={t})")
+    k, i = first_fault([np.isfinite(row) for row in rows])
+    raise UnsupportedParameterError(
+        f"{('theta', 'alpha', 'beta', 'chi')[k]} is not finite at (n={ns[i]}, t={t})")
 
 
 class PhaseField:
@@ -307,12 +305,10 @@ def _load_window_csv(path, header: str, what: str):
         k = gap[0] if gap.size else key.size
         raise TotalityError(k % width - t_max, k // width, what=what)
     values = [v[order] for v in cols.values()]
-    bad = ~np.isfinite(values)
-    if bad.any():
-        # first offending site in window order, then its first column
-        k = np.flatnonzero(bad.any(axis=0))[0]
-        name = list(cols)[np.argmax(bad[:, k])]
-        raise malformed(f"{name} is not finite at (n={k % width - t_max}, t={k // width})")
+    fault = first_fault([np.isfinite(v) for v in values])
+    if fault is not None:
+        k, i = fault
+        raise malformed(f"{list(cols)[k]} is not finite at (n={i % width - t_max}, t={i // width})")
     return t_max, [v.reshape(t_max + 1, width) for v in values]
 
 

@@ -1,7 +1,25 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the rule that picks the
+entry an input error names."""
+
+import numpy as np
+
+__all__ = [
+    "InputError",
+    "TotalityError",
+    "ParityError",
+    "UnsupportedParameterError",
+    "PhaseConditionError",
+    "GridError",
+    "TableError",
+]
 
 
-class TotalityError(ValueError):
+class InputError(ValueError):
+    """Bad input: a parameter, a field, a file or a request the library
+    cannot serve.  The command line maps every one to exit code 2."""
+
+
+class TotalityError(InputError):
     """A site/time mapping was queried outside the window it is defined on."""
 
     def __init__(self, n, t, what="coin field"):
@@ -10,23 +28,41 @@ class TotalityError(ValueError):
         super().__init__(f"{what} has no entry at (n={self.n}, t={self.t})")
 
 
-class ParityError(ValueError):
+class ParityError(InputError):
     """A lattice quantity was requested at a site the walker cannot reach."""
 
 
-class UnsupportedParameterError(ValueError):
+class UnsupportedParameterError(InputError):
     """A parameter lies outside the range an algorithm is valid for."""
 
 
-class PhaseConditionError(ValueError):
+class PhaseConditionError(InputError):
     """A phase-field pair violates the precondition of the requested transform."""
 
 
-class GridError(ValueError):
+class GridError(InputError):
     """A sampling grid is too small or degenerate for the requested stencil."""
 
 
-class TableError(ValueError):
+class TableError(InputError):
     """An input CSV file is malformed: header, row syntax, no rows, a
     duplicate entry, a row outside the table's window or a non-finite
     value."""
+
+
+def first_fault(oks):
+    """Where the boolean masks ``oks`` first fail, as ``(k, i)``, else ``None``.
+
+    The masks are broadcast together, so a scalar mask covers every entry.
+    ``i`` is the first flat index, in C order, at which some mask is False,
+    and ``k`` the first mask that is False there: an error names the first
+    bad entry and, among the checks failing there, the first.  Checks on a
+    hot path decide in one pass whether anything failed and call this only
+    then.
+    """
+    masks = np.broadcast_arrays(*oks)
+    hits = np.flatnonzero(~np.logical_and.reduce(masks))
+    if not hits.size:
+        return None
+    i = int(hits[0])
+    return next(k for k, ok in enumerate(masks) if not ok.flat[i]), i

@@ -22,7 +22,7 @@ import numpy as np
 
 from ._csvio import write_csv
 from .coin import CoinAngles, CoinField, PhaseField
-from .errors import GridError
+from .errors import GridError, first_fault
 from .invariance import _dressed_field
 
 __all__ = [
@@ -105,10 +105,9 @@ def _require_finite(where: str, xs, ts, **fields) -> None:
     of the ``[i_t, i_x]`` ``fields`` is not finite, naming that field."""
     if all(np.isfinite(v).all() for v in fields.values()):
         return
-    bad = ~np.logical_and.reduce([np.isfinite(v) for v in fields.values()])
-    i_t, i_x = np.unravel_index(np.argmax(bad), bad.shape)
-    name = next(k for k, v in fields.items() if not np.isfinite(v[i_t, i_x]))
-    raise GridError(f"{where}: {name} is not finite at "
+    k, i = first_fault([np.isfinite(v) for v in fields.values()])
+    i_t, i_x = np.unravel_index(i, (ts.size, xs.size))
+    raise GridError(f"{where}: {list(fields)[k]} is not finite at "
                     f"(x={float(xs[i_x])!r}, t={float(ts[i_t])!r})")
 
 
@@ -203,8 +202,8 @@ class SmoothPhasePair:
 
     Both callables must be twice differentiable on the domains they are
     queried over; that is the caller's contract.  The grid samplers pass
-    ``X`` as a row and ``T`` as a column (``lattice_phases_from_smooth``
-    passes a row and a scalar), so a callable must broadcast elementwise;
+    ``X`` as a row and ``T`` as a column (a one-row grid per lattice row in
+    ``lattice_phases_from_smooth``), so a callable must broadcast elementwise;
     its result may have any shape that broadcasts to the grid, a scalar
     included.  A callable shared by ``xi`` and ``zeta`` runs once per
     sampling, and :func:`efield_invariance_residual` samples one block of
@@ -218,13 +217,16 @@ class SmoothPhasePair:
 def lattice_phases_from_smooth(
     pair: SmoothPhasePair, units: UnitSystem = UnitSystem()
 ) -> PhaseField:
-    """Evaluate a continuum pair at the lattice points ``X = n ell, T = t tau``."""
+    """Evaluate a continuum pair at the lattice points ``X = n ell, T = t tau``.
+
+    Each row is a one-row grid of :func:`_sample_pair`, so a callable
+    shared by ``xi`` and ``zeta`` runs once per row.
+    """
     ell, tau = units.ell, units.tau
 
     def rows(ns, t):
-        xs, ts = ns * ell, t * tau
-        return tuple(np.broadcast_to(np.asarray(f(xs, ts), dtype=np.float64), ns.shape)
-                     for f in (pair.xi, pair.zeta))
+        xi, zeta = _sample_pair(pair.xi, pair.zeta, ns * ell, np.array([t * tau]))
+        return xi[0], zeta[0]
 
     return PhaseField.from_rows(rows)
 

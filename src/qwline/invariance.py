@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .coin import CoinAngles, CoinField, PhaseField, _require_finite, coin_entries
-from .errors import PhaseConditionError
+from .errors import PhaseConditionError, first_fault
 from .evolution import _Rows
 from .state import InitialState, SpinorField, localized_state
 
@@ -64,12 +64,9 @@ def _require_small(ns, t: int, *checks) -> None:
         gaps = [(message, a - b) for message, a, b in checks]
     if all((np.abs(gap) <= _CONDITION_TOL).all() for _, gap in gaps):
         return
-    bad = ~(np.abs([gap for _, gap in gaps]) <= _CONDITION_TOL)
-    hits = np.flatnonzero(bad.any(axis=0))
-    if hits.size:
-        i = hits[0]
-        message, gap = gaps[int(np.argmax(bad[:, i]))]
-        raise PhaseConditionError(f"{message} {abs(gap[i]):.3e} at (n={ns[i]}, t={t})")
+    k, i = first_fault([np.abs(gap) <= _CONDITION_TOL for _, gap in gaps])
+    message, gap = gaps[k]
+    raise PhaseConditionError(f"{message} {abs(gap[i]):.3e} at (n={ns[i]}, t={t})")
 
 
 def _twin_checked(phases: PhaseField):

@@ -140,16 +140,39 @@ sys.exit(main())
 ])
 def test_requests_beyond_memory_exit_2(tmp_path, argv, size):
     """A request whose arrays do not fit in memory exits 2 with one config
-    error line naming the command and the allocation, not a traceback."""
+    error line naming the command and the allocation, not a traceback.
+    ``gauge`` computes every residual before it prints or creates its
+    output directory."""
     src = str(Path(qwline.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    run = subprocess.run([sys.executable, "-c", _CAPPED_MAIN, *argv, "--outdir", str(tmp_path)],
+    out = tmp_path / "out"
+    run = subprocess.run([sys.executable, "-c", _CAPPED_MAIN, *argv, "--outdir", str(out)],
                          capture_output=True, text=True, env=env, timeout=120)
     assert run.returncode == 2, run.stderr
     assert run.stderr.count("\n") == 1
     assert run.stderr.startswith(f"config error: the {argv[0]} request does not fit in memory: "
                                  f"Unable to allocate {size}")
+    if argv[0] == "gauge":
+        assert run.stdout == ""
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["evolve", "--t-final", "3"], "--coin-file"),
+    (["invariance", "--theta", "pi/3", "--t-final", "3"], "--phase-file"),
+    (["evolve", "--theta", "pi/4", "--t-final", "3"], "--config"),
+    (["evolve", "--theta", "pi/4", "--t-final", "3"], "--outdir"),
+], ids=["coin_file", "phase_file", "config", "outdir"])
+def test_paths_that_cannot_be_opened_exit_2(tmp_path, capsys, argv, flag):
+    """A directory given as an input file, or an existing file given as the
+    output directory, is one config error line, not a traceback."""
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    paths = {"--outdir": tmp_path / "out", flag: taken if flag == "--outdir" else tmp_path}
+    assert main(argv + [str(v) for item in paths.items() for v in item]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error: ")
 
 
 def test_gauge_files_share_one_grid(tmp_path, capsys):

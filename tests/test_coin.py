@@ -7,6 +7,7 @@ from qwline import (
     PhaseField,
     TableError,
     TotalityError,
+    UnsupportedParameterError,
     bloch_vector,
     coin_matrix,
     load_coin_field_csv,
@@ -101,6 +102,19 @@ def test_materialize_names_non_finite_site():
     )
     with pytest.raises(ValueError, match=r"theta is not finite at \(n=1, t=4\)"):
         f.materialize(-4, 4, t=4)
+
+
+def test_materialize_names_the_first_site_then_its_first_parameter():
+    """With theta bad at a later site than alpha, the earlier site wins."""
+    f = CoinField.from_functions(
+        theta_of=lambda n, t: np.nan if n == 3 else 0.5,
+        alpha_of=lambda n, t: np.nan if n == -1 else 0.0,
+        beta_of=lambda n, t: 0.0,
+        chi_of=lambda n, t: 0.0,
+    )
+    with pytest.raises(UnsupportedParameterError,
+                       match=r"^alpha is not finite at \(n=-1, t=0\)$"):
+        f.materialize(-4, 4, t=0)
 
 
 def test_phase_field_constructors():

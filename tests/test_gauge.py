@@ -582,6 +582,27 @@ def test_lattice_phases_broadcast_time_only_pairs():
     assert np.allclose(chi, REF.chi + 0.15) and np.allclose(alpha, REF.alpha)
 
 
+def test_lattice_phases_sample_a_shared_callable_once_per_row():
+    calls = []
+
+    def xi(X, T):
+        calls.append(T)
+        return np.sin(X) * T
+
+    xi_row, zeta_row = lattice_phases_from_smooth(SmoothPhasePair(xi, xi)).rows(
+        np.arange(-3, 4), 2)
+    assert len(calls) == 1
+    assert xi_row.shape == (7,) and np.array_equal(xi_row, zeta_row)
+    assert np.array_equal(xi_row, np.sin(np.arange(-3.0, 4.0)) * 2.0)
+
+
+def test_lattice_phases_of_the_wrong_shape_raise_grid_error():
+    pair = SmoothPhasePair(lambda X, T: np.sin(X), lambda X, T: np.zeros(3))
+    with pytest.raises(GridError, match=re.escape(
+            "zeta returned shape (3,), which does not broadcast to the grid (1, 7)")):
+        lattice_phases_from_smooth(pair).rows(np.arange(-3, 4), 2)
+
+
 def test_gauge_csv_emitters(tmp_path):
     xs = np.linspace(0, 1, 3)
     ts = np.linspace(0, 1, 4)

@@ -339,6 +339,28 @@ def test_coin_fault_before_a_later_twin_split_is_reported_first():
         verify_exact_invariance(InitialState(eta=0.3), coin, _split_at(3, 7), 10)
 
 
+def test_verification_coin_faults_name_the_first_site():
+    """Both coin checks of a verification name the first bad site, then the
+    first bad parameter there.  The base coin has theta bad at n = 3 and
+    alpha at n = -1 of step 3.  The dressed coin of step 1 overflows chi at
+    n = -1 and alpha and beta at n = 1: the common phase at step 2 is 1e308
+    at n = -2 and n = 0 and -1e308 at n = 2, so chi gains (1e308 + 1e308) / 2
+    at n = -1 and alpha (-1e308 - 1e308) / 2 at n = 1.  A quasi dressing
+    cannot fault two parameters: along its characteristics only beta moves."""
+    coin = CoinField.from_functions(
+        lambda n, t: float("nan") if (n, t) == (3, 3) else 0.8,
+        lambda n, t: float("nan") if (n, t) == (-1, 3) else 0.0,
+        lambda n, t: 0.0, lambda n, t: 0.0)
+    with pytest.raises(UnsupportedParameterError,
+                       match=re.escape("alpha is not finite at (n=-1, t=3)")):
+        verify_quasi_invariance(InitialState(eta=0.3), coin, quasi_invariant_phases(0.1), 5)
+    huge = {(-2, 2): 1e308, (0, 2): 1e308, (2, 2): -1e308}
+    phases = PhaseField.symmetric(lambda n, t: huge.get((n, t), 0.0))
+    with pytest.raises(UnsupportedParameterError,
+                       match=re.escape("chi is not finite at (n=-1, t=1)")):
+        verify_exact_invariance(InitialState(eta=0.3), CoinAngles(0.8), phases, 5)
+
+
 def _dressed(state, phases):
     """Indices of the occupied sites of ``state`` and its two components
     there, each multiplied by its dressing phase."""
