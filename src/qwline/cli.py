@@ -273,6 +273,8 @@ def _init(cfg: RunConfig) -> InitialState:
 
 
 def _outdir(cfg: RunConfig) -> Path:
+    """The output directory, created here, just before a command writes its
+    first file, so a request that fails earlier leaves no directory."""
     cfg.outdir.mkdir(parents=True, exist_ok=True)
     return cfg.outdir
 
@@ -291,16 +293,15 @@ def _save_comparison(final, theta: float, eta: float, phi: float, path: Path) ->
 
 
 def _cmd_evolve(cfg: RunConfig) -> int:
-    out = _outdir(cfg)
     coin = load_coin_field_csv(cfg.coin_file) if cfg.coin_file else _angles(cfg)
     if cfg.record:
         final, records = evolve(_init(cfg), coin, cfg.t_final, record_trajectory=True)
-        traj = out / "trajectory.csv"
+        traj = _outdir(cfg) / "trajectory.csv"
         save_trajectory_csv(traj, records)
         _wrote(traj)
     else:
         final = evolve(_init(cfg), coin, cfg.t_final)
-    path = out / f"spinor_t{cfg.t_final}.csv"
+    path = _outdir(cfg) / f"spinor_t{cfg.t_final}.csv"
     save_spinor_csv(final, path)
     _wrote(path)
     print(f"norm drift {abs(final.norm() - 1.0):.3e}")
@@ -308,7 +309,6 @@ def _cmd_evolve(cfg: RunConfig) -> int:
 
 
 def _cmd_closedform(cfg: RunConfig) -> int:
-    out = _outdir(cfg)
     init, coin = _init(cfg), _angles(cfg)
     analytic = closed_form_amplitudes(init, coin, cfg.t_final, method=cfg.method)
     stepped = evolve(init, coin, cfg.t_final)
@@ -316,7 +316,7 @@ def _cmd_closedform(cfg: RunConfig) -> int:
         float(np.max(np.abs(analytic.plus_amps - stepped.plus_amps))),
         float(np.max(np.abs(analytic.minus_amps - stepped.minus_amps))),
     )
-    path = out / f"closedform_t{cfg.t_final}.csv"
+    path = _outdir(cfg) / f"closedform_t{cfg.t_final}.csv"
     save_spinor_csv(analytic, path)
     _wrote(path)
     print(f"max amplitude deviation from stepping: {deviation:.3e}")
@@ -328,9 +328,9 @@ def _cmd_closedform(cfg: RunConfig) -> int:
 
 
 def _cmd_observables(cfg: RunConfig) -> int:
-    out = _outdir(cfg)
     init, coin = _init(cfg), _angles(cfg)
     final, records = evolve(init, coin, cfg.t_final, record_trajectory=True)
+    out = _outdir(cfg)
     traj = out / "trajectory.csv"
     save_trajectory_csv(traj, records)
     _wrote(traj)
@@ -340,7 +340,6 @@ def _cmd_observables(cfg: RunConfig) -> int:
 
 
 def _cmd_invariance(cfg: RunConfig) -> int:
-    out = _outdir(cfg)
     init, coin = _init(cfg), _angles(cfg)
     inputs = {
         "theta": cfg.theta,
@@ -368,7 +367,7 @@ def _cmd_invariance(cfg: RunConfig) -> int:
     else:
         report = verify_exact_invariance(init, coin, phases, cfg.t_final, inputs=inputs)
         gate = report.max_component_deviation
-    path = out / "invariance_report.json"
+    path = _outdir(cfg) / "invariance_report.json"
     path.write_text(report.to_json() + "\n")
     _wrote(path)
     print(f"max modulus deviation {report.max_modulus_deviation:.3e}")
@@ -411,7 +410,7 @@ def _cmd_gauge(cfg: RunConfig) -> int:
     finest = cfg.resolutions[-1]
     # the residual at the finest resolution lies on the potentials' grid
     potentials = potentials_from_phase_pair(pair, cfg.domain, finest, units)
-    # a request that fails anywhere above leaves no directory and prints nothing
+    # a request that fails anywhere above prints nothing
     out = _outdir(cfg)
     for res, peak in zip(cfg.resolutions, maxima):
         print(f"resolution {res}: max residual {peak:.6e}")
@@ -438,7 +437,6 @@ def _cmd_gauge(cfg: RunConfig) -> int:
 
 
 def _cmd_figures(cfg: RunConfig) -> int:
-    out = _outdir(cfg)
     if cfg.which in ("1a", "1b"):
         theta, eta = (math.pi / 4, math.pi / 16) if cfg.which == "1a" else (
             math.pi / 8,
@@ -447,13 +445,15 @@ def _cmd_figures(cfg: RunConfig) -> int:
         phi, t_final = math.pi, 100
         init = InitialState(eta=eta, gamma=-phi)  # alpha = beta = 0
         final = evolve(init, CoinAngles(theta), t_final)
-        _save_comparison(final, theta, eta, phi, out / f"fig{cfg.which}_comparison_t{t_final}.csv")
+        _save_comparison(final, theta, eta, phi,
+                         _outdir(cfg) / f"fig{cfg.which}_comparison_t{t_final}.csv")
         return EXIT_OK
     if cfg.which == "2":
         theta = eta = math.pi / 6
         phi, t_final = 0.0, 40
         init = InitialState(eta=eta, gamma=-phi)
         _, records = evolve(init, CoinAngles(theta), t_final, record_trajectory=True)
+        out = _outdir(cfg)
         traj = out / "fig2_trajectory.csv"
         save_trajectory_csv(traj, records)
         _wrote(traj)
@@ -477,6 +477,7 @@ def _cmd_figures(cfg: RunConfig) -> int:
     )
     ref_final = evolve(init, ref_coin, t_final)
     drift_final = evolve(init, drifting, t_final)
+    out = _outdir(cfg)
     for name, state in (("reference", ref_final), ("drifting", drift_final)):
         path = out / f"fig3_{name}_t{t_final}.csv"
         save_spinor_csv(state, path)

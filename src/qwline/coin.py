@@ -194,10 +194,10 @@ class PhaseField:
     float arrays at the integer sites ``ns`` at step ``t``, backed like a
     :class:`CoinField`: two scalar callables ``(n, t) -> radians`` passed to
     the constructor and evaluated through :func:`sample`, constants, dense
-    tables loaded from file, or any row sampler (:meth:`from_rows`).  One
-    callable passed twice is sampled once per row, its row returned as both
-    components, and the pair ``is_symmetric`` (``zeta == xi`` by
-    construction).
+    tables loaded from file, or any row sampler (:meth:`from_rows`).  A pair
+    ``is_symmetric`` when ``zeta == xi`` by construction: one callable passed
+    twice, sampled once per row and its row returned as both components, a
+    single constant, or a row sampler declared so.
     """
 
     def __init__(self, xi_of: Callable[[int, int], float],
@@ -209,10 +209,12 @@ class PhaseField:
             self.rows = lambda ns, t: (sample(xi_of, ns, t), sample(zeta_of, ns, t))
 
     @classmethod
-    def from_rows(cls, rows: Callable[[np.ndarray, int], tuple]) -> "PhaseField":
-        """A pair backed directly by a row sampler ``rows(ns, t) -> (xi, zeta)``."""
+    def from_rows(cls, rows: Callable[[np.ndarray, int], tuple],
+                  is_symmetric: bool = False) -> "PhaseField":
+        """A pair backed directly by a row sampler ``rows(ns, t) -> (xi, zeta)``;
+        ``is_symmetric`` declares its two rows equal by construction."""
         field = cls.__new__(cls)
-        field.rows, field.is_symmetric = rows, False
+        field.rows, field.is_symmetric = rows, is_symmetric
         return field
 
     @classmethod
@@ -221,9 +223,11 @@ class PhaseField:
 
     @classmethod
     def constant(cls, xi: float, zeta: float | None = None) -> "PhaseField":
+        """Constant phases; without ``zeta`` the pair is symmetric."""
         values = (xi, xi if zeta is None else zeta)
         return cls.from_rows(
-            lambda ns, t: tuple(np.full(len(ns), v, dtype=np.float64) for v in values))
+            lambda ns, t: tuple(np.full(len(ns), v, dtype=np.float64) for v in values),
+            is_symmetric=zeta is None)
 
     @classmethod
     def symmetric(cls, xi_of: Callable[[int, int], float]) -> "PhaseField":

@@ -220,7 +220,8 @@ def lattice_phases_from_smooth(
     """Evaluate a continuum pair at the lattice points ``X = n ell, T = t tau``.
 
     Each row is a one-row grid of :func:`_sample_pair`, so a callable
-    shared by ``xi`` and ``zeta`` runs once per row.
+    shared by ``xi`` and ``zeta`` runs once per row, and the pair is then
+    symmetric.
     """
     ell, tau = units.ell, units.tau
 
@@ -228,7 +229,7 @@ def lattice_phases_from_smooth(
         xi, zeta = _sample_pair(pair.xi, pair.zeta, ns * ell, np.array([t * tau]))
         return xi[0], zeta[0]
 
-    return PhaseField.from_rows(rows)
+    return PhaseField.from_rows(rows, is_symmetric=pair.xi is pair.zeta)
 
 
 def _domain_grid(domain, resolution: int, halo: int = 0):

@@ -21,12 +21,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
+from itertools import accumulate
 
 import numpy as np
 
+from . import kernels
 from .coin import CoinAngles, CoinField, PhaseField, _require_finite, coin_entries
 from .errors import PhaseConditionError, first_fault
-from .evolution import _Rows
 from .state import InitialState, SpinorField, localized_state
 
 __all__ = [
@@ -176,9 +177,15 @@ def relative_phase_map(state: SpinorField, floor: float = _PAIR_PHASE_FLOOR):
     return ns, phases
 
 
-# stored sites per block of deferred comparisons: 640 KiB of block rows for
-# an exact report, and about as much again in temporaries while comparing
+# stored sites per block of compared steps: each step's row of occupied
+# sites, zero-padded to the block's widest; 512 KiB of amplitudes
 _BLOCK_SITES = 8192
+# occupied sites per run of steps whose rows are sampled, checked and turned
+# into coin entries at once; a wider step is a run by itself.  Runs as large
+# as whole blocks raised the T = 4000 exact verification's tracemalloc peak
+# from 3.7 to 4.5 MiB, and their arrays, past the allocator's 128 KiB
+# threshold, came back as fresh pages for every run
+_RUN_SITES = 4096
 
 
 def _blocks(t_final: int):
@@ -192,6 +199,106 @@ def _blocks(t_final: int):
         ts = range(t0, min(t0 + max(k, 1), t_final + 1))
         yield ts
         t0 = ts.stop
+
+
+def _runs(steps: range):
+    """Consecutive ranges of ``steps`` whose rows of ``t + 1`` occupied
+    sites hold at most ``_RUN_SITES`` sites together, and never shorter than
+    one step."""
+    start = steps.start
+    while start < steps.stop:
+        stop, sites = start + 1, start + 1
+        while stop < steps.stop and sites + stop + 1 <= _RUN_SITES:
+            stop, sites = stop + 1, sites + stop + 1
+        yield range(start, stop)
+        start = stop
+
+
+def _first_bad(ok, ends):
+    """The first of the rows packed one after another along the last axis
+    of the mask ``ok``, ending at the offsets ``ends``, where ``ok`` is
+    False, else None."""
+    if ok.all():
+        return None
+    ok = ok.reshape(-1, ok.shape[-1]).all(axis=0)
+    return int(np.searchsorted(ends, ok.argmin(), side="right"))
+
+
+def _sample_run(base, phases, run, ends, rows, coin, pair, dressing, t0):
+    """Sample base-coin row t, then phase row t + 1, of each step t in
+    ``run``, once each.
+
+    Step t's t + 1 sites end at offset ``ends[i]`` of the packed ``coin``
+    rows and of ``pair``, which takes xi, zeta of row t (``rows`` for the
+    first step) at n, then xi of row t + 1 at n + 1 and zeta at n - 1.  A
+    ``dressing`` block takes row t + 1 whole, as its row t + 1 - t0.
+    Returns the phase rows of the last step sampled, the number of steps
+    sampled and the exception that stopped the sampling, if one did.
+    """
+    (xi, zeta), done = rows, 0
+    try:
+        for t, end in zip(run, ends):
+            cells = slice(end - t - 1, end)
+            coin[:, cells] = base.materialize(-t, t, t, 2)
+            xi1, zeta1 = phases.rows(np.arange(-t - 1, t + 2, 2), t + 1)
+            pair[:, cells] = xi, zeta, xi1[1:], zeta1[:-1]
+            if dressing is not None:
+                dressing[:, t + 1 - t0, :t + 2] = xi1, zeta1
+            xi, zeta = xi1, zeta1
+            done += 1
+    except Exception as exc:  # raised once the earlier steps are checked
+        return (xi, zeta), done, exc
+    return (xi, zeta), done, None
+
+
+def _check_run(run, ends, shifted, pair=None, twins=None) -> None:
+    """Raise the error the steps ``run`` meet first, if any, with the
+    message of the row check that names its first site.
+
+    Per step t, in order: the characteristics of the packed ``pair`` rows
+    (see :func:`_sample_run`), or ``zeta == xi`` on the zero-padded rows
+    t + 1 of ``twins``; then the packed dressed coin ``shifted`` being
+    finite.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        if pair is not None:
+            bad = _first_bad(np.abs(pair[2:] - pair[:2]) <= _CONDITION_TOL, ends)
+        elif twins is not None:
+            bad = _first_bad((np.abs(twins[0] - twins[1]) <= _CONDITION_TOL).ravel(),
+                             twins.shape[-1] * np.arange(1, len(run) + 1))
+        else:
+            bad = None
+    unfinite = _first_bad(np.isfinite(shifted[1:]), ends)
+    if bad is not None and (unfinite is None or bad <= unfinite):
+        t, end = run[bad], ends[bad]
+        if pair is not None:
+            cells = slice(end - t - 1, end)
+            _require_small(np.arange(-t, t + 1, 2), t,
+                           (_RIGHT_MOVING, pair[2, cells], pair[0, cells]),
+                           (_LEFT_MOVING, pair[3, cells], pair[1, cells]))
+        else:
+            _require_small(np.arange(-t - 1, t + 2, 2), t + 1,
+                           (_COMMON_PHASE, *twins[:, bad, :t + 2]))
+    if unfinite is not None:
+        t, end = run[unfinite], ends[unfinite]
+        _require_finite(np.arange(-t, t + 1, 2), t, [a[end - t - 1:end] for a in shifted])
+
+
+def _step_run(run, ends, t0, amps, last, walk, dressed) -> None:
+    """Step a walk under the coin entries ``walk`` and its dressed copy
+    under ``dressed`` over the steps ``run``, each from row t - t0 of the
+    block ``amps`` (``last`` for the step before the block) into row
+    t + 1 - t0.  Entries are packed as in :func:`_sample_run`; ``walk`` may
+    be the four scalars of a constant coin instead."""
+    packed = np.ndim(walk[0]) > 0
+    src = tuple(amps[:, run.start - t0, :run.start + 1] if run.start >= t0 else last)
+    for t, end in zip(run, ends):
+        cells = slice(end - t - 1, end)
+        out = tuple(amps[:, t + 1 - t0, :t + 2])
+        kernels.walk_step(src[0], src[1], out[0], out[1], 2,
+                          *([e[cells] for e in walk] if packed else walk))
+        kernels.walk_step(src[2], src[3], out[2], out[3], 2, *[e[cells] for e in dressed])
+        src = out
 
 
 def _deviations(ts, a, b, dressing=None) -> list:
@@ -254,55 +361,69 @@ class InvarianceReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
-def _verify(kind, init, ref, phase_rows, t_final, inputs) -> InvarianceReport:
-    """Step a walk and its dressed copy side by side, each on its own rows of
-    occupied sites, and compare the rows one block of steps at a time.
+def _verify(kind, init, ref, phases, t_final, inputs) -> InvarianceReport:
+    """Step a walk and its dressed copy side by side, and compare them one
+    block of steps at a time (see :func:`_blocks`).
 
-    Step t samples base-coin row t, then phase row t + 1, each once.  Row
-    t + 1 is checked as soon as it is sampled (``zeta == xi`` inside a
-    twin-checked ``phase_rows``, the characteristics against row t for
-    ``quasi``), before the dressed coin row is formed and checked finite.
-    Each step's rows are copied into zero-padded block buffers (see
-    :func:`_blocks`) and compared once per block (:func:`_deviations`); the
-    comparisons raise nothing, so deferring them changes no error.
+    Step t samples base-coin row t, then phase row t + 1, each once.  Only
+    that is done step by step: a run of steps (see :func:`_runs`) is
+    sampled first, its rows packed one after another, and then checked in
+    one pass per check, the characteristics of row t + 1 against row t
+    (``quasi``) or ``zeta == xi`` on row t + 1 for an ``exact`` pair that is
+    not symmetric by construction (row 0 is checked as it is sampled).  The
+    run's dressed coin is formed and checked finite, and its coin entries
+    taken, at once.  If sampling step s raises, the checks of the run's
+    steps before s run first, so every error is the one the steps taken in
+    order meet first.  Both walks then step from row i into row i + 1 of
+    the block's amplitude buffer, which :func:`_deviations` compares as it
+    stands; the comparisons raise nothing.
     """
     if t_final < 0:
         raise ValueError(f"t_final must be non-negative, got {t_final}")
     base = CoinField.lift(ref)
     c = base.angles
     constant = None if c is None else coin_entries(c.theta, c.alpha, c.beta, c.chi)
-    ns = np.zeros(1, dtype=np.int64)
-    xi, zeta = phase_rows(ns, 0)
-    start = localized_state(init)
-    dressed_start = SpinorField(t=0, plus_amps=start.plus_amps * np.exp(1j * xi),
-                                minus_amps=start.minus_amps * np.exp(1j * zeta))
-    walk, dressed = _Rows(start, t_final), _Rows(dressed_start, t_final)
     common = kind == "exact"
+    twins = common and not phases.is_symmetric
+    xi, zeta = (_twin_checked(phases) if common else phases.rows)(np.zeros(1, dtype=np.int64), 0)
+    start = localized_state(init)
+    # amplitudes (plus, minus, dressed plus, dressed minus) of the step before
+    # a block, and the phase rows of the step before a run
+    last = np.array([start.plus_amps, start.minus_amps,
+                     start.plus_amps * np.exp(1j * xi), start.minus_amps * np.exp(1j * zeta)])
+    rows = xi, zeta
 
-    def advance(t, ns, xi, zeta):
-        """Step both walks from step t, whose phase rows over its sites ``ns``
-        are ``xi``, ``zeta``; return the sites and phase rows of step t + 1."""
-        coin = base.materialize(-t, t, t, 2)
-        ns1 = np.arange(-t - 1, t + 2, 2)
-        xi1, zeta1 = phase_rows(ns1, t + 1)
-        if not common:
-            _require_small(ns, t, (_RIGHT_MOVING, xi1[1:], xi), (_LEFT_MOVING, zeta1[:-1], zeta))
-        shifted = _shifted(coin, xi, zeta, xi1, zeta1, np.s_[1:], np.s_[:-1])
-        _require_finite(ns, t, shifted)
-        walk.step(coin_entries(*coin) if c is None else constant)
-        dressed.step(coin_entries(*shifted))
-        return ns1, xi1, zeta1
+    def take(run, t0, amps, dressing):
+        """Take the steps t -> t + 1 for t in ``run`` into the block ``amps``
+        (and ``dressing``), whose row r holds step t0 + r."""
+        nonlocal rows
+        ends = list(accumulate(range(run.start + 1, run.stop + 1)))
+        coin, pair = np.empty((4, ends[-1])), np.empty((4, ends[-1]))
+        rows, done, fault = _sample_run(base, phases, run, ends, rows, coin, pair, dressing, t0)
+        if fault is not None:
+            run, ends = run[:done], ends[:done]
+            coin, pair = coin[:, :ends[-1] if done else 0], pair[:, :ends[-1] if done else 0]
+        # pair already holds row t + 1 at n + 1 (xi) and n - 1 (zeta)
+        shifted = _shifted(coin, *pair, ..., ...)
+        ahead = run.start + 1 - t0
+        _check_run(run, ends, shifted, None if common else pair,
+                   dressing[:, ahead:ahead + done] if twins else None)
+        if fault is not None:
+            raise fault
+        _step_run(run, ends, t0, amps, last,
+                  constant if c is not None else coin_entries(*coin), coin_entries(*shifted))
 
     per_time = []
     for ts in _blocks(t_final):
         amps = np.zeros((4, len(ts), ts[-1] + 1), dtype=np.complex128)
         dressing = np.zeros((2, len(ts), ts[-1] + 1)) if common else None
-        for i, t in enumerate(ts):
-            if t:
-                ns, xi, zeta = advance(t - 1, ns, xi, zeta)
-            amps[:, i, :t + 1] = walk.plus, walk.minus, dressed.plus, dressed.minus
+        if not ts.start:
+            amps[:, 0, :1] = last
             if common:
-                dressing[:, i, :t + 1] = xi, zeta
+                dressing[:, 0, :1] = rows
+        for run in _runs(range(max(ts.start - 1, 0), ts.stop - 1)):
+            take(run, ts.start, amps, dressing)
+        last = amps[:, -1].copy()
         per_time += _deviations(ts, amps[:2], amps[2:], dressing)
 
     def worst(key):
@@ -332,13 +453,13 @@ def verify_quasi_invariance(
 
     The dressing must satisfy ``xi(n+1, t+1) == xi(n, t)`` and
     ``zeta(n-1, t+1) == zeta(n, t)`` wherever the walk has support
-    (tolerance 1e-12, checked in step t as soon as row t + 1 is sampled, so
+    (tolerance 1e-12, checked as part of step t, which samples row t + 1, so
     a coin fault at an earlier step surfaces first); the transformed coin
     then differs from ``ref`` in beta only.  Expected outcome: modulus and distribution
     deviations at rounding level at every step, while the relative-phase
     map drifts by ``xi - zeta``.
     """
-    return _verify("quasi", init, ref, phases.rows, t_final, inputs)
+    return _verify("quasi", init, ref, phases, t_final, inputs)
 
 
 def verify_exact_invariance(
@@ -350,11 +471,11 @@ def verify_exact_invariance(
 ) -> InvarianceReport:
     """Run a walk and its common-phase dressed copy side by side.
 
-    Requires ``zeta == xi`` over the support (structural for pairs built
-    from one callable, otherwise checked pointwise at 1e-12 on each row
+    Requires ``zeta == xi`` over the support (structural for pairs that are
+    symmetric by construction, otherwise checked pointwise at 1e-12 on each row
     before its first use, so a row ``t`` split raises
     :class:`PhaseConditionError` naming its first site).  Every reported
     deviation, componentwise distance included, should sit at rounding
     level for any ``xi`` whatsoever.
     """
-    return _verify("exact", init, ref, _twin_checked(phases), t_final, inputs)
+    return _verify("exact", init, ref, phases, t_final, inputs)

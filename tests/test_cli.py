@@ -141,8 +141,8 @@ sys.exit(main())
 def test_requests_beyond_memory_exit_2(tmp_path, argv, size):
     """A request whose arrays do not fit in memory exits 2 with one config
     error line naming the command and the allocation, not a traceback.
-    ``gauge`` computes every residual before it prints or creates its
-    output directory."""
+    The output directory is created only before the first file is written,
+    and ``gauge`` computes every residual before it prints."""
     src = str(Path(qwline.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
@@ -155,7 +155,7 @@ def test_requests_beyond_memory_exit_2(tmp_path, argv, size):
                                  f"Unable to allocate {size}")
     if argv[0] == "gauge":
         assert run.stdout == ""
-        assert not out.exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -173,6 +173,32 @@ def test_paths_that_cannot_be_opened_exit_2(tmp_path, capsys, argv, flag):
     assert main(argv + [str(v) for item in paths.items() for v in item]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("config error: ")
+
+
+@pytest.mark.parametrize("argv, table", [
+    (["evolve", "--t-final", "3", "--coin-file"], "directory"),
+    (["invariance", "--theta", "pi/3", "--t-final", "6", "--phase-file"], "nan"),
+    (["invariance", "--theta", "pi/3", "--t-final", "6", "--phase-file"], "short"),
+    (["closedform", "--theta", "0", "--method", "spectral", "--t-final", "3"], None),
+], ids=["coin_file_directory", "phase_file_nan", "phase_file_short", "closedform_spectral"])
+def test_failed_requests_leave_no_outdir(tmp_path, capsys, argv, table):
+    """A request that exits 2 before writing a file creates no directory:
+    an unreadable input, a malformed table, a table too short for the walk
+    (raised while verifying) and an unsupported method."""
+    if table == "directory":
+        argv = argv + [str(tmp_path)]
+    elif table is not None:
+        path = tmp_path / "phases.csv"
+        save_phase_field_csv(quasi_invariant_phases(0.1), t_max=6 if table == "nan" else 4,
+                             path=path)
+        if table == "nan":
+            _corrupt(path, "nan")
+        argv = argv + [str(path)]
+    out = tmp_path / "new" / "out"
+    assert main(argv + ["--outdir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error: ")
+    assert not out.parent.exists()
 
 
 def test_gauge_files_share_one_grid(tmp_path, capsys):

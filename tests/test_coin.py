@@ -133,6 +133,17 @@ def test_phase_field_constructors():
     assert not split.is_symmetric
 
 
+def test_constant_phase_pairs_declare_their_symmetry():
+    """One constant is a symmetric pair; two given constants are not, even
+    when equal, and a row sampler is symmetric only when declared so."""
+    assert PhaseField.constant(0.3).is_symmetric
+    assert not PhaseField.constant(0.3, 0.3).is_symmetric
+    assert not PhaseField.constant(0.1, 0.2).is_symmetric
+    rows = lambda ns, t: (np.zeros(len(ns)),) * 2  # noqa: E731
+    assert not PhaseField.from_rows(rows).is_symmetric
+    assert PhaseField.from_rows(rows, is_symmetric=True).is_symmetric
+
+
 def test_coin_csv_round_trip(tmp_path):
     f = CoinField.from_functions(
         theta_of=lambda n, t: 0.4 + 0.003 * n,

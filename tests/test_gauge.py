@@ -11,6 +11,7 @@ from qwline import (
     CoinAngles,
     CoinField,
     GridError,
+    InitialState,
     PhaseField,
     PotentialField,
     SmoothPhasePair,
@@ -26,6 +27,7 @@ from qwline import (
     save_phase_field_csv,
     save_residual_csv,
     transform_coin_field,
+    verify_exact_invariance,
 )
 from qwline.cli import _smooth_pair
 from qwline.gauge import _BLOCK_ROWS
@@ -594,6 +596,24 @@ def test_lattice_phases_sample_a_shared_callable_once_per_row():
     assert len(calls) == 1
     assert xi_row.shape == (7,) and np.array_equal(xi_row, zeta_row)
     assert np.array_equal(xi_row, np.sin(np.arange(-3.0, 4.0)) * 2.0)
+
+
+def test_lattice_phases_of_a_shared_callable_are_symmetric():
+    """A pair built from one callable declares zeta == xi, so a verification
+    samples it once per row and skips the twin check; two callables that
+    agree are not symmetric by construction."""
+    calls = []
+
+    def xi(X, T):
+        calls.append(T)
+        return 0.2 * np.sin(X) * T
+
+    phases = lattice_phases_from_smooth(SmoothPhasePair(xi, xi))
+    assert phases.is_symmetric
+    report = verify_exact_invariance(InitialState(0.6, 0.3), REF, phases, 12)
+    assert len(calls) == 13
+    assert report.max_component_deviation < 1e-13
+    assert not lattice_phases_from_smooth(SmoothPhasePair(xi, lambda X, T: xi(X, T))).is_symmetric
 
 
 def test_lattice_phases_of_the_wrong_shape_raise_grid_error():

@@ -15,6 +15,7 @@ from qwline import (
     PhaseConditionError,
     PhaseField,
     SpinorField,
+    TotalityError,
     UnsupportedParameterError,
     evolve,
     exact_transform,
@@ -26,6 +27,8 @@ from qwline import (
     verify_exact_invariance,
     verify_quasi_invariance,
 )
+from qwline import invariance
+from qwline.coin import _window_table_rows
 
 REF = CoinAngles(theta=np.pi / 3, alpha=0.2, beta=-0.4, chi=0.7)
 
@@ -339,6 +342,64 @@ def test_coin_fault_before_a_later_twin_split_is_reported_first():
         verify_exact_invariance(InitialState(eta=0.3), coin, _split_at(3, 7), 10)
 
 
+def _coin_table(t_max):
+    return CoinField(_window_table_rows(
+        [np.full((t_max + 1, 2 * t_max + 1), v) for v in (0.8, 0.1, 0.2, 0.3)], t_max, "coin field"))
+
+
+def _riding(fault_at):
+    return PhaseField(lambda n, t: 0.05 * (n - t) + (1e-6 if (n, t) == fault_at else 0.0),
+                      lambda n, t: 0.05 * (n + t))
+
+
+_HUGE = {(-2, 2): 1e308, (0, 2): 1e308, (2, 2): -1e308}
+
+
+def _overflowing_twins(split_at):
+    """Twin phases whose dressed coin overflows chi at (n=-1, t=1), as in
+    the common-phase case of the next test, and whose zeta splits from xi
+    by 1e-6 at ``split_at``."""
+    return PhaseField(lambda n, t: _HUGE.get((n, t), 0.0),
+                      lambda n, t: _HUGE.get((n, t), 0.0) + (1e-6 if (n, t) == split_at else 0.0))
+
+
+def _nan_theta(at):
+    return CoinField.from_functions(lambda n, t: float("nan") if (n, t) == at else 0.8,
+                                    lambda n, t: 0.0, lambda n, t: 0.0, lambda n, t: 0.0)
+
+
+_RIGHT = "xi must be constant along right-moving characteristics; xi(n+1, t+1) - xi(n, t) = "
+_TWINS = "common-phase dressing needs zeta == xi, but they differ by "
+
+
+@pytest.mark.parametrize("verify, coin, phases, error, message", [
+    # a characteristic fault at step 2 (row 3 against row 2) before a coin
+    # table that ends at step 5, and after one that ends at step 1
+    (verify_quasi_invariance, _coin_table(5), _riding((1, 3)), PhaseConditionError,
+     _RIGHT + "1.000e-06 at (n=0, t=2)"),
+    (verify_quasi_invariance, _coin_table(1), _riding((1, 3)), TotalityError,
+     "coin field has no entry at (n=-2, t=2)"),
+    # a dressed-coin overflow at step 1 before a twin split in row 4 (step
+    # 3), and after one in row 1 (step 0)
+    (verify_exact_invariance, REF, _overflowing_twins((0, 4)), UnsupportedParameterError,
+     "chi is not finite at (n=-1, t=1)"),
+    (verify_exact_invariance, REF, _overflowing_twins((1, 1)), PhaseConditionError,
+     _TWINS + "1.000e-06 at (n=1, t=1)"),
+    # a twin split in row 3 before a coin NaN at step 6, and after one at
+    # step 2
+    (verify_exact_invariance, _nan_theta((0, 6)), _split_at(1, 3), PhaseConditionError,
+     _TWINS + "1.000e-06 at (n=1, t=3)"),
+    (verify_exact_invariance, _nan_theta((0, 2)), _split_at(1, 3), UnsupportedParameterError,
+     "theta is not finite at (n=0, t=2)"),
+], ids=["characteristic-then-table", "table-then-characteristic", "overflow-then-split",
+        "split-then-overflow", "split-then-nan", "nan-then-split"])
+def test_faults_in_one_block_surface_in_step_order(verify, coin, phases, error, message):
+    """Of two faults at different steps of the same block, the earlier step's
+    is raised, with the message the steps taken one at a time give."""
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        verify(InitialState(eta=0.3), coin, phases, 10)
+
+
 def test_verification_coin_faults_name_the_first_site():
     """Both coin checks of a verification name the first bad site, then the
     first bad parameter there.  The base coin has theta bad at n = 3 and
@@ -470,16 +531,38 @@ def test_reports_are_bitwise_the_unmemoised_composition(case, t_final):
     assert got.to_json() == _unmemoised_report(kind, init, ref, phases, t_final).to_json()
 
 
+_BITWISE_CASES = ("quasi-constant", "quasi-formula", "quasi-profiles", "exact-shared",
+                  "exact-twin", "exact-constant", "exact-constant-coin")
+
+
+@pytest.mark.parametrize("block_sites, run_sites", [(1, 1), (50, 1), (50, 30), (8192, 30)],
+                         ids=["one-step", "two-step-blocks", "many-step-runs", "many-step-blocks"])
+def test_block_and_run_edges_keep_reports_and_sampling(monkeypatch, block_sites, run_sites):
+    """Reports stay bitwise the unmemoised composition, and rows are sampled
+    once each, wherever blocks and runs of steps begin and end.  At T = 24,
+    50 block sites give blocks of 7, 4 and 3 steps, then 2-step blocks and
+    a last 1-step one; 30 run sites give runs of up to 7 steps, cut where a
+    block ends, and 1-step runs from step 14 on."""
+    monkeypatch.setattr(invariance, "_BLOCK_SITES", block_sites)
+    monkeypatch.setattr(invariance, "_RUN_SITES", run_sites)
+    for case in _BITWISE_CASES:
+        test_reports_are_bitwise_the_unmemoised_composition(case, 24)
+    for t_final in (0, 1, 6, 13):
+        test_verification_samples_each_row_once(t_final)
+
+
 @pytest.mark.parametrize("verify, phases", [
     (verify_exact_invariance, PhaseField.constant(0.3)),
     (verify_quasi_invariance, quasi_invariant_phases(0.1)),
 ])
 def test_verification_peak_memory_is_bounded(verify, phases):
-    """tracemalloc peaks at T = 4000 (numpy 2.4): exact 3.95 MiB, quasi
-    3.10 MiB, of which the returned report holds 1.9 / 1.1 MiB.  Comparing
+    """tracemalloc peaks at T = 4000 (numpy 2.4): exact 3.73 MiB, quasi
+    2.86 MiB, of which the returned report holds 1.9 / 1.1 MiB.  Comparing
     blocks of 32 steps whatever their width, instead of blocks of about
-    8192 sites, took them to 25.0 / 19.4 MiB.  The cap sits about 15 %
-    above the exact reading."""
+    8192 sites, took them to 25.0 / 19.4 MiB; forming the dressed coins of
+    whole 8192-site blocks at once, instead of runs of 4096 sites, took the
+    exact reading to 4.46 MiB.  The cap sits about 20 % above the exact
+    reading."""
     init, coin = InitialState(0.7, -0.4), CoinAngles(0.9, 0.2, -0.3, 0.1)
     verify(init, coin, phases, 3)
     tracemalloc.start()
