@@ -283,12 +283,17 @@ def _wrote(path: Path) -> None:
     print(f"wrote {path}")
 
 
-def _save_comparison(final, theta: float, eta: float, phi: float, path: Path) -> None:
-    """Write the distribution of ``final`` beside its stationary envelope and
-    the classical walk at the same step."""
+def _comparison(final, theta: float, eta: float, phi: float) -> list:
+    """The columns of a comparison file: the sites of ``final``, its
+    distribution, its stationary envelope and the classical walk at the same
+    step.  Raises before any file is written if the envelope is undefined."""
     ns, t = final.n_values, final.t
-    save_comparison_csv(path, ns, pmf(final), stationary_pmf(ns, t, theta, eta, phi),
-                        classical_pmf(math.cos(theta) ** 2, t))
+    return [ns, pmf(final), stationary_pmf(ns, t, theta, eta, phi),
+            classical_pmf(math.cos(theta) ** 2, t)]
+
+
+def _save_comparison(path: Path, columns) -> None:
+    save_comparison_csv(path, *columns)
     _wrote(path)
 
 
@@ -330,12 +335,12 @@ def _cmd_closedform(cfg: RunConfig) -> int:
 def _cmd_observables(cfg: RunConfig) -> int:
     init, coin = _init(cfg), _angles(cfg)
     final, records = evolve(init, coin, cfg.t_final, record_trajectory=True)
+    columns = _comparison(final, cfg.theta, cfg.eta, cfg.alpha + cfg.beta - cfg.gamma)
     out = _outdir(cfg)
     traj = out / "trajectory.csv"
     save_trajectory_csv(traj, records)
     _wrote(traj)
-    phi = cfg.alpha + cfg.beta - cfg.gamma
-    _save_comparison(final, cfg.theta, cfg.eta, phi, out / f"comparison_t{cfg.t_final}.csv")
+    _save_comparison(out / f"comparison_t{cfg.t_final}.csv", columns)
     return EXIT_OK
 
 
@@ -445,8 +450,8 @@ def _cmd_figures(cfg: RunConfig) -> int:
         phi, t_final = math.pi, 100
         init = InitialState(eta=eta, gamma=-phi)  # alpha = beta = 0
         final = evolve(init, CoinAngles(theta), t_final)
-        _save_comparison(final, theta, eta, phi,
-                         _outdir(cfg) / f"fig{cfg.which}_comparison_t{t_final}.csv")
+        columns = _comparison(final, theta, eta, phi)
+        _save_comparison(_outdir(cfg) / f"fig{cfg.which}_comparison_t{t_final}.csv", columns)
         return EXIT_OK
     if cfg.which == "2":
         theta = eta = math.pi / 6

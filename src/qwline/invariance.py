@@ -19,7 +19,6 @@ finite differences of the dressing along the two propagation directions
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass
 from itertools import accumulate
 
@@ -177,38 +176,21 @@ def relative_phase_map(state: SpinorField, floor: float = _PAIR_PHASE_FLOOR):
     return ns, phases
 
 
-# stored sites per block of compared steps: each step's row of occupied
-# sites, zero-padded to the block's widest; 512 KiB of amplitudes
-_BLOCK_SITES = 8192
-# occupied sites per run of steps whose rows are sampled, checked and turned
-# into coin entries at once; a wider step is a run by itself.  Runs as large
-# as whole blocks raised the T = 4000 exact verification's tracemalloc peak
-# from 3.7 to 4.5 MiB, and their arrays, past the allocator's 128 KiB
-# threshold, came back as fresh pages for every run
-_RUN_SITES = 4096
+# occupied sites per chunk of steps whose rows are sampled, checked,
+# stepped and compared at once, packed one after another; a wider step is a
+# chunk by itself.  Chunks of 8192 sites raised the T = 4000 exact
+# verification's tracemalloc peak from 3.29 to 3.90 MiB
+_CHUNK_SITES = 4096
 
 
-def _blocks(t_final: int):
-    """Consecutive ranges of the steps ``0 .. t_final``, each as long as its
-    rows of ``t + 1`` occupied sites, zero-padded to the widest, stay within
-    ``_BLOCK_SITES`` sites, and never shorter than one step."""
-    t0 = 0
-    while t0 <= t_final:
-        # the most steps k with k (t0 + k) <= _BLOCK_SITES
-        k = (math.isqrt(t0 * t0 + 4 * _BLOCK_SITES) - t0) // 2
-        ts = range(t0, min(t0 + max(k, 1), t_final + 1))
-        yield ts
-        t0 = ts.stop
-
-
-def _runs(steps: range):
-    """Consecutive ranges of ``steps`` whose rows of ``t + 1`` occupied
-    sites hold at most ``_RUN_SITES`` sites together, and never shorter than
-    one step."""
-    start = steps.start
-    while start < steps.stop:
+def _chunks(t_final: int):
+    """Consecutive ranges of the steps ``0 .. t_final - 1`` whose coin rows
+    of t + 1 occupied sites hold at most ``_CHUNK_SITES`` sites together,
+    and never shorter than one step."""
+    start = 0
+    while start < t_final:
         stop, sites = start + 1, start + 1
-        while stop < steps.stop and sites + stop + 1 <= _RUN_SITES:
+        while stop < t_final and sites + stop + 1 <= _CHUNK_SITES:
             stop, sites = stop + 1, sites + stop + 1
         yield range(start, stop)
         start = stop
@@ -220,30 +202,31 @@ def _first_bad(ok, ends):
     False, else None."""
     if ok.all():
         return None
-    ok = ok.reshape(-1, ok.shape[-1]).all(axis=0)
-    return int(np.searchsorted(ends, ok.argmin(), side="right"))
+    _, i = first_fault(ok.reshape(-1, ok.shape[-1]))
+    return int(np.searchsorted(ends, i, side="right"))
 
 
-def _sample_run(base, phases, run, ends, rows, coin, pair, dressing, t0):
+def _sample_chunk(base, phases, steps, ends, rows, coin, pair, dressing):
     """Sample base-coin row t, then phase row t + 1, of each step t in
-    ``run``, once each.
+    ``steps``, once each.
 
-    Step t's t + 1 sites end at offset ``ends[i]`` of the packed ``coin``
-    rows and of ``pair``, which takes xi, zeta of row t (``rows`` for the
-    first step) at n, then xi of row t + 1 at n + 1 and zeta at n - 1.  A
-    ``dressing`` block takes row t + 1 whole, as its row t + 1 - t0.
+    Step i, at t = ``steps[i]``, fills the t + 1 cells ending at offset
+    ``ends[i]`` of the packed ``coin`` rows and of ``pair``, which takes
+    xi, zeta of row t (``rows`` for the first step) at n, then xi of row
+    t + 1 at n + 1 and zeta at n - 1.  Rows t + 1, of t + 2 sites, end at
+    ``ends[i] + i + 1``: a ``dressing`` takes phase row t + 1 whole there.
     Returns the phase rows of the last step sampled, the number of steps
     sampled and the exception that stopped the sampling, if one did.
     """
     (xi, zeta), done = rows, 0
     try:
-        for t, end in zip(run, ends):
+        for t, end in zip(steps, ends):
             cells = slice(end - t - 1, end)
             coin[:, cells] = base.materialize(-t, t, t, 2)
             xi1, zeta1 = phases.rows(np.arange(-t - 1, t + 2, 2), t + 1)
             pair[:, cells] = xi, zeta, xi1[1:], zeta1[:-1]
             if dressing is not None:
-                dressing[:, t + 1 - t0, :t + 2] = xi1, zeta1
+                dressing[:, end + done - t - 1:end + done + 1] = xi1, zeta1
             xi, zeta = xi1, zeta1
             done += 1
     except Exception as exc:  # raised once the earlier steps are checked
@@ -251,26 +234,26 @@ def _sample_run(base, phases, run, ends, rows, coin, pair, dressing, t0):
     return (xi, zeta), done, None
 
 
-def _check_run(run, ends, shifted, pair=None, twins=None) -> None:
-    """Raise the error the steps ``run`` meet first, if any, with the
-    message of the row check that names its first site.
+def _check_chunk(steps, ends, shifted, pair=None, twins=None) -> None:
+    """Raise the error the ``steps`` meet first, if any, with the message of
+    the row check that names its first site.
 
-    Per step t, in order: the characteristics of the packed ``pair`` rows
-    (see :func:`_sample_run`), or ``zeta == xi`` on the zero-padded rows
-    t + 1 of ``twins``; then the packed dressed coin ``shifted`` being
-    finite.
+    Per step t, in order: the characteristics of the packed ``pair`` rows,
+    or ``zeta == xi`` on the packed rows t + 1 of ``twins`` (both laid out
+    as in :func:`_sample_chunk`); then the packed dressed coin ``shifted``
+    being finite.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         if pair is not None:
             bad = _first_bad(np.abs(pair[2:] - pair[:2]) <= _CONDITION_TOL, ends)
         elif twins is not None:
-            bad = _first_bad((np.abs(twins[0] - twins[1]) <= _CONDITION_TOL).ravel(),
-                             twins.shape[-1] * np.arange(1, len(run) + 1))
+            bad = _first_bad(np.abs(twins[0] - twins[1]) <= _CONDITION_TOL,
+                             [end + i + 1 for i, end in enumerate(ends)])
         else:
             bad = None
     unfinite = _first_bad(np.isfinite(shifted[1:]), ends)
     if bad is not None and (unfinite is None or bad <= unfinite):
-        t, end = run[bad], ends[bad]
+        t, end = steps[bad], ends[bad]
         if pair is not None:
             cells = slice(end - t - 1, end)
             _require_small(np.arange(-t, t + 1, 2), t,
@@ -278,60 +261,63 @@ def _check_run(run, ends, shifted, pair=None, twins=None) -> None:
                            (_LEFT_MOVING, pair[3, cells], pair[1, cells]))
         else:
             _require_small(np.arange(-t - 1, t + 2, 2), t + 1,
-                           (_COMMON_PHASE, *twins[:, bad, :t + 2]))
+                           (_COMMON_PHASE, *twins[:, end + bad - t - 1:end + bad + 1]))
     if unfinite is not None:
-        t, end = run[unfinite], ends[unfinite]
+        t, end = steps[unfinite], ends[unfinite]
         _require_finite(np.arange(-t, t + 1, 2), t, [a[end - t - 1:end] for a in shifted])
 
 
-def _step_run(run, ends, t0, amps, last, walk, dressed) -> None:
+def _step_chunk(steps, ends, amps, last, walk, dressed) -> None:
     """Step a walk under the coin entries ``walk`` and its dressed copy
-    under ``dressed`` over the steps ``run``, each from row t - t0 of the
-    block ``amps`` (``last`` for the step before the block) into row
-    t + 1 - t0.  Entries are packed as in :func:`_sample_run`; ``walk`` may
-    be the four scalars of a constant coin instead."""
+    under ``dressed`` over the ``steps``, from the rows ``last`` into the
+    first rows of ``amps``, then from each row into the next.  Entries and
+    rows are packed as in :func:`_sample_chunk`; ``walk`` may be the four
+    scalars of a constant coin instead."""
     packed = np.ndim(walk[0]) > 0
-    src = tuple(amps[:, run.start - t0, :run.start + 1] if run.start >= t0 else last)
-    for t, end in zip(run, ends):
+    src = tuple(last)
+    for i, (t, end) in enumerate(zip(steps, ends)):
         cells = slice(end - t - 1, end)
-        out = tuple(amps[:, t + 1 - t0, :t + 2])
+        out = tuple(amps[:, end + i - t - 1:end + i + 1])
         kernels.walk_step(src[0], src[1], out[0], out[1], 2,
                           *([e[cells] for e in walk] if packed else walk))
         kernels.walk_step(src[2], src[3], out[2], out[3], 2, *[e[cells] for e in dressed])
         src = out
 
 
-def _deviations(ts, a, b, dressing=None) -> list:
-    """Worst gaps of walk ``b`` from walk ``a`` at the occupied sites of each
-    step in ``ts``, in moduli, distribution and phase map, one dict per step.
-
-    ``a`` and ``b`` are ``(plus, minus)`` arrays whose row i holds the
-    amplitudes of step ``ts[i]``, zero-padded on the right.  Given the
-    ``(xi, zeta)`` rows of a common ``dressing``, also the worst distance of
-    ``b`` from the dressed ``a``, componentwise and in phase.  A padded cell
-    is a zero amplitude on both walks: it is below both phase floors and
-    adds ``|0 - 0| = 0`` to every maximum, and a step with no site above
-    the floors reads a phase gap of 0.0.
-    """
-    (ap, am), (bp, bm) = ((np.abs(plus), np.abs(minus)) for plus, minus in (a, b))
-    keep = (np.array([ap, am, bp, bm]) > _PAIR_PHASE_FLOOR).all(axis=0)
-    pa, pb = (np.angle(plus * np.conj(minus)) for plus, minus in (a, b))
-    out = {
-        "modulus": np.maximum(np.abs(bp - ap).max(axis=1), np.abs(bm - am).max(axis=1)),
-        "pmf": np.abs((bp ** 2 + bm ** 2) - (ap ** 2 + am ** 2)).max(axis=1),
-        "phase_map": np.abs(np.angle(np.exp(1j * (pb - pa)))).max(
-            axis=1, initial=0.0, where=keep),
-    }
+def _gaps(amps, dressing=None):
+    """Gaps of a dressed walk from its walk at each site of the packed rows
+    ``amps`` (plus, minus, dressed plus, dressed minus), one row per gap:
+    in the plus and minus moduli, the distribution and the phase map.  Given
+    the ``(xi, zeta)`` rows of a common ``dressing``, packed alike, also the
+    distance of the dressed walk from the dressed undressed one in each
+    component, then in the phase of each.  A phase gap where a modulus is at
+    or below its floor counts as 0.0, which no gap is below, so a step with
+    no site above the floors reads 0.0 in each step's maximum."""
+    mods = np.abs(amps)
+    squares = mods ** 2
+    pa, pb = np.angle(amps[::2] * np.conj(amps[1::2]))
+    gaps = np.empty((4 if dressing is None else 8, amps.shape[1]))
+    np.abs(mods[2:] - mods[:2], out=gaps[:2])
+    np.abs((squares[2] + squares[3]) - (squares[0] + squares[1]), out=gaps[2])
+    np.abs(np.angle(np.exp(1j * (pb - pa))), out=gaps[3])
+    gaps[3, ~(mods > _PAIR_PHASE_FLOOR).all(axis=0)] = 0.0
     if dressing is not None:
-        dressed = [amps * np.exp(1j * phase) for amps, phase in zip(a, dressing)]
-        out["component"] = np.maximum(
-            *(np.abs(got - ref).max(axis=1) for ref, got in zip(dressed, b)))
-        out["relative_phase"] = np.maximum(*(
-            np.abs(np.angle(got * np.conj(ref))).max(
-                axis=1, initial=0.0, where=np.abs(ref) > _COMPONENT_PHASE_FLOOR)
-            for ref, got in zip(dressed, b)))
+        dressed = amps[:2] * np.exp(1j * dressing)
+        np.abs(amps[2:] - dressed, out=gaps[4:6])
+        np.abs(np.angle(amps[2:] * np.conj(dressed)), out=gaps[6:])
+        gaps[6:][~(np.abs(dressed) > _COMPONENT_PHASE_FLOOR)] = 0.0
+    return gaps
+
+
+def _deviations(maxima) -> list:
+    """One dict per step t = 0, 1, .. from ``maxima``, whose column t holds
+    the largest of each row of :func:`_gaps` at step t's sites."""
+    out = {"modulus": np.maximum(maxima[0], maxima[1]), "pmf": maxima[2], "phase_map": maxima[3]}
+    if len(maxima) > 4:
+        out |= {"component": np.maximum(maxima[4], maxima[5]),
+                "relative_phase": np.maximum(maxima[6], maxima[7])}
     columns = [v.tolist() for v in out.values()]
-    return [{"t": t, **dict(zip(out, row))} for t, *row in zip(ts, *columns)]
+    return [{"t": t, **dict(zip(out, row))} for t, row in enumerate(zip(*columns))]
 
 
 @dataclass(frozen=True)
@@ -363,68 +349,67 @@ class InvarianceReport:
 
 def _verify(kind, init, ref, phases, t_final, inputs) -> InvarianceReport:
     """Step a walk and its dressed copy side by side, and compare them one
-    block of steps at a time (see :func:`_blocks`).
+    chunk of steps at a time (see :func:`_chunks`).
 
     Step t samples base-coin row t, then phase row t + 1, each once.  Only
-    that is done step by step: a run of steps (see :func:`_runs`) is
-    sampled first, its rows packed one after another, and then checked in
-    one pass per check, the characteristics of row t + 1 against row t
-    (``quasi``) or ``zeta == xi`` on row t + 1 for an ``exact`` pair that is
-    not symmetric by construction (row 0 is checked as it is sampled).  The
-    run's dressed coin is formed and checked finite, and its coin entries
-    taken, at once.  If sampling step s raises, the checks of the run's
-    steps before s run first, so every error is the one the steps taken in
-    order meet first.  Both walks then step from row i into row i + 1 of
-    the block's amplitude buffer, which :func:`_deviations` compares as it
-    stands; the comparisons raise nothing.
+    that is done step by step: a chunk is sampled first, its rows packed
+    one after another, and then checked in one pass per check, the
+    characteristics of row t + 1 against row t (``quasi``) or ``zeta ==
+    xi`` on row t + 1 for an ``exact`` pair that is not symmetric by
+    construction (row 0 is checked as it is sampled).  The chunk's dressed
+    coin is formed and checked finite, and its coin entries taken, at once.
+    If sampling step s raises, the checks of the chunk's steps before s run
+    first, so every error is the one the steps taken in order meet first.
+    Both walks then step from the last rows of the chunk before into the
+    chunk's packed amplitude rows t + 1.  Their :func:`_gaps` are taken as
+    the rows stand and ``np.maximum.reduceat`` keeps each step's largest,
+    so the comparisons raise nothing and hold no padding.
     """
     if t_final < 0:
         raise ValueError(f"t_final must be non-negative, got {t_final}")
     base = CoinField.lift(ref)
     c = base.angles
-    constant = None if c is None else coin_entries(c.theta, c.alpha, c.beta, c.chi)
+    walk = None if c is None else coin_entries(c.theta, c.alpha, c.beta, c.chi)
     common = kind == "exact"
-    twins = common and not phases.is_symmetric
-    xi, zeta = (_twin_checked(phases) if common else phases.rows)(np.zeros(1, dtype=np.int64), 0)
+    rows = (_twin_checked(phases) if common else phases.rows)(np.zeros(1, dtype=np.int64), 0)
     start = localized_state(init)
-    # amplitudes (plus, minus, dressed plus, dressed minus) of the step before
-    # a block, and the phase rows of the step before a run
+    # amplitudes (plus, minus, dressed plus, dressed minus) of the step
+    # before a chunk
     last = np.array([start.plus_amps, start.minus_amps,
-                     start.plus_amps * np.exp(1j * xi), start.minus_amps * np.exp(1j * zeta)])
-    rows = xi, zeta
-
-    def take(run, t0, amps, dressing):
-        """Take the steps t -> t + 1 for t in ``run`` into the block ``amps``
-        (and ``dressing``), whose row r holds step t0 + r."""
-        nonlocal rows
-        ends = list(accumulate(range(run.start + 1, run.stop + 1)))
-        coin, pair = np.empty((4, ends[-1])), np.empty((4, ends[-1]))
-        rows, done, fault = _sample_run(base, phases, run, ends, rows, coin, pair, dressing, t0)
-        if fault is not None:
-            run, ends = run[:done], ends[:done]
-            coin, pair = coin[:, :ends[-1] if done else 0], pair[:, :ends[-1] if done else 0]
+                     start.plus_amps * np.exp(1j * rows[0]), start.minus_amps * np.exp(1j * rows[1])])
+    maxima = np.empty((8 if common else 4, t_final + 1))
+    maxima[:, :1] = _gaps(last, np.array(rows) if common else None)
+    for steps in _chunks(t_final):
+        ends = list(accumulate(range(steps.start + 1, steps.stop + 1)))
+        # one buffer per chunk: coin and pair rows of k cells, then the
+        # dressing and amplitude rows of w.  As separate arrays, glibc gave
+        # a chunk's memory back to the system and faulted it in again for
+        # the next: 273 000 minor page faults in an exact T = 4000
+        # verification, against about 30 000 with one buffer
+        k, w = ends[-1], ends[-1] + len(steps)
+        buf = np.empty(8 * k + 10 * w)
+        coin, pair = buf[:4 * k].reshape(4, k), buf[4 * k:8 * k].reshape(4, k)
+        dressing = buf[8 * k:8 * k + 2 * w].reshape(2, w) if common else None
+        amps = buf[8 * k + 2 * w:].view(np.complex128).reshape(4, w)
+        rows, done, fault = _sample_chunk(base, phases, steps, ends, rows, coin, pair, dressing)
+        if fault is not None:  # check the steps sampled before it first
+            steps, ends = steps[:done], ends[:done]
+            sites = ends[-1] if done else 0
+            coin, pair = coin[:, :sites], pair[:, :sites]
+            dressing = dressing[:, :sites + done] if common else None
         # pair already holds row t + 1 at n + 1 (xi) and n - 1 (zeta)
         shifted = _shifted(coin, *pair, ..., ...)
-        ahead = run.start + 1 - t0
-        _check_run(run, ends, shifted, None if common else pair,
-                   dressing[:, ahead:ahead + done] if twins else None)
+        _check_chunk(steps, ends, shifted, None if common else pair,
+                     None if phases.is_symmetric else dressing)
         if fault is not None:
             raise fault
-        _step_run(run, ends, t0, amps, last,
-                  constant if c is not None else coin_entries(*coin), coin_entries(*shifted))
-
-    per_time = []
-    for ts in _blocks(t_final):
-        amps = np.zeros((4, len(ts), ts[-1] + 1), dtype=np.complex128)
-        dressing = np.zeros((2, len(ts), ts[-1] + 1)) if common else None
-        if not ts.start:
-            amps[:, 0, :1] = last
-            if common:
-                dressing[:, 0, :1] = rows
-        for run in _runs(range(max(ts.start - 1, 0), ts.stop - 1)):
-            take(run, ts.start, amps, dressing)
-        last = amps[:, -1].copy()
-        per_time += _deviations(ts, amps[:2], amps[2:], dressing)
+        _step_chunk(steps, ends, amps, last,
+                    walk if walk is not None else coin_entries(*coin), coin_entries(*shifted))
+        np.maximum.reduceat(_gaps(amps, dressing),
+                            [end + i - t - 1 for i, (t, end) in enumerate(zip(steps, ends))],
+                            axis=1, out=maxima[:, steps.start + 1:steps.stop + 1])
+        last = amps[:, -steps.stop - 1:].copy()
+    per_time = _deviations(maxima)
 
     def worst(key):
         return max(d[key] for d in per_time) if key in per_time[0] else None

@@ -180,11 +180,16 @@ def test_paths_that_cannot_be_opened_exit_2(tmp_path, capsys, argv, flag):
     (["invariance", "--theta", "pi/3", "--t-final", "6", "--phase-file"], "nan"),
     (["invariance", "--theta", "pi/3", "--t-final", "6", "--phase-file"], "short"),
     (["closedform", "--theta", "0", "--method", "spectral", "--t-final", "3"], None),
-], ids=["coin_file_directory", "phase_file_nan", "phase_file_short", "closedform_spectral"])
+    (["observables", "--theta", "pi/2", "--t-final", "5"], None),
+    (["observables", "--theta", "0", "--t-final", "5"], None),
+], ids=["coin_file_directory", "phase_file_nan", "phase_file_short", "closedform_spectral",
+        "observables_theta_pi_2", "observables_theta_0"])
 def test_failed_requests_leave_no_outdir(tmp_path, capsys, argv, table):
-    """A request that exits 2 before writing a file creates no directory:
-    an unreadable input, a malformed table, a table too short for the walk
-    (raised while verifying) and an unsupported method."""
+    """A request that exits 2 creates no directory and writes no file: an
+    unreadable input, a malformed table, a table too short for the walk
+    (raised while verifying), an unsupported method, and an observables run
+    whose stationary envelope is undefined (theta at 0 or pi/2), which is
+    found before the trajectory file is written."""
     if table == "directory":
         argv = argv + [str(tmp_path)]
     elif table is not None:

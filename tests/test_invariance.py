@@ -394,10 +394,49 @@ _TWINS = "common-phase dressing needs zeta == xi, but they differ by "
 ], ids=["characteristic-then-table", "table-then-characteristic", "overflow-then-split",
         "split-then-overflow", "split-then-nan", "nan-then-split"])
 def test_faults_in_one_block_surface_in_step_order(verify, coin, phases, error, message):
-    """Of two faults at different steps of the same block, the earlier step's
+    """Of two faults at different steps of the same chunk, the earlier step's
     is raised, with the message the steps taken one at a time give."""
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         verify(InitialState(eta=0.3), coin, phases, 10)
+
+
+def _phase_table(t_max):
+    """``quasi_invariant_phases(0.1)`` tabulated on rows 0 .. t_max."""
+    ns, quasi = np.arange(-t_max, t_max + 1), quasi_invariant_phases(0.1)
+    rows = np.array([quasi.rows(ns, t) for t in range(t_max + 1)])
+    return PhaseField.from_rows(_window_table_rows(list(rows.transpose(1, 0, 2)), t_max, "phase field"))
+
+
+@pytest.mark.parametrize("verify, coin, phases, error, message", [
+    # first step, 7: sampling stops before any step of the chunk is
+    # sampled, or the checks find a bad coin row
+    (verify_quasi_invariance, _coin_table(6), quasi_invariant_phases(0.1), TotalityError,
+     "coin field has no entry at (n=-7, t=7)"),
+    (verify_quasi_invariance, REF, _phase_table(7), TotalityError,
+     "phase field has no entry at (n=-8, t=8)"),
+    (verify_exact_invariance, _nan_theta((-3, 7)), _split_at(1, 9), UnsupportedParameterError,
+     "theta is not finite at (n=-3, t=7)"),
+    # last step, 9: sampled after steps 7 and 8, or checked with them; the
+    # two phase faults sit at the first site of its packed rows
+    (verify_exact_invariance, _coin_table(8), _split_at(2, 12), TotalityError,
+     "coin field has no entry at (n=-9, t=9)"),
+    (verify_quasi_invariance, _coin_table(12), _riding((-8, 10)), PhaseConditionError,
+     _RIGHT + "1.000e-06 at (n=-9, t=9)"),
+    (verify_exact_invariance, _formula_coin(), _split_at(-10, 10), PhaseConditionError,
+     _TWINS + "1.000e-06 at (n=-10, t=10)"),
+    (verify_exact_invariance, _nan_theta((1, 9)), _split_at(2, 11), UnsupportedParameterError,
+     "theta is not finite at (n=1, t=9)"),
+], ids=["coin-table-first", "phase-table-first", "nan-first", "coin-table-last",
+        "characteristic-last", "split-last", "nan-last"])
+def test_faults_at_chunk_edges(monkeypatch, verify, coin, phases, error, message):
+    """With 30 chunk sites, steps 7, 8 and 9 form one chunk.  A fault at its
+    first or last step raises the message the steps taken one at a time
+    give, whether sampling raises it or a check of the sampled rows finds
+    it."""
+    monkeypatch.setattr(invariance, "_CHUNK_SITES", 30)
+    assert range(7, 10) in invariance._chunks(12)
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        verify(InitialState(eta=0.3), coin, phases, 12)
 
 
 def test_verification_coin_faults_name_the_first_site():
@@ -535,20 +574,36 @@ _BITWISE_CASES = ("quasi-constant", "quasi-formula", "quasi-profiles", "exact-sh
                   "exact-twin", "exact-constant", "exact-constant-coin")
 
 
-@pytest.mark.parametrize("block_sites, run_sites", [(1, 1), (50, 1), (50, 30), (8192, 30)],
-                         ids=["one-step", "two-step-blocks", "many-step-runs", "many-step-blocks"])
-def test_block_and_run_edges_keep_reports_and_sampling(monkeypatch, block_sites, run_sites):
+@pytest.mark.parametrize("chunk_sites", [1, 30, invariance._CHUNK_SITES],
+                         ids=["one-step", "many-step-chunks", "default"])
+def test_block_and_run_edges_keep_reports_and_sampling(monkeypatch, chunk_sites):
     """Reports stay bitwise the unmemoised composition, and rows are sampled
-    once each, wherever blocks and runs of steps begin and end.  At T = 24,
-    50 block sites give blocks of 7, 4 and 3 steps, then 2-step blocks and
-    a last 1-step one; 30 run sites give runs of up to 7 steps, cut where a
-    block ends, and 1-step runs from step 14 on."""
-    monkeypatch.setattr(invariance, "_BLOCK_SITES", block_sites)
-    monkeypatch.setattr(invariance, "_RUN_SITES", run_sites)
+    once each, wherever chunks of steps begin and end.  At T = 24, 30 chunk
+    sites give chunks of 7, 3, 2 and 2 steps, then 1-step chunks from step
+    14 on; the default holds all 24 steps in one chunk."""
+    monkeypatch.setattr(invariance, "_CHUNK_SITES", chunk_sites)
     for case in _BITWISE_CASES:
         test_reports_are_bitwise_the_unmemoised_composition(case, 24)
     for t_final in (0, 1, 6, 13):
         test_verification_samples_each_row_once(t_final)
+
+
+@pytest.mark.parametrize("chunk_sites", [1, 30, invariance._CHUNK_SITES])
+def test_chunks_cover_the_steps_in_order(monkeypatch, chunk_sites):
+    """The chunks hold steps 0 .. T - 1 once each, in order.  Step t has
+    t + 1 coin sites; a chunk holds at most ``_CHUNK_SITES`` of them unless
+    it is a single step, and ends only where the next step would not fit."""
+    monkeypatch.setattr(invariance, "_CHUNK_SITES", chunk_sites)
+    for t_final in (0, 1, 13, 24, 100, 4000):
+        chunks = list(invariance._chunks(t_final))
+        assert [t for steps in chunks for t in steps] == list(range(t_final))
+        for steps in chunks:
+            sites = sum(t + 1 for t in steps)
+            assert len(steps) == 1 or sites <= chunk_sites
+            assert steps.stop == t_final or sites + steps.stop + 1 > chunk_sites
+    if chunk_sites == 30:
+        assert list(invariance._chunks(24))[:5] == [range(0, 7), range(7, 10), range(10, 12),
+                                                    range(12, 14), range(14, 15)]
 
 
 @pytest.mark.parametrize("verify, phases", [
@@ -556,13 +611,11 @@ def test_block_and_run_edges_keep_reports_and_sampling(monkeypatch, block_sites,
     (verify_quasi_invariance, quasi_invariant_phases(0.1)),
 ])
 def test_verification_peak_memory_is_bounded(verify, phases):
-    """tracemalloc peaks at T = 4000 (numpy 2.4): exact 3.73 MiB, quasi
-    2.86 MiB, of which the returned report holds 1.9 / 1.1 MiB.  Comparing
-    blocks of 32 steps whatever their width, instead of blocks of about
-    8192 sites, took them to 25.0 / 19.4 MiB; forming the dressed coins of
-    whole 8192-site blocks at once, instead of runs of 4096 sites, took the
-    exact reading to 4.46 MiB.  The cap sits about 20 % above the exact
-    reading."""
+    """tracemalloc peaks at T = 4000 (numpy 2.4): exact 3.29 MiB, quasi
+    2.29 MiB, of which the returned report holds 1.9 / 1.1 MiB.  Comparing
+    blocks of 32 steps whatever their width took them to 25.0 / 19.4 MiB,
+    and chunks of 8192 sites, instead of 4096, to 3.90 / 3.16 MiB.  The cap
+    sits about 35 % above the exact reading."""
     init, coin = InitialState(0.7, -0.4), CoinAngles(0.9, 0.2, -0.3, 0.1)
     verify(init, coin, phases, 3)
     tracemalloc.start()
