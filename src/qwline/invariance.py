@@ -196,16 +196,6 @@ def _chunks(t_final: int):
         start = stop
 
 
-def _first_bad(ok, ends):
-    """The first of the rows packed one after another along the last axis
-    of the mask ``ok``, ending at the offsets ``ends``, where ``ok`` is
-    False, else None."""
-    if ok.all():
-        return None
-    _, i = first_fault(ok.reshape(-1, ok.shape[-1]))
-    return int(np.searchsorted(ends, i, side="right"))
-
-
 def _sample_chunk(base, phases, steps, ends, rows, coin, pair, dressing):
     """Sample base-coin row t, then phase row t + 1, of each step t in
     ``steps``, once each.
@@ -234,37 +224,35 @@ def _sample_chunk(base, phases, steps, ends, rows, coin, pair, dressing):
     return (xi, zeta), done, None
 
 
-def _check_chunk(steps, ends, shifted, pair=None, twins=None) -> None:
+def _check_chunk(steps, ends, shifted, pair=None, twins=None, fault=None) -> None:
     """Raise the error the ``steps`` meet first, if any, with the message of
-    the row check that names its first site.
+    the row check that names its first site; then raise ``fault``, the
+    error that stopped the chunk's sampling, if one did.
 
     Per step t, in order: the characteristics of the packed ``pair`` rows,
     or ``zeta == xi`` on the packed rows t + 1 of ``twins`` (both laid out
     as in :func:`_sample_chunk`); then the packed dressed coin ``shifted``
-    being finite.
+    being finite.  One pass per check covers the whole chunk; only when one
+    fails, or sampling raised, are the steps replayed one at a time.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         if pair is not None:
-            bad = _first_bad(np.abs(pair[2:] - pair[:2]) <= _CONDITION_TOL, ends)
-        elif twins is not None:
-            bad = _first_bad(np.abs(twins[0] - twins[1]) <= _CONDITION_TOL,
-                             [end + i + 1 for i, end in enumerate(ends)])
+            held = (np.abs(pair[2:] - pair[:2]) <= _CONDITION_TOL).all()
         else:
-            bad = None
-    unfinite = _first_bad(np.isfinite(shifted[1:]), ends)
-    if bad is not None and (unfinite is None or bad <= unfinite):
-        t, end = steps[bad], ends[bad]
+            held = twins is None or (np.abs(twins[0] - twins[1]) <= _CONDITION_TOL).all()
+    if fault is None and held and np.isfinite(shifted[1:]).all():
+        return
+    for i, (t, end) in enumerate(zip(steps, ends)):
+        cells, ns = slice(end - t - 1, end), np.arange(-t, t + 1, 2)
         if pair is not None:
-            cells = slice(end - t - 1, end)
-            _require_small(np.arange(-t, t + 1, 2), t,
-                           (_RIGHT_MOVING, pair[2, cells], pair[0, cells]),
+            _require_small(ns, t, (_RIGHT_MOVING, pair[2, cells], pair[0, cells]),
                            (_LEFT_MOVING, pair[3, cells], pair[1, cells]))
-        else:
+        elif twins is not None:
             _require_small(np.arange(-t - 1, t + 2, 2), t + 1,
-                           (_COMMON_PHASE, *twins[:, end + bad - t - 1:end + bad + 1]))
-    if unfinite is not None:
-        t, end = steps[unfinite], ends[unfinite]
-        _require_finite(np.arange(-t, t + 1, 2), t, [a[end - t - 1:end] for a in shifted])
+                           (_COMMON_PHASE, *twins[:, end + i - t - 1:end + i + 1]))
+        _require_finite(ns, t, [a[cells] for a in shifted])
+    if fault is not None:
+        raise fault
 
 
 def _step_chunk(steps, ends, amps, last, walk, dressed) -> None:
@@ -400,9 +388,7 @@ def _verify(kind, init, ref, phases, t_final, inputs) -> InvarianceReport:
         # pair already holds row t + 1 at n + 1 (xi) and n - 1 (zeta)
         shifted = _shifted(coin, *pair, ..., ...)
         _check_chunk(steps, ends, shifted, None if common else pair,
-                     None if phases.is_symmetric else dressing)
-        if fault is not None:
-            raise fault
+                     None if phases.is_symmetric else dressing, fault)
         _step_chunk(steps, ends, amps, last,
                     walk if walk is not None else coin_entries(*coin), coin_entries(*shifted))
         np.maximum.reduceat(_gaps(amps, dressing),

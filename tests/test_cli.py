@@ -1,8 +1,11 @@
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +23,8 @@ from qwline import (
     save_phase_field_csv,
     save_spinor_csv,
 )
-from qwline.cli import ConfigError, main, parse_angle
+from qwline.cli import (_COMMANDS, ConfigError, RunConfig, _build_config, build_parser,
+                        main, parse_angle)
 
 
 def test_parse_angle_forms():
@@ -537,3 +541,75 @@ def test_non_finite_sampled_angle_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "alpha is not finite at (n=0, t=0)" in err
     assert err.count("\n") == 1 and err.startswith("config error")
+
+
+@pytest.mark.parametrize("argv, name, bad", [
+    (["closedform", "--theta", "0.5", "--t-final", "3"], "method", "bogus"),
+    (["invariance", "--theta", "0.5", "--t-final", "3"], "family", "bogus"),
+    (["gauge"], "pair", "bogus"),
+    (["figures"], "which", "4"),
+])
+def test_a_bad_choice_is_one_rule_from_flag_or_file(tmp_path, capsys, argv, name, bad):
+    """A flag and its config-file value go through the same parser: the
+    same single config error line, exit 2 and no output directory."""
+    out = tmp_path / "out"
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({name: bad}))
+    errors = []
+    for extra in (["--" + name, bad], ["--config", str(cfg)]):
+        assert main(argv + extra + ["--outdir", str(out)]) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert errors[0].count("\n") == 1
+    assert errors[0].startswith(f"config error: unknown {name} {bad!r} (choose ")
+    assert not out.exists()
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def _options(capsys, command: str) -> dict:
+    """The entries of a subcommand's ``--help`` options list, by flag."""
+    with pytest.raises(SystemExit) as stop:
+        main([command, "--help"])
+    assert stop.value.code == 0
+    text = " ".join(capsys.readouterr().out.split("options:", 1)[1].split())
+    entries: dict = {}
+    for entry in re.split(r" (?=--[a-z])", text):
+        entries.setdefault(entry.split()[0], entry)  # a flag named in help comes later
+    return entries
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_help_names_every_field_with_its_default(capsys, command):
+    options = _options(capsys, command)
+    declared = {f.name: f.default for f in fields(RunConfig)}
+    spec = _COMMANDS[command]
+    for name in ("outdir", *spec.fields):
+        default = spec.tol if name == "tol" else declared[name]
+        if default is None:
+            assert "(default" not in options[_flag(name)]
+        else:
+            shown = ",".join(map(str, default)) if isinstance(default, tuple) else str(default)
+            assert options[_flag(name)].endswith(f"(default {shown})")
+
+
+def test_every_run_field_is_taken_by_a_command(capsys):
+    taken = set().union(*(_options(capsys, command) for command in _COMMANDS))
+    for f in fields(RunConfig):
+        if f.name != "command":
+            assert _flag(f.name) in taken
+
+
+def test_readme_command_line_examples_parse():
+    """Every ``qwline`` line of the README's command-line block builds its
+    run config; nothing is run."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    examples = [shlex.split(line)[1:] for line in block.splitlines()
+                if line.startswith("qwline ")]
+    assert len(examples) >= 9
+    for argv in examples:
+        cfg = _build_config(build_parser().parse_args(argv))
+        assert cfg.command == argv[0]
