@@ -364,7 +364,7 @@ def _cmd_invariance(cfg: RunConfig) -> int:
             with np.errstate(over="ignore", invalid="ignore"):
                 return (a * ns * t,) * 2
 
-        phases = PhaseField.from_rows(bilinear, is_symmetric=True)
+        phases = PhaseField.from_rows(bilinear)
         inputs["a"] = a
     if cfg.family == "quasi":
         report = verify_quasi_invariance(init, coin, phases, cfg.t_final, inputs=inputs)

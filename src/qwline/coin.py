@@ -12,7 +12,7 @@ phases used to build one walk out of another.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -121,17 +121,19 @@ class CoinField:
     sites ``ns`` at step ``t``.  Every backing implements it: constants,
     scalar callables evaluated through :func:`sample`, dense tables loaded
     from file and the dressing transforms.  ``angles`` holds the constant
-    angles of a homogeneous field, else ``None``.
+    angles of a field built by :meth:`homogeneous`, else ``None``.
     """
 
     rows: Callable[[np.ndarray, int], tuple]
-    angles: CoinAngles | None = None
+    angles: CoinAngles | None = field(default=None, init=False)
 
     @classmethod
     def homogeneous(cls, c: CoinAngles) -> "CoinField":
         """Lift constant angles to a (trivially) site/time-dependent field."""
         values = (c.theta, c.alpha, c.beta, c.chi)
-        return cls(lambda ns, t: tuple(np.full(len(ns), v) for v in values), c)
+        lifted = cls(lambda ns, t: tuple(np.full(len(ns), v) for v in values))
+        object.__setattr__(lifted, "angles", c)
+        return lifted
 
     @classmethod
     def from_functions(cls, theta_of, alpha_of, beta_of, chi_of) -> "CoinField":
@@ -194,28 +196,24 @@ class PhaseField:
     float arrays at the integer sites ``ns`` at step ``t``, backed like a
     :class:`CoinField`: two scalar callables ``(n, t) -> radians`` passed to
     the constructor and evaluated through :func:`sample`, constants, dense
-    tables loaded from file, or any row sampler (:meth:`from_rows`).  A pair
-    ``is_symmetric`` when ``zeta == xi`` by construction: one callable passed
-    twice, sampled once per row and its row returned as both components, a
-    single constant, or a row sampler declared so.
+    tables loaded from file, or any row sampler (:meth:`from_rows`).  One
+    callable passed twice is sampled once per row, its row returned as both
+    components.
     """
 
     def __init__(self, xi_of: Callable[[int, int], float],
                  zeta_of: Callable[[int, int], float]):
-        self.is_symmetric = zeta_of is xi_of
-        if self.is_symmetric:
+        if zeta_of is xi_of:
             self.rows = lambda ns, t: (sample(xi_of, ns, t),) * 2
         else:
             self.rows = lambda ns, t: (sample(xi_of, ns, t), sample(zeta_of, ns, t))
 
     @classmethod
-    def from_rows(cls, rows: Callable[[np.ndarray, int], tuple],
-                  is_symmetric: bool = False) -> "PhaseField":
-        """A pair backed directly by a row sampler ``rows(ns, t) -> (xi, zeta)``;
-        ``is_symmetric`` declares its two rows equal by construction."""
-        field = cls.__new__(cls)
-        field.rows, field.is_symmetric = rows, is_symmetric
-        return field
+    def from_rows(cls, rows: Callable[[np.ndarray, int], tuple]) -> "PhaseField":
+        """A pair backed directly by a row sampler ``rows(ns, t) -> (xi, zeta)``."""
+        pair = cls.__new__(cls)
+        pair.rows = rows
+        return pair
 
     @classmethod
     def from_functions(cls, xi_of, zeta_of) -> "PhaseField":
@@ -223,11 +221,10 @@ class PhaseField:
 
     @classmethod
     def constant(cls, xi: float, zeta: float | None = None) -> "PhaseField":
-        """Constant phases; without ``zeta`` the pair is symmetric."""
+        """Constant phases; without ``zeta`` both components carry ``xi``."""
         values = (xi, xi if zeta is None else zeta)
         return cls.from_rows(
-            lambda ns, t: tuple(np.full(len(ns), v, dtype=np.float64) for v in values),
-            is_symmetric=zeta is None)
+            lambda ns, t: tuple(np.full(len(ns), v, dtype=np.float64) for v in values))
 
     @classmethod
     def symmetric(cls, xi_of: Callable[[int, int], float]) -> "PhaseField":
@@ -257,10 +254,12 @@ def _window_table_rows(values: list, t_max: int, what: str):
 
 
 def _save_window_csv(path, header: str, t_max: int, rows) -> None:
-    """Write ``rows(ns, t)`` on the square window ``|n| <= t_max, 0 <= t <= t_max``."""
+    """Write ``rows(ns, t)`` on the square window ``|n| <= t_max, 0 <= t <= t_max``,
+    each row broadcast to the sites, so a scalar row is a constant column."""
     ns, ts = np.arange(-t_max, t_max + 1), np.arange(t_max + 1)
     values = zip(*(rows(ns, int(t)) for t in ts))
-    write_csv(path, header, [np.stack(v) for v in values], grid=(ns, ts))
+    columns = [np.stack([np.broadcast_to(row, ns.shape) for row in v]) for v in values]
+    write_csv(path, header, columns, grid=(ns, ts))
 
 
 def save_coin_field_csv(f: CoinField, t_max: int, path) -> None:

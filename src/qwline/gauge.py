@@ -45,8 +45,8 @@ class UnitSystem:
     """Lattice scales and the potential normalization.
 
     ``ell`` and ``tau`` are the lattice spacing and time step, tied by the
-    characteristic speed ``ell = c * tau``; ``hbar_over_e`` scales the
-    potentials.  Defaults put everything at 1.
+    characteristic speed ``ell = c * tau`` (to four ulps of the larger side);
+    ``hbar_over_e`` scales the potentials.  Defaults put everything at 1.
     """
 
     ell: float = 1.0
@@ -59,10 +59,10 @@ class UnitSystem:
             v = getattr(self, name)
             if not (np.isfinite(v) and v > 0):
                 raise ValueError(f"{name} must be finite and positive, got {v!r}")
-        if abs(self.ell - self.c * self.tau) > 1e-14:
-            raise ValueError(
-                f"scales are inconsistent: ell={self.ell!r} but c*tau={self.c * self.tau!r}"
-            )
+        # an overflowed c * tau has a NaN spacing, which no gap is within
+        ct = self.c * self.tau
+        if not abs(self.ell - ct) <= 4 * np.spacing(max(self.ell, ct)):
+            raise ValueError(f"scales are inconsistent: ell={self.ell!r} but c*tau={ct!r}")
 
 
 def finite_difference_transform(
@@ -220,16 +220,14 @@ def lattice_phases_from_smooth(
     """Evaluate a continuum pair at the lattice points ``X = n ell, T = t tau``.
 
     Each row is a one-row grid of :func:`_sample_pair`, so a callable
-    shared by ``xi`` and ``zeta`` runs once per row, and the pair is then
-    symmetric.
+    shared by ``xi`` and ``zeta`` runs once per row.
     """
-    ell, tau = units.ell, units.tau
 
     def rows(ns, t):
-        xi, zeta = _sample_pair(pair.xi, pair.zeta, ns * ell, np.array([t * tau]))
+        xi, zeta = _sample_pair(pair.xi, pair.zeta, ns * units.ell, np.array([t * units.tau]))
         return xi[0], zeta[0]
 
-    return PhaseField.from_rows(rows, is_symmetric=pair.xi is pair.zeta)
+    return PhaseField.from_rows(rows)
 
 
 def _domain_grid(domain, resolution: int, halo: int = 0):

@@ -40,6 +40,10 @@ __all__ = [
 ]
 
 _CONDITION_TOL = 1e-12
+# reorderings of one phase, such as 0.1 * n * t, 0.1 * t * n, a * (n * t)
+# or a * sin(n) * t against a * t * sin(n), differ by up to 1.84 eps times
+# the larger |phase| over |n| <= t <= 4000; twice that is allowed
+_CONDITION_REL = 4 * np.finfo(np.float64).eps
 # relative-phase comparisons are meaningless where a component is (near) zero
 _PAIR_PHASE_FLOOR = 1e-9
 _COMPONENT_PHASE_FLOOR = 1e-12
@@ -51,34 +55,42 @@ _LEFT_MOVING = ("zeta must be constant along left-moving characteristics; "
 _COMMON_PHASE = "common-phase dressing needs zeta == xi, but they differ by"
 
 
-def _require_small(ns, t: int, *checks) -> None:
+def _condition(a, b):
+    """The gaps ``|a - b|`` of rows ``a``, ``b`` and where the one phase
+    condition rule holds: where ``a == b`` (infinite entries included), or
+    the gap is finite, so both entries are, and at most ``_CONDITION_TOL``
+    or ``_CONDITION_REL`` times the larger of ``|a|`` and ``|b|``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        gap = np.abs(a - b)
+        held = gap <= _CONDITION_TOL
+        if not held.all():  # most rows pass here, in four numpy calls
+            tol = _CONDITION_REL * np.maximum(np.abs(a), np.abs(b))
+            held |= (a == b) | (np.isfinite(gap) & (gap <= tol))
+    return gap, held
+
+
+def _require_condition(ns, t: int, *checks) -> None:
     """Raise :class:`PhaseConditionError` at the first site of a bad gap.
 
     ``checks`` are ``(message, a, b)`` triples of rows over the sites
-    ``ns``; the gap ``a - b`` fails unless its modulus is at most 1e-12 (so
-    a NaN gap from non-finite phases fails), and where several fail at the
-    same site the first triple is reported.  One pass per gap decides; the
-    bad site is looked for only when a gap fails.
+    ``ns``, each held to :func:`_condition`; where several fail at the same
+    site the first triple is reported.  One pass per check decides; the bad
+    site is looked for only when a check fails.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        gaps = [(message, a - b) for message, a, b in checks]
-    if all((np.abs(gap) <= _CONDITION_TOL).all() for _, gap in gaps):
+    results = [_condition(a, b) for _, a, b in checks]
+    if all(held.all() for _, held in results):
         return
-    k, i = first_fault([np.abs(gap) <= _CONDITION_TOL for _, gap in gaps])
-    message, gap = gaps[k]
-    raise PhaseConditionError(f"{message} {abs(gap[i]):.3e} at (n={ns[i]}, t={t})")
+    k, i = first_fault([held for _, held in results])
+    raise PhaseConditionError(f"{checks[k][0]} {results[k][0][i]:.3e} at (n={ns[i]}, t={t})")
 
 
 def _twin_checked(phases: PhaseField):
     """``phases.rows``, raising :class:`PhaseConditionError` at the first
-    site of each sampled row where ``zeta`` splits from ``xi``; a pair built
-    from one callable passes structurally."""
-    if phases.is_symmetric:
-        return phases.rows
+    site of each sampled row where ``zeta`` splits from ``xi``."""
 
     def rows(ns, t):
         row = phases.rows(ns, t)
-        _require_small(ns, t, (_COMMON_PHASE, *row))
+        _require_condition(ns, t, (_COMMON_PHASE, *row))
         return row
 
     return rows
@@ -138,11 +150,9 @@ def exact_transform(ref: CoinField | CoinAngles, phases: PhaseField) -> CoinFiel
 
     With ``zeta == xi`` the dressing is an overall local phase, so the
     dressed walk reproduces the original in every observable, relative
-    phases included.  A pair built from one shared callable passes
-    structurally; otherwise every ``zeta`` row a read samples is
-    cross-checked against ``xi`` and the first site where they split by more
-    than 1e-12 raises :class:`PhaseConditionError`.  No row is cached: each
-    read samples phase rows t and t + 1 afresh.
+    phases included.  Each row a read samples raises
+    :class:`PhaseConditionError` at its first site failing :func:`_condition`.
+    No row is cached: each read samples phase rows t and t + 1 afresh.
     """
     return _dressed_field(ref, _twin_checked(phases))
 
@@ -224,33 +234,29 @@ def _sample_chunk(base, phases, steps, ends, rows, coin, pair, dressing):
     return (xi, zeta), done, None
 
 
-def _check_chunk(steps, ends, shifted, pair=None, twins=None, fault=None) -> None:
+def _check_chunk(steps, ends, shifted, pair, twins, fault) -> None:
     """Raise the error the ``steps`` meet first, if any, with the message of
     the row check that names its first site; then raise ``fault``, the
     error that stopped the chunk's sampling, if one did.
 
     Per step t, in order: the characteristics of the packed ``pair`` rows,
-    or ``zeta == xi`` on the packed rows t + 1 of ``twins`` (both laid out
-    as in :func:`_sample_chunk`); then the packed dressed coin ``shifted``
+    or else ``zeta == xi`` on the packed rows t + 1 of ``twins`` (both laid
+    out as in :func:`_sample_chunk`); then the packed dressed coin ``shifted``
     being finite.  One pass per check covers the whole chunk; only when one
     fails, or sampling raised, are the steps replayed one at a time.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        if pair is not None:
-            held = (np.abs(pair[2:] - pair[:2]) <= _CONDITION_TOL).all()
-        else:
-            held = twins is None or (np.abs(twins[0] - twins[1]) <= _CONDITION_TOL).all()
-    if fault is None and held and np.isfinite(shifted[1:]).all():
+    a, b = twins if pair is None else (pair[2:], pair[:2])
+    if fault is None and _condition(a, b)[1].all() and np.isfinite(shifted[1:]).all():
         return
     for i, (t, end) in enumerate(zip(steps, ends)):
         cells, ns = slice(end - t - 1, end), np.arange(-t, t + 1, 2)
         if pair is not None:
-            _require_small(ns, t, (_RIGHT_MOVING, pair[2, cells], pair[0, cells]),
-                           (_LEFT_MOVING, pair[3, cells], pair[1, cells]))
-        elif twins is not None:
-            _require_small(np.arange(-t - 1, t + 2, 2), t + 1,
-                           (_COMMON_PHASE, *twins[:, end + i - t - 1:end + i + 1]))
-        _require_finite(ns, t, [a[cells] for a in shifted])
+            _require_condition(ns, t, (_RIGHT_MOVING, pair[2, cells], pair[0, cells]),
+                               (_LEFT_MOVING, pair[3, cells], pair[1, cells]))
+        else:
+            _require_condition(np.arange(-t - 1, t + 2, 2), t + 1,
+                               (_COMMON_PHASE, *twins[:, end + i - t - 1:end + i + 1]))
+        _require_finite(ns, t, [row[cells] for row in shifted])
     if fault is not None:
         raise fault
 
@@ -343,9 +349,9 @@ def _verify(kind, init, ref, phases, t_final, inputs) -> InvarianceReport:
     that is done step by step: a chunk is sampled first, its rows packed
     one after another, and then checked in one pass per check, the
     characteristics of row t + 1 against row t (``quasi``) or ``zeta ==
-    xi`` on row t + 1 for an ``exact`` pair that is not symmetric by
-    construction (row 0 is checked as it is sampled).  The chunk's dressed
-    coin is formed and checked finite, and its coin entries taken, at once.
+    xi`` on row t + 1 (``exact``; row 0 is checked as it is sampled), both
+    by :func:`_condition`.  The chunk's dressed coin is formed and checked
+    finite, and its coin entries taken, at once.
     If sampling step s raises, the checks of the chunk's steps before s run
     first, so every error is the one the steps taken in order meet first.
     Both walks then step from the last rows of the chunk before into the
@@ -387,8 +393,7 @@ def _verify(kind, init, ref, phases, t_final, inputs) -> InvarianceReport:
             dressing = dressing[:, :sites + done] if common else None
         # pair already holds row t + 1 at n + 1 (xi) and n - 1 (zeta)
         shifted = _shifted(coin, *pair, ..., ...)
-        _check_chunk(steps, ends, shifted, None if common else pair,
-                     None if phases.is_symmetric else dressing, fault)
+        _check_chunk(steps, ends, shifted, None if common else pair, dressing, fault)
         _step_chunk(steps, ends, amps, last,
                     walk if walk is not None else coin_entries(*coin), coin_entries(*shifted))
         np.maximum.reduceat(_gaps(amps, dressing),
@@ -424,8 +429,8 @@ def verify_quasi_invariance(
 
     The dressing must satisfy ``xi(n+1, t+1) == xi(n, t)`` and
     ``zeta(n-1, t+1) == zeta(n, t)`` wherever the walk has support
-    (tolerance 1e-12, checked as part of step t, which samples row t + 1, so
-    a coin fault at an earlier step surfaces first); the transformed coin
+    (by :func:`_condition`, as part of step t, which samples row t + 1, so a
+    coin fault at an earlier step surfaces first); the transformed coin
     then differs from ``ref`` in beta only.  Expected outcome: modulus and distribution
     deviations at rounding level at every step, while the relative-phase
     map drifts by ``xi - zeta``.
@@ -442,10 +447,9 @@ def verify_exact_invariance(
 ) -> InvarianceReport:
     """Run a walk and its common-phase dressed copy side by side.
 
-    Requires ``zeta == xi`` over the support (structural for pairs that are
-    symmetric by construction, otherwise checked pointwise at 1e-12 on each row
-    before its first use, so a row ``t`` split raises
-    :class:`PhaseConditionError` naming its first site).  Every reported
+    Requires ``zeta == xi`` over the support, checked by :func:`_condition`
+    on each row before its first use, so a row ``t`` split raises
+    :class:`PhaseConditionError` naming its first site.  Every reported
     deviation, componentwise distance included, should sit at rounding
     level for any ``xi`` whatsoever.
     """

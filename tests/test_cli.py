@@ -318,6 +318,16 @@ def test_invariance_exact_family(tmp_path, capsys):
     assert report["max_component_deviation"] <= 1e-11
 
 
+def test_invariance_exact_family_passes_its_gate_at_t_1000(tmp_path, capsys):
+    """The default bilinear dressing at T = 1000 reads 3.8e-12 against the
+    1e-11 gate."""
+    rc = main(["invariance", "--family", "exact", "--theta", "pi/4", "--t-final", "1000",
+               "--outdir", str(tmp_path)])
+    assert rc == 0
+    report = json.loads((tmp_path / "invariance_report.json").read_text())
+    assert report["max_component_deviation"] <= 1e-11
+
+
 def test_invariance_phase_file(tmp_path, capsys):
     phase_path = tmp_path / "phases.csv"
     save_phase_field_csv(quasi_invariant_phases(0.1), t_max=12,

@@ -1,19 +1,25 @@
+import re
+
 import numpy as np
 import pytest
 
 from qwline import (
     CoinAngles,
     CoinField,
+    InitialState,
+    PhaseConditionError,
     PhaseField,
     TableError,
     TotalityError,
     UnsupportedParameterError,
     bloch_vector,
     coin_matrix,
+    exact_transform,
     load_coin_field_csv,
     load_phase_field_csv,
     save_coin_field_csv,
     save_phase_field_csv,
+    verify_exact_invariance,
 )
 
 
@@ -117,6 +123,17 @@ def test_materialize_names_the_first_site_then_its_first_parameter():
         f.materialize(-4, 4, t=0)
 
 
+def test_only_a_homogeneous_field_carries_angles():
+    """``angles`` turns on the constant-coin path, so no caller can set it
+    beside rows that say otherwise."""
+    c = CoinAngles(0.3, 0.1, 0.2, 0.4)
+    lifted = CoinField.homogeneous(c)
+    with pytest.raises(TypeError):
+        CoinField(lifted.rows, CoinAngles(1.2))
+    assert lifted.angles == CoinField.lift(c).angles == c
+    assert CoinField(lifted.rows).angles is None
+
+
 def test_phase_field_constructors():
     const = PhaseField.constant(0.25)
     assert const.xi_of(3, 7) == 0.25
@@ -124,24 +141,40 @@ def test_phase_field_constructors():
     two = PhaseField.constant(0.1, 0.2)
     assert two.zeta_of(0, 0) == 0.2
 
-    shared = PhaseField.symmetric(lambda n, t: 0.5 * n - t)
-    assert shared.is_symmetric
+    calls = []
+
+    def shared_of(n, t):
+        calls.append((n, t))
+        return 0.5 * n - t
+
+    # one callable is sampled once per row, its row returned as both components
+    shared = PhaseField.symmetric(shared_of)
+    xi, zeta = shared.rows(np.arange(-2, 3), 1)
+    assert xi is zeta and len(calls) == 5
     assert shared.zeta_of(4, 1) == shared.xi_of(4, 1) == 1.0
 
+    # distinct callables are each sampled, even when equal-valued
     split = PhaseField.from_functions(lambda n, t: 1.0, lambda n, t: 1.0)
-    # Distinct callables are not treated as symmetric even if equal-valued.
-    assert not split.is_symmetric
+    xi, zeta = split.rows(np.arange(3), 0)
+    assert xi is not zeta and np.array_equal(xi, zeta)
 
 
-def test_constant_phase_pairs_declare_their_symmetry():
-    """One constant is a symmetric pair; two given constants are not, even
-    when equal, and a row sampler is symmetric only when declared so."""
-    assert PhaseField.constant(0.3).is_symmetric
-    assert not PhaseField.constant(0.3, 0.3).is_symmetric
-    assert not PhaseField.constant(0.1, 0.2).is_symmetric
+def test_constant_phase_pairs_are_checked_by_their_rows():
+    """One constant, two equal constants and a row sampler of equal rows
+    all pass the common-phase check, an infinite common phase failing the
+    dressed coin's finite check instead; two different constants split at
+    the first site read."""
+    init, coin = InitialState(eta=0.3), CoinAngles(0.8)
     rows = lambda ns, t: (np.zeros(len(ns)),) * 2  # noqa: E731
-    assert not PhaseField.from_rows(rows).is_symmetric
-    assert PhaseField.from_rows(rows, is_symmetric=True).is_symmetric
+    for pair in (PhaseField.constant(0.3), PhaseField.constant(0.3, 0.3), PhaseField.from_rows(rows)):
+        assert verify_exact_invariance(init, coin, pair, 5).max_component_deviation < 1e-13
+    for pair in (PhaseField.constant(np.inf), PhaseField.constant(np.inf, np.inf)):
+        with pytest.raises(UnsupportedParameterError,
+                           match=r"^alpha is not finite at \(n=-2, t=0\)$"):
+            exact_transform(coin, pair).materialize(-2, 2, 0)
+    for (xi, zeta), gap in (((0.1, 0.2), "1.000e-01"), ((np.inf, 0.0), "inf")):
+        with pytest.raises(PhaseConditionError, match=re.escape(f"differ by {gap} at (n=-2, t=0)")):
+            exact_transform(coin, PhaseField.constant(xi, zeta)).materialize(-2, 2, 0)
 
 
 def test_coin_csv_round_trip(tmp_path):
@@ -200,6 +233,21 @@ def test_phase_csv_round_trip(tmp_path):
             assert g.zeta_of(n, t) == f.zeta_of(n, t)
     with pytest.raises(TotalityError):
         g.xi_of(0, 6)
+
+
+def test_table_savers_broadcast_scalar_rows(tmp_path):
+    """A row sampler may return a scalar for a parameter; its table is the
+    one written for the same field with full rows."""
+    scalar = CoinField(lambda n, t: (0.7 + 0 * n, 0.1 * n, -0.2 * t, 0.05 * (n - t)))
+    full = CoinField(lambda n, t: (0.7 + 0 * n, 0.1 * n, np.full(len(n), -0.2 * t), 0.05 * (n - t)))
+    pairs = [(scalar, full, save_coin_field_csv),
+             (PhaseField.from_rows(lambda n, t: (0.3, 0.1 * n)),
+              PhaseField.from_rows(lambda n, t: (np.full(len(n), 0.3), 0.1 * n)),
+              save_phase_field_csv)]
+    for one, other, save in pairs:
+        save(one, 5, tmp_path / "scalar.csv")
+        save(other, 5, tmp_path / "full.csv")
+        assert (tmp_path / "scalar.csv").read_bytes() == (tmp_path / "full.csv").read_bytes()
 
 
 def test_window_csv_rejects_bad_inputs(tmp_path):

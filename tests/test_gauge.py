@@ -42,8 +42,12 @@ def test_unit_system_validation():
     u = UnitSystem()
     assert u.ell == u.tau == u.c == u.hbar_over_e == 1.0
     UnitSystem(ell=0.5, tau=0.25, c=2.0)
-    with pytest.raises(ValueError, match="inconsistent"):
-        UnitSystem(ell=2.0)
+    # ell = c * tau to a few ulps, at any scale
+    UnitSystem(ell=0.3, tau=0.1, c=3.0)
+    for bad in (dict(ell=2.0), dict(ell=1e-20, tau=1e-20, c=2.0), dict(ell=1e-13, tau=1e-13, c=1.1),
+                dict(ell=1.0, tau=1e200, c=1e200)):
+        with pytest.raises(ValueError, match="inconsistent"):
+            UnitSystem(**bad)
     with pytest.raises(ValueError, match="finite and positive"):
         UnitSystem(tau=0.0)
     with pytest.raises(ValueError, match="finite and positive"):
@@ -598,10 +602,9 @@ def test_lattice_phases_sample_a_shared_callable_once_per_row():
     assert np.array_equal(xi_row, np.sin(np.arange(-3.0, 4.0)) * 2.0)
 
 
-def test_lattice_phases_of_a_shared_callable_are_symmetric():
-    """A pair built from one callable declares zeta == xi, so a verification
-    samples it once per row and skips the twin check; two callables that
-    agree are not symmetric by construction."""
+def test_lattice_phases_of_a_shared_callable_sample_once():
+    """A verification samples a pair built from one callable once per row;
+    two equal callables are each sampled, and give the same report."""
     calls = []
 
     def xi(X, T):
@@ -609,11 +612,12 @@ def test_lattice_phases_of_a_shared_callable_are_symmetric():
         return 0.2 * np.sin(X) * T
 
     phases = lattice_phases_from_smooth(SmoothPhasePair(xi, xi))
-    assert phases.is_symmetric
     report = verify_exact_invariance(InitialState(0.6, 0.3), REF, phases, 12)
     assert len(calls) == 13
     assert report.max_component_deviation < 1e-13
-    assert not lattice_phases_from_smooth(SmoothPhasePair(xi, lambda X, T: xi(X, T))).is_symmetric
+    twins = lattice_phases_from_smooth(SmoothPhasePair(xi, lambda X, T: xi(X, T)))
+    assert verify_exact_invariance(InitialState(0.6, 0.3), REF, twins, 12) == report
+    assert len(calls) == 13 + 2 * 13
 
 
 def test_lattice_phases_of_the_wrong_shape_raise_grid_error():

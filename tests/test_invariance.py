@@ -14,14 +14,18 @@ from qwline import (
     InvarianceReport,
     PhaseConditionError,
     PhaseField,
+    SmoothPhasePair,
     SpinorField,
     TotalityError,
     UnsupportedParameterError,
     evolve,
     exact_transform,
+    lattice_phases_from_smooth,
+    load_phase_field_csv,
     localized_state,
     quasi_invariant_phases,
     relative_phase_map,
+    save_phase_field_csv,
     step_inhomogeneous,
     transform_coin_field,
     verify_exact_invariance,
@@ -322,6 +326,63 @@ def test_twin_split_names_its_site(site, t_final):
     with pytest.raises(PhaseConditionError,
                        match=re.escape(f"zeta == xi, but they differ by 1.000e-06 at (n={n}, t={t})")):
         verify_exact_invariance(InitialState(eta=0.3), _formula_coin(), _split_at(n, t), t_final)
+
+
+def _smooth_split(X, T):
+    return 1e-6 * ((X == 3) & (T == 7))
+
+
+def _table_of(phases, tmp_path):
+    save_phase_field_csv(phases, 12, tmp_path / "phases.csv")
+    return load_phase_field_csv(tmp_path / "phases.csv")
+
+
+_SPLIT = "differ by 1.000e-06 at (n=3, t=7)"
+
+
+@pytest.mark.parametrize("backing, walked, read", [
+    (lambda tmp_path: _split_at(3, 7), _SPLIT, _SPLIT),
+    (lambda tmp_path: PhaseField.from_rows(
+        lambda ns, t: (_common(ns, t), _common(ns, t) + _smooth_split(ns, t))), _SPLIT, _SPLIT),
+    (lambda tmp_path: PhaseField.from_rows(lambda ns, t: (0.1 * ns * t, 0.2 * ns * t)),
+     "differ by 1.000e-01 at (n=-1, t=1)", "differ by 4.900e+00 at (n=-7, t=7)"),
+    (lambda tmp_path: PhaseField.constant(0.3, 0.3 + 1e-6),
+     "differ by 1.000e-06 at (n=0, t=0)", "differ by 1.000e-06 at (n=-7, t=7)"),
+    (lambda tmp_path: _table_of(_split_at(3, 7), tmp_path), _SPLIT, _SPLIT),
+    (lambda tmp_path: lattice_phases_from_smooth(SmoothPhasePair(
+        _common, lambda X, T: _common(X, T) + _smooth_split(X, T))), _SPLIT, _SPLIT),
+], ids=["callables", "from_rows", "two_rows", "constants", "table", "smooth"])
+def test_every_phase_backing_is_checked_for_a_split(tmp_path, backing, walked, read):
+    """A zeta that leaves xi is caught at its first site, whatever backs the
+    pair: the verification names the first site of the walk's rows, a read
+    of the transformed coin the first it samples."""
+    phases = backing(tmp_path)
+    with pytest.raises(PhaseConditionError, match=re.escape(walked)):
+        verify_exact_invariance(InitialState(eta=0.3), REF, phases, 11)
+    with pytest.raises(PhaseConditionError, match=re.escape(read)):
+        exact_transform(REF, phases).rows(np.arange(-7, 8, 2), 7)
+
+
+def test_reordered_twins_hold_at_large_phases():
+    """0.1 * n * t and 0.1 * t * n differ by an ulp of the phase, 1.8e-12
+    once it passes 8192 at T = 291; the condition tolerance grows with the
+    phase, so the pair is a common phase at any size."""
+    twins = PhaseField(lambda n, t: 0.1 * n * t, lambda n, t: 0.1 * t * n)
+    report = verify_exact_invariance(InitialState(eta=0.3), REF, twins, 1000)
+    assert report.max_component_deviation < 1e-11
+    exact_transform(REF, twins).rows(np.arange(-300, 301, 2), 300)
+
+
+def test_the_condition_rule():
+    """Equal entries hold, infinite ones included; otherwise the gap must be
+    finite and within 1e-12, or 4 eps times the larger |entry|."""
+    big = 8409.9
+    a = np.array([0.0, 1.0, np.inf, -np.inf, np.inf, np.nan, big, big, 1.0, 1e308])
+    b = np.array([1e-12, 1.0 + 1.1e-12, np.inf, -np.inf, 1.0, np.nan,
+                  np.nextafter(big, np.inf), big + 1e-11, 1.0 + 0.9e-12, -1e308])
+    gap, held = invariance._condition(a, b)
+    assert held.tolist() == [True, False, True, True, False, False, True, False, True, False]
+    assert gap[4] == np.inf and np.isnan(gap[5]) and gap[9] == np.inf
 
 
 def test_twin_split_outside_the_checked_rows_passes():
