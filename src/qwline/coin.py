@@ -13,6 +13,7 @@ phases used to build one walk out of another.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Callable
 
 import numpy as np
@@ -104,13 +105,19 @@ def bloch_vector(beta: float, theta: float) -> np.ndarray:
 def sample(fn: Callable[[int, int], float], ns, t: int) -> np.ndarray:
     """Evaluate a scalar callable ``fn(n, t)`` at the integer sites ``ns``.
 
-    The one place a site/time callable is called site by site: ``fn`` gets
-    Python ints and returns a float, and everything above works on the
-    float row this returns.
+    ``fn`` gets Python ints and returns a float, and everything above works
+    on the float row this returns.
     """
-    t = int(t)
-    return np.fromiter((fn(n, t) for n in np.asarray(ns).tolist()),
-                       dtype=np.float64, count=len(ns))
+    return _sample_each((fn,), ns, t)[0]
+
+
+def _sample_each(fns, ns, t: int) -> tuple:
+    """The row :func:`sample` returns for each callable of ``fns``, one
+    callable after another, with the sites listed once for all of them.
+    The one place a site/time callable is called site by site."""
+    sites, ts = np.asarray(ns).tolist(), repeat(int(t))
+    return tuple(np.fromiter(map(fn, sites, ts), dtype=np.float64, count=len(sites))
+                 for fn in fns)
 
 
 @dataclass(frozen=True)
@@ -139,7 +146,7 @@ class CoinField:
     def from_functions(cls, theta_of, alpha_of, beta_of, chi_of) -> "CoinField":
         """A field from four scalar callables ``(n, t) -> radians``."""
         fns = (theta_of, alpha_of, beta_of, chi_of)
-        return cls(lambda ns, t: tuple(sample(fn, ns, t) for fn in fns))
+        return cls(lambda ns, t: _sample_each(fns, ns, t))
 
     @staticmethod
     def lift(ref: "CoinField | CoinAngles") -> "CoinField":
@@ -204,9 +211,9 @@ class PhaseField:
     def __init__(self, xi_of: Callable[[int, int], float],
                  zeta_of: Callable[[int, int], float]):
         if zeta_of is xi_of:
-            self.rows = lambda ns, t: (sample(xi_of, ns, t),) * 2
+            self.rows = lambda ns, t: _sample_each((xi_of,), ns, t) * 2
         else:
-            self.rows = lambda ns, t: (sample(xi_of, ns, t), sample(zeta_of, ns, t))
+            self.rows = lambda ns, t: _sample_each((xi_of, zeta_of), ns, t)
 
     @classmethod
     def from_rows(cls, rows: Callable[[np.ndarray, int], tuple]) -> "PhaseField":

@@ -269,13 +269,22 @@ def _step_chunk(steps, ends, amps, last, walk, dressed) -> None:
     scalars of a constant coin instead."""
     packed = np.ndim(walk[0]) > 0
     src = tuple(last)
+    scratch = np.empty(steps[-1] + 1, dtype=np.complex128)
     for i, (t, end) in enumerate(zip(steps, ends)):
         cells = slice(end - t - 1, end)
         out = tuple(amps[:, end + i - t - 1:end + i + 1])
         kernels.walk_step(src[0], src[1], out[0], out[1], 2,
-                          *([e[cells] for e in walk] if packed else walk))
-        kernels.walk_step(src[2], src[3], out[2], out[3], 2, *[e[cells] for e in dressed])
+                          *([e[cells] for e in walk] if packed else walk), scratch)
+        kernels.walk_step(src[2], src[3], out[2], out[3], 2, *[e[cells] for e in dressed],
+                          scratch)
         src = out
+
+
+def _turn(phase):
+    """``np.exp(1j * phase)``, NaN without a warning where ``phase`` is not
+    finite: the dressed coin's finite check then reports that phase."""
+    with np.errstate(invalid="ignore"):
+        return np.exp(1j * phase)
 
 
 def _gaps(amps, dressing=None):
@@ -296,7 +305,7 @@ def _gaps(amps, dressing=None):
     np.abs(np.angle(np.exp(1j * (pb - pa))), out=gaps[3])
     gaps[3, ~(mods > _PAIR_PHASE_FLOOR).all(axis=0)] = 0.0
     if dressing is not None:
-        dressed = amps[:2] * np.exp(1j * dressing)
+        dressed = amps[:2] * _turn(dressing)
         np.abs(amps[2:] - dressed, out=gaps[4:6])
         np.abs(np.angle(amps[2:] * np.conj(dressed)), out=gaps[6:])
         gaps[6:][~(np.abs(dressed) > _COMPONENT_PHASE_FLOOR)] = 0.0
@@ -370,7 +379,7 @@ def _verify(kind, init, ref, phases, t_final, inputs) -> InvarianceReport:
     # amplitudes (plus, minus, dressed plus, dressed minus) of the step
     # before a chunk
     last = np.array([start.plus_amps, start.minus_amps,
-                     start.plus_amps * np.exp(1j * rows[0]), start.minus_amps * np.exp(1j * rows[1])])
+                     start.plus_amps * _turn(rows[0]), start.minus_amps * _turn(rows[1])])
     maxima = np.empty((8 if common else 4, t_final + 1))
     maxima[:, :1] = _gaps(last, np.array(rows) if common else None)
     for steps in _chunks(t_final):

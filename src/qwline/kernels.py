@@ -6,7 +6,10 @@
 hold the values at the occupied sites only, so no kernel touches the sites a
 parity-localized walker leaves exactly zero.  Each kernel is the only
 implementation of its operation, so repeated calls with identical inputs are
-bit-identical.
+bit-identical.  ``evolve`` steps a walk's live window and flushes its
+underflowed end sites to zero; the invariance verifications step every
+stored site, and ``lambda_fill`` keeps its subnormal tails too: the closed
+form is the independent side of the cross-check with stepping.
 """
 from __future__ import annotations
 
@@ -21,29 +24,43 @@ __all__ = ["BACKEND", "walk_step", "lambda_fill", "lambda_spectral"]
 # one walk step: shift after coin, a row gains 2 // stride stored sites
 # ---------------------------------------------------------------------------
 
-def walk_step(plus, minus, out_plus, out_minus, stride, a, b, c, d):
+def walk_step(plus, minus, out_plus, out_minus, stride, a, b, c, d, scratch):
     """Advance both components one step, from ``plus``, ``minus`` into
     ``out_plus``, ``out_minus``.
 
-    The source rows hold the ``m`` sites ``-t, -t + stride, .. t``: stride 2
-    for a parity-localized walker, whose other sites are zero, else 1.  The
-    output rows, ``k = 2 // stride`` entries longer, hold the sites of step
-    ``t + 1`` with the same stride and must not overlap the source.  ``a``,
+    The source rows hold ``m`` consecutive stored sites, ``stride`` apart:
+    stride 2 for a parity-localized walker, whose other sites are zero, else
+    1.  The output rows, ``k = 2 // stride`` entries longer, hold the sites
+    one step later that those sites reach, from the one left of the first to
+    the one right of the last, and must not overlap the source.  ``a``,
     ``b``, ``c``, ``d`` are the coin entries ``[[a, b], [c, -d]]`` at the
     source sites (scalars for a constant coin).  The plus component moves
     right and the minus component left, so the first ``k`` plus outputs and
-    the last ``k`` minus outputs are set to exactly zero.
+    the last ``k`` minus outputs are set to exactly zero.  ``scratch``, a
+    complex row of at least ``m`` entries apart from all four rows, takes
+    the minus products, so a step allocates no array.
+
+    :func:`qwline.evolution.evolve` hands it only a walk's live window and
+    sets end sites whose two components fall below
+    ``np.finfo(np.float64).tiny`` to exactly 0 (changing bits only where a
+    modulus is below about 1e-270), so no subnormal tail feeds another
+    step; the invariance verifications hand it every stored site, tails
+    included.
     """
     k = 2 // stride
     m = len(plus)
+    products = scratch[:m]
+    head, tail = out_plus[k:], out_minus[:m]
     # coin entry first, then the other term added: the float order of
     # a * plus + b * minus, so the result is bitwise that expression
-    np.multiply(a, plus, out=out_plus[k:])
-    out_plus[k:] += b * minus
-    out_plus[:k] = 0
-    np.multiply(c, plus, out=out_minus[:m])
-    out_minus[:m] -= d * minus
-    out_minus[m:] = 0
+    np.multiply(a, plus, out=head)
+    np.multiply(b, minus, out=products)
+    head += products
+    out_plus[:k].fill(0)
+    np.multiply(c, plus, out=tail)
+    np.multiply(d, minus, out=products)
+    tail -= products
+    out_minus[m:].fill(0)
 
 
 # ---------------------------------------------------------------------------
@@ -68,13 +85,15 @@ def lambda_fill(cos_theta, t_max, rolling=False):
     depth = 3 if rolling else t_max + 1
     out = np.zeros((depth, t_max + 2))
     out[0, 1] = 1.0
+    scratch = np.empty(t_max + 1)
     for t in range(2, t_max + 1):
         prev = out[(t - 1) % depth]
         # a rolling slot last held row t - 3 (columns 1 .. t - 2): every stale
         # entry is overwritten, and the columns read past a row stay zero
-        row = out[t % depth, 1:t + 2]
-        row[:] = cos_theta * prev[:t + 1]
-        row -= cos_theta * prev[1:t + 2]
+        row, right = out[t % depth, 1:t + 2], scratch[:t + 1]
+        np.multiply(cos_theta, prev[:t + 1], out=row)
+        np.multiply(cos_theta, prev[1:t + 2], out=right)
+        row -= right
         row += out[(t - 2) % depth, :t + 1]
     if rolling:
         return out[[(t_max - 1) % depth, t_max % depth]]

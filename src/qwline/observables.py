@@ -80,15 +80,15 @@ def record_from_amplitudes(t, plus, minus, ns, ell: float = 1.0) -> ObservableRe
     The arrays may cover any subset of the window that holds all the
     weight, e.g. the occupied sites of a parity-localized walker.
     """
-    w_plus = np.abs(plus) ** 2
-    w_minus = np.abs(minus) ** 2
-    return ObservableRecord(
-        t=t,
-        p_plus=float(np.sum(w_plus)),
-        p_minus=float(np.sum(w_minus)),
-        mean_x=ell * float(np.sum(ns * (w_plus + w_minus))),
-        ell=ell,
-    )
+    # |psi|^2 as abs, then square, in place: the bits of np.abs(x) ** 2
+    w_plus, w_minus = np.abs(plus), np.abs(minus)
+    np.square(w_plus, out=w_plus)
+    np.square(w_minus, out=w_minus)
+    p_plus, p_minus = float(np.add.reduce(w_plus)), float(np.add.reduce(w_minus))
+    w_plus += w_minus
+    w_plus *= ns
+    return ObservableRecord(t=t, p_plus=p_plus, p_minus=p_minus,
+                            mean_x=ell * float(np.add.reduce(w_plus)), ell=ell)
 
 
 def observe(state: SpinorField, ell: float = 1.0) -> ObservableRecord:

@@ -20,6 +20,7 @@ from qwline import (
     save_coin_field_csv,
     save_phase_field_csv,
     verify_exact_invariance,
+    verify_quasi_invariance,
 )
 
 
@@ -168,10 +169,17 @@ def test_constant_phase_pairs_are_checked_by_their_rows():
     rows = lambda ns, t: (np.zeros(len(ns)),) * 2  # noqa: E731
     for pair in (PhaseField.constant(0.3), PhaseField.constant(0.3, 0.3), PhaseField.from_rows(rows)):
         assert verify_exact_invariance(init, coin, pair, 5).max_component_deviation < 1e-13
-    for pair in (PhaseField.constant(np.inf), PhaseField.constant(np.inf, np.inf)):
+    for pair in (PhaseField.constant(np.inf), PhaseField.constant(np.inf, np.inf),
+                 PhaseField.constant(-np.inf)):
         with pytest.raises(UnsupportedParameterError,
                            match=r"^alpha is not finite at \(n=-2, t=0\)$"):
             exact_transform(coin, pair).materialize(-2, 2, 0)
+        # the suite turns a RuntimeWarning into an error, so one raised on
+        # the way would surface here instead of the finite check's message
+        for verify in (verify_exact_invariance, verify_quasi_invariance):
+            with pytest.raises(UnsupportedParameterError,
+                               match=r"^alpha is not finite at \(n=0, t=0\)$"):
+                verify(init, coin, pair, 5)
     for (xi, zeta), gap in (((0.1, 0.2), "1.000e-01"), ((np.inf, 0.0), "inf")):
         with pytest.raises(PhaseConditionError, match=re.escape(f"differ by {gap} at (n=-2, t=0)")):
             exact_transform(coin, PhaseField.constant(xi, zeta)).materialize(-2, 2, 0)

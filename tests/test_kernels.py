@@ -19,12 +19,17 @@ def _random_step_inputs(rng, m):
 def _step(plus, minus, th, al, be, ch, stride=1):
     """One step of the rows ``plus``, ``minus``; returns the output rows.
 
-    The outputs start as NaN, as a reused buffer holds stale values, so
-    every entry the kernel leaves unwritten shows.
+    The outputs and the scratch row start as NaN, as reused buffers hold
+    stale values, so every output entry the kernel leaves unwritten shows,
+    and so does a scratch entry read before it is written.  The scratch row
+    is longer than the source; its entries past the source length must stay
+    untouched.
     """
     out_plus = np.full(plus.size + 2 // stride, np.nan, dtype=complex)
     out_minus = np.full(minus.size + 2 // stride, np.nan, dtype=complex)
-    walk_step(plus, minus, out_plus, out_minus, stride, *coin_entries(th, al, be, ch))
+    scratch = np.full(plus.size + 3, np.nan, dtype=complex)
+    walk_step(plus, minus, out_plus, out_minus, stride, *coin_entries(th, al, be, ch), scratch)
+    assert np.isnan(scratch[plus.size:]).all()
     return out_plus, out_minus
 
 

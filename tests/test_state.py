@@ -8,7 +8,7 @@ from qwline import (
     localized_state,
     save_spinor_csv,
 )
-from qwline.evolution import _Rows
+from qwline.evolution import _stride
 
 
 def _random_state(rng, t):
@@ -134,7 +134,7 @@ def test_off_parity_zero_agrees_in_every_caller(tmp_path, value):
     plus = np.array([0.6, value, 0.0], dtype=np.complex128)
     minus = np.array([0.0, 0.0, 0.8], dtype=np.complex128)
     state = SpinorField(t=1, plus_amps=plus, minus_amps=minus)
-    assert _Rows(state, 0).stride == (2 if zero else 1)
+    assert _stride(state) == (2 if zero else 1)
     path = tmp_path / "state.csv"
     save_spinor_csv(state, path)
     assert load_spinor_csv(path).parity_localized is zero
