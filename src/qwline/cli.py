@@ -274,43 +274,43 @@ def _init(cfg: RunConfig) -> InitialState:
     return InitialState(eta=cfg.eta, gamma=cfg.gamma)
 
 
-def _outdir(cfg: RunConfig) -> Path:
-    """The output directory, created here, just before a command writes its
-    first file, so a request that fails earlier leaves no directory."""
+def _write(cfg: RunConfig, name: str, save: Callable[[Path], object]) -> None:
+    """Write each output file: ``save(path)`` at ``cfg.outdir / name``, then
+    report it.  The directory is created just before, so a request that
+    fails earlier leaves no directory."""
     cfg.outdir.mkdir(parents=True, exist_ok=True)
-    return cfg.outdir
-
-
-def _wrote(path: Path) -> None:
+    path = cfg.outdir / name
+    save(path)
     print(f"wrote {path}")
 
 
-def _comparison(final, theta: float, eta: float, phi: float) -> list:
-    """The columns of a comparison file: the sites of ``final``, its
+def _gate(breach: bool, what: str) -> int:
+    """The exit code of a verification: on a ``breach``, print ``what``
+    went over the tolerance and return :data:`EXIT_TOLERANCE`."""
+    if not breach:
+        return EXIT_OK
+    print(f"tolerance breach: {what}", file=sys.stderr)
+    return EXIT_TOLERANCE
+
+
+def _comparison(final, theta: float, eta: float, phi: float):
+    """A saver of the comparison file: the sites of ``final``, its
     distribution, its stationary envelope and the classical walk at the same
     step.  Raises before any file is written if the envelope is undefined."""
     ns, t = final.n_values, final.t
-    return [ns, pmf(final), stationary_pmf(ns, t, theta, eta, phi),
-            classical_pmf(math.cos(theta) ** 2, t)]
-
-
-def _save_comparison(path: Path, columns) -> None:
-    save_comparison_csv(path, *columns)
-    _wrote(path)
+    columns = [ns, pmf(final), stationary_pmf(ns, t, theta, eta, phi),
+               classical_pmf(math.cos(theta) ** 2, t)]
+    return lambda path: save_comparison_csv(path, *columns)
 
 
 def _cmd_evolve(cfg: RunConfig) -> int:
     coin = load_coin_field_csv(cfg.coin_file) if cfg.coin_file else _angles(cfg)
     if cfg.record:
         final, records = evolve(_init(cfg), coin, cfg.t_final, record_trajectory=True)
-        traj = _outdir(cfg) / "trajectory.csv"
-        save_trajectory_csv(traj, records)
-        _wrote(traj)
+        _write(cfg, "trajectory.csv", lambda path: save_trajectory_csv(path, records))
     else:
         final = evolve(_init(cfg), coin, cfg.t_final)
-    path = _outdir(cfg) / f"spinor_t{cfg.t_final}.csv"
-    save_spinor_csv(final, path)
-    _wrote(path)
+    _write(cfg, f"spinor_t{cfg.t_final}.csv", lambda path: save_spinor_csv(final, path))
     print(f"norm drift {abs(final.norm() - 1.0):.3e}")
     return EXIT_OK
 
@@ -323,25 +323,17 @@ def _cmd_closedform(cfg: RunConfig) -> int:
         float(np.max(np.abs(analytic.plus_amps - stepped.plus_amps))),
         float(np.max(np.abs(analytic.minus_amps - stepped.minus_amps))),
     )
-    path = _outdir(cfg) / f"closedform_t{cfg.t_final}.csv"
-    save_spinor_csv(analytic, path)
-    _wrote(path)
+    _write(cfg, f"closedform_t{cfg.t_final}.csv", lambda path: save_spinor_csv(analytic, path))
     print(f"max amplitude deviation from stepping: {deviation:.3e}")
-    if deviation > cfg.tol:
-        print(f"tolerance breach: {deviation:.3e} > {cfg.tol:.1e}", file=sys.stderr)
-        return EXIT_TOLERANCE
-    return EXIT_OK
+    return _gate(deviation > cfg.tol, f"{deviation:.3e} > {cfg.tol:.1e}")
 
 
 def _cmd_observables(cfg: RunConfig) -> int:
     init, coin = _init(cfg), _angles(cfg)
     final, records = evolve(init, coin, cfg.t_final, record_trajectory=True)
-    columns = _comparison(final, cfg.theta, cfg.eta, cfg.alpha + cfg.beta - cfg.gamma)
-    out = _outdir(cfg)
-    traj = out / "trajectory.csv"
-    save_trajectory_csv(traj, records)
-    _wrote(traj)
-    _save_comparison(out / f"comparison_t{cfg.t_final}.csv", columns)
+    comparison = _comparison(final, cfg.theta, cfg.eta, cfg.alpha + cfg.beta - cfg.gamma)
+    _write(cfg, "trajectory.csv", lambda path: save_trajectory_csv(path, records))
+    _write(cfg, f"comparison_t{cfg.t_final}.csv", comparison)
     return EXIT_OK
 
 
@@ -372,16 +364,11 @@ def _cmd_invariance(cfg: RunConfig) -> int:
     else:
         report = verify_exact_invariance(init, coin, phases, cfg.t_final, inputs=inputs)
         gate = report.max_component_deviation
-    path = _outdir(cfg) / "invariance_report.json"
-    path.write_text(report.to_json() + "\n")
-    _wrote(path)
+    _write(cfg, "invariance_report.json", lambda path: path.write_text(report.to_json() + "\n"))
     print(f"max modulus deviation {report.max_modulus_deviation:.3e}")
     print(f"max pmf deviation {report.max_pmf_deviation:.3e}")
     print(f"phase map divergence {report.phase_map_divergence:.3e}")
-    if gate > cfg.tol:
-        print(f"tolerance breach: {gate:.3e} > {cfg.tol:.1e}", file=sys.stderr)
-        return EXIT_TOLERANCE
-    return EXIT_OK
+    return _gate(gate > cfg.tol, f"{gate:.3e} > {cfg.tol:.1e}")
 
 
 def _smooth_pair(name: str, c: float) -> SmoothPhasePair:
@@ -414,16 +401,16 @@ def _cmd_gauge(cfg: RunConfig) -> int:
     finest = cfg.resolutions[-1]
     # the residual at the finest resolution lies on the potentials' grid
     potentials = potentials_from_phase_pair(pair, cfg.domain, finest, units)
-    # a request that fails anywhere above prints nothing
-    out = _outdir(cfg)
-    for res, peak in zip(cfg.resolutions, maxima):
-        print(f"resolution {res}: max residual {peak:.6e}")
-    res_path = out / f"residual_res{finest}.csv"
-    save_residual_csv(res_path, potentials.x, potentials.t, residual)
-    _wrote(res_path)
-    pot_path = out / f"potentials_res{finest}.csv"
-    save_potentials_csv(potentials, pot_path)
-    _wrote(pot_path)
+
+    def save_residual(path):
+        # printed once the output directory exists: a request that fails
+        # anywhere above, or cannot make the directory, prints nothing
+        for res, peak in zip(cfg.resolutions, maxima):
+            print(f"resolution {res}: max residual {peak:.6e}")
+        save_residual_csv(path, potentials.x, potentials.t, residual)
+
+    _write(cfg, f"residual_res{finest}.csv", save_residual)
+    _write(cfg, f"potentials_res{finest}.csv", lambda path: save_potentials_csv(potentials, path))
     worst = math.inf
     for (r0, m0), (r1, m1) in zip(
         zip(cfg.resolutions, maxima), zip(cfg.resolutions[1:], maxima[1:])
@@ -431,13 +418,7 @@ def _cmd_gauge(cfg: RunConfig) -> int:
         factor = math.inf if m1 == 0 else m0 / m1
         worst = min(worst, factor)
         print(f"refinement {r0} -> {r1}: factor {factor:.3f}")
-    if worst < cfg.min_factor:
-        print(
-            f"tolerance breach: refinement factor {worst:.3f} < {cfg.min_factor}",
-            file=sys.stderr,
-        )
-        return EXIT_TOLERANCE
-    return EXIT_OK
+    return _gate(worst < cfg.min_factor, f"refinement factor {worst:.3f} < {cfg.min_factor}")
 
 
 def _cmd_figures(cfg: RunConfig) -> int:
@@ -449,23 +430,19 @@ def _cmd_figures(cfg: RunConfig) -> int:
         phi, t_final = math.pi, 100
         init = InitialState(eta=eta, gamma=-phi)  # alpha = beta = 0
         final = evolve(init, CoinAngles(theta), t_final)
-        columns = _comparison(final, theta, eta, phi)
-        _save_comparison(_outdir(cfg) / f"fig{cfg.which}_comparison_t{t_final}.csv", columns)
+        _write(cfg, f"fig{cfg.which}_comparison_t{t_final}.csv",
+               _comparison(final, theta, eta, phi))
         return EXIT_OK
     if cfg.which == "2":
         theta = eta = math.pi / 6
         phi, t_final = 0.0, 40
         init = InitialState(eta=eta, gamma=-phi)
         _, records = evolve(init, CoinAngles(theta), t_final, record_trajectory=True)
-        out = _outdir(cfg)
-        traj = out / "fig2_trajectory.csv"
-        save_trajectory_csv(traj, records)
-        _wrote(traj)
+        _write(cfg, "fig2_trajectory.csv", lambda path: save_trajectory_csv(path, records))
         ts = np.array([rec.t for rec in records])
         xs = np.array([rec.mean_x for rec in records])
-        line = out / "fig2_ballistic.csv"
-        write_csv(line, "t,mean_x_ballistic", [ts, ballistic_slope(theta, eta, phi) * ts])
-        _wrote(line)
+        line = [ts, ballistic_slope(theta, eta, phi) * ts]
+        _write(cfg, "fig2_ballistic.csv", lambda path: write_csv(path, "t,mean_x_ballistic", line))
         print(f"fitted slope over t in [20, 40]: {fitted_slope(ts, xs, t_min=20):.6f}")
         return EXIT_OK
     # figure 3: beta drifts by 1/10 each step vs the homogeneous reference
@@ -477,11 +454,8 @@ def _cmd_figures(cfg: RunConfig) -> int:
         lambda ns, t: tuple(np.full(len(ns), v) for v in (theta, 0.0, rate * t, 0.0)))
     ref_final = evolve(init, ref_coin, t_final)
     drift_final = evolve(init, drifting, t_final)
-    out = _outdir(cfg)
     for name, state in (("reference", ref_final), ("drifting", drift_final)):
-        path = out / f"fig3_{name}_t{t_final}.csv"
-        save_spinor_csv(state, path)
-        _wrote(path)
+        _write(cfg, f"fig3_{name}_t{t_final}.csv", lambda path: save_spinor_csv(state, path))
     report = verify_quasi_invariance(
         init,
         ref_coin,
@@ -496,9 +470,7 @@ def _cmd_figures(cfg: RunConfig) -> int:
             "t_final": t_final,
         },
     )
-    path = out / "fig3_report.json"
-    path.write_text(report.to_json() + "\n")
-    _wrote(path)
+    _write(cfg, "fig3_report.json", lambda path: path.write_text(report.to_json() + "\n"))
     print(f"max modulus deviation {report.max_modulus_deviation:.3e}")
     print(f"phase map divergence {report.phase_map_divergence:.3e}")
     return EXIT_OK

@@ -19,7 +19,8 @@ from typing import Callable
 import numpy as np
 
 from ._csvio import read_csv, write_csv
-from .errors import TableError, TotalityError, UnsupportedParameterError, first_fault
+from .errors import (TableError, TotalityError, UnsupportedParameterError, first_fault,
+                     require_finite_fields)
 
 __all__ = [
     "CoinAngles",
@@ -48,10 +49,7 @@ class CoinAngles:
     chi: float = 0.0
 
     def __post_init__(self):
-        for name in ("theta", "alpha", "beta", "chi"):
-            v = getattr(self, name)
-            if not np.isfinite(v):
-                raise ValueError(f"{name} must be finite, got {v!r}")
+        require_finite_fields(self)
 
 
 def coin_matrix(c: CoinAngles) -> np.ndarray:
@@ -182,17 +180,16 @@ class CoinField:
         return out
 
 
-def _require_finite(ns, t: int, rows) -> None:
+def _require_finite(ns, t: int, rows, names=("theta", "alpha", "beta", "chi")) -> None:
     """Raise :class:`UnsupportedParameterError` at the first site of ``ns``
-    where a coin row ``(theta, alpha, beta, chi)`` is not finite, naming
-    the first such parameter there.  One pass checks the four rows joined
-    (flattened, so a scalar row passes too); the bad site is looked for
-    only when that pass fails."""
+    where one of the ``rows``, a coin row ``(theta, alpha, beta, chi)``
+    unless other ``names`` are given, is not finite, naming the first such
+    row there.  One pass checks the rows joined (flattened, so a scalar row
+    passes too); the bad site is looked for only when that pass fails."""
     if np.isfinite(np.concatenate(rows, axis=None)).all():
         return
     k, i = first_fault([np.isfinite(row) for row in rows])
-    raise UnsupportedParameterError(
-        f"{('theta', 'alpha', 'beta', 'chi')[k]} is not finite at (n={ns[i]}, t={t})")
+    raise UnsupportedParameterError(f"{names[k]} is not finite at (n={ns[i]}, t={t})")
 
 
 class PhaseField:

@@ -1,5 +1,7 @@
-"""Exception types shared across the package, and the rule that picks the
+"""Exception types shared across the package, and the rules that pick the
 entry an input error names."""
+
+from dataclasses import fields
 
 import numpy as np
 
@@ -66,3 +68,12 @@ def first_fault(oks):
         return None
     i = int(hits[0])
     return next(k for k, ok in enumerate(masks) if not ok.flat[i]), i
+
+
+def require_finite_fields(params) -> None:
+    """Raise ``ValueError`` naming the first field of the dataclass
+    ``params`` whose value is not finite."""
+    for f in fields(params):
+        v = getattr(params, f.name)
+        if not np.isfinite(v):
+            raise ValueError(f"{f.name} must be finite, got {v!r}")

@@ -374,7 +374,11 @@ def _verify(kind, init, ref, phases, t_final, inputs) -> InvarianceReport:
     c = base.angles
     walk = None if c is None else coin_entries(c.theta, c.alpha, c.beta, c.chi)
     common = kind == "exact"
-    rows = (_twin_checked(phases) if common else phases.rows)(np.zeros(1, dtype=np.int64), 0)
+    origin = np.zeros(1, dtype=np.int64)
+    rows = (_twin_checked(phases) if common else phases.rows)(origin, 0)
+    # row 0 would otherwise be checked finite only within step 0's
+    # dressed coin, and at T = 0 not at all
+    _require_finite(origin, 0, rows, ("xi", "zeta"))
     start = localized_state(init)
     # amplitudes (plus, minus, dressed plus, dressed minus) of the step
     # before a chunk

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._csvio import read_csv, write_csv
-from .errors import TableError
+from .errors import TableError, require_finite_fields
 
 __all__ = [
     "InitialState",
@@ -31,11 +31,14 @@ class InitialState:
     """Origin spinor ``(cos(eta), e^{i*gamma} sin(eta))``.
 
     ``eta`` sets the weight balance between the two chirality components,
-    ``gamma`` their relative phase.
+    ``gamma`` their relative phase.  Both must be finite.
     """
 
     eta: float = 0.0
     gamma: float = 0.0
+
+    def __post_init__(self):
+        require_finite_fields(self)
 
 
 def _off_parity_zero(plus: np.ndarray, minus: np.ndarray) -> bool:

@@ -167,16 +167,19 @@ def test_requests_beyond_memory_exit_2(tmp_path, argv, size):
     (["invariance", "--theta", "pi/3", "--t-final", "3"], "--phase-file"),
     (["evolve", "--theta", "pi/4", "--t-final", "3"], "--config"),
     (["evolve", "--theta", "pi/4", "--t-final", "3"], "--outdir"),
-], ids=["coin_file", "phase_file", "config", "outdir"])
+    (["gauge", "--resolutions", "8,16"], "--outdir"),
+], ids=["coin_file", "phase_file", "config", "outdir", "gauge_outdir"])
 def test_paths_that_cannot_be_opened_exit_2(tmp_path, capsys, argv, flag):
     """A directory given as an input file, or an existing file given as the
-    output directory, is one config error line, not a traceback."""
+    output directory, is one config error line, not a traceback, and
+    nothing on stdout."""
     taken = tmp_path / "taken"
     taken.write_text("")
     paths = {"--outdir": tmp_path / "out", flag: taken if flag == "--outdir" else tmp_path}
     assert main(argv + [str(v) for item in paths.items() for v in item]) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert err.count("\n") == 1 and err.startswith("config error: ")
+    assert out == ""
 
 
 @pytest.mark.parametrize("argv, table", [
@@ -388,6 +391,28 @@ def test_figures_presets(tmp_path, capsys):
     rho_ref = np.abs(ref.plus_amps) ** 2 + np.abs(ref.minus_amps) ** 2
     rho_drift = np.abs(drift.plus_amps) ** 2 + np.abs(drift.minus_amps) ** 2
     assert np.max(np.abs(rho_ref - rho_drift)) < 1e-12
+
+
+@pytest.mark.parametrize("argv", [
+    ["evolve", "--theta", "pi/4", "--t-final", "6"],
+    ["evolve", "--theta", "pi/4", "--t-final", "6", "--record"],
+    ["closedform", "--theta", "pi/5", "--eta", "0.3", "--t-final", "6"],
+    ["observables", "--theta", "pi/4", "--eta", "pi/16", "--t-final", "6"],
+    ["invariance", "--theta", "pi/3", "--t-final", "6"],
+    ["invariance", "--family", "exact", "--theta", "pi/3", "--t-final", "6"],
+    ["gauge", "--pair", "null", "--resolutions", "16,32"],
+    *(["figures", "--which", which] for which in ("1a", "1b", "2", "3")),
+], ids=["evolve", "evolve_record", "closedform", "observables", "invariance_quasi",
+        "invariance_exact", "gauge", "figures_1a", "figures_1b", "figures_2", "figures_3"])
+def test_wrote_lines_name_every_output_file_once(tmp_path, capsys, argv):
+    """Every file a command writes is reported on one ``wrote <path>``
+    line, and every reported path is a file in ``--outdir``."""
+    out = tmp_path / "out"
+    assert main(argv + ["--outdir", str(out)]) == 0
+    wrote = [line.removeprefix("wrote ") for line in capsys.readouterr().out.splitlines()
+             if line.startswith("wrote ")]
+    assert wrote
+    assert sorted(wrote) == sorted(str(path) for path in out.iterdir())
 
 
 def test_runs_are_deterministic(tmp_path, capsys):

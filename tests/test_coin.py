@@ -163,8 +163,8 @@ def test_phase_field_constructors():
 def test_constant_phase_pairs_are_checked_by_their_rows():
     """One constant, two equal constants and a row sampler of equal rows
     all pass the common-phase check, an infinite common phase failing the
-    dressed coin's finite check instead; two different constants split at
-    the first site read."""
+    dressed coin's finite check instead, and a verification's check of
+    phase row 0; two different constants split at the first site read."""
     init, coin = InitialState(eta=0.3), CoinAngles(0.8)
     rows = lambda ns, t: (np.zeros(len(ns)),) * 2  # noqa: E731
     for pair in (PhaseField.constant(0.3), PhaseField.constant(0.3, 0.3), PhaseField.from_rows(rows)):
@@ -178,7 +178,7 @@ def test_constant_phase_pairs_are_checked_by_their_rows():
         # the way would surface here instead of the finite check's message
         for verify in (verify_exact_invariance, verify_quasi_invariance):
             with pytest.raises(UnsupportedParameterError,
-                               match=r"^alpha is not finite at \(n=0, t=0\)$"):
+                               match=r"^xi is not finite at \(n=0, t=0\)$"):
                 verify(init, coin, pair, 5)
     for (xi, zeta), gap in (((0.1, 0.2), "1.000e-01"), ((np.inf, 0.0), "inf")):
         with pytest.raises(PhaseConditionError, match=re.escape(f"differ by {gap} at (n=-2, t=0)")):

@@ -522,6 +522,23 @@ def test_verification_coin_faults_name_the_first_site():
         verify_exact_invariance(InitialState(eta=0.3), CoinAngles(0.8), phases, 5)
 
 
+@pytest.mark.parametrize("t_final", [0, 1])
+@pytest.mark.parametrize("verify, xi, zeta, name", [
+    (verify_quasi_invariance, np.inf, np.inf, "xi"),
+    (verify_exact_invariance, np.inf, np.inf, "xi"),
+    (verify_exact_invariance, -np.inf, -np.inf, "xi"),
+    (verify_quasi_invariance, 0.0, np.nan, "zeta"),
+])
+def test_non_finite_phase_row_0_raises_at_every_t_final(verify, xi, zeta, name, t_final):
+    """Phase row 0 dresses the starting state, so it is checked finite as
+    it is sampled: T = 0, which takes no step, raises as T = 1 does rather
+    than reporting NaN deviations.  (An exact dressing whose zeta differs
+    from xi fails the common-phase check first.)"""
+    with pytest.raises(UnsupportedParameterError,
+                       match=rf"^{name} is not finite at \(n=0, t=0\)$"):
+        verify(InitialState(eta=0.3), CoinAngles(0.8), PhaseField.constant(xi, zeta), t_final)
+
+
 def _dressed(state, phases):
     """Indices of the occupied sites of ``state`` and its two components
     there, each multiplied by its dressing phase."""

@@ -81,6 +81,13 @@ def test_validate_rejects_off_parity_amplitude():
     loose.validate()
 
 
+@pytest.mark.parametrize("name", ["eta", "gamma"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_initial_state_must_be_finite(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got {value!r}$"):
+        InitialState(**{name: value})
+
+
 def test_validate_rejects_non_finite():
     plus = np.array([np.nan + 0j])
     state = SpinorField(t=0, plus_amps=plus, minus_amps=np.zeros(1))
