@@ -25,7 +25,7 @@ import numpy as np
 from . import kernels
 from ._csvio import write_csv
 from .coin import CoinAngles
-from .errors import ParityError, UnsupportedParameterError
+from .errors import InputError, ParityError, UnsupportedParameterError
 from .state import InitialState, SpinorField
 
 __all__ = [
@@ -43,9 +43,9 @@ __all__ = [
 def omega(r: int, t: int, theta: float) -> float:
     """Dispersion angle of mode ``r``: ``arcsin(cos(theta) sin(pi r/(t+1)))``."""
     if t < 1:
-        raise ValueError(f"t must be positive, got {t}")
+        raise InputError(f"t must be positive, got {t}")
     if not 1 <= r <= t:
-        raise ValueError(f"mode index must satisfy 1 <= r <= t, got r={r}")
+        raise InputError(f"mode index must satisfy 1 <= r <= t, got r={r}")
     return float(np.arcsin(np.cos(theta) * np.sin(np.pi * r / (t + 1))))
 
 
@@ -79,7 +79,7 @@ def lambda_explicit(n: int, t: int, theta: float) -> float:
     of the FFT row.
     """
     if t < 0:
-        raise ValueError(f"t must be non-negative, got {t}")
+        raise InputError(f"t must be non-negative, got {t}")
     _check_parity(n, t)
     _require_spectral(theta)
     if abs(n) > t:
@@ -110,7 +110,7 @@ class LambdaTable:
 
     def value(self, n: int, t: int) -> float:
         if not 0 <= t <= self.t_max:
-            raise ValueError(f"table covers 0 <= t <= {self.t_max}, got t={t}")
+            raise InputError(f"table covers 0 <= t <= {self.t_max}, got t={t}")
         _check_parity(n, t)
         if abs(n) > t:
             return 0.0
@@ -119,7 +119,7 @@ class LambdaTable:
     def occupied_row(self, t: int) -> tuple[np.ndarray, np.ndarray]:
         """Sites ``-t, -t+2, .., t`` and their kernel values at time ``t``."""
         if not 0 <= t <= self.t_max:
-            raise ValueError(f"table covers 0 <= t <= {self.t_max}, got t={t}")
+            raise InputError(f"table covers 0 <= t <= {self.t_max}, got t={t}")
         return np.arange(-t, t + 1, 2), self._rows[t, 1:t + 2]
 
 
@@ -130,7 +130,7 @@ def lambda_table(theta: float, t_max: int) -> LambdaTable:
     spectral form excludes.
     """
     if t_max < 0:
-        raise ValueError(f"t_max must be non-negative, got {t_max}")
+        raise InputError(f"t_max must be non-negative, got {t_max}")
     rows = kernels.lambda_fill(math.cos(theta), t_max)
     rows.setflags(write=False)
     return LambdaTable(theta=theta, t_max=t_max, _rows=rows)
@@ -184,9 +184,9 @@ def closed_form_amplitudes(
     the recursion otherwise, where the mode sum would lose accuracy.
     """
     if t < 0:
-        raise ValueError(f"t must be non-negative, got {t}")
+        raise InputError(f"t must be non-negative, got {t}")
     if method not in ("auto", "spectral", "recursion"):
-        raise ValueError(f"unknown method {method!r}")
+        raise InputError(f"unknown method {method!r}")
     if method == "auto":
         usable = 0.0 < c.theta < math.pi / 2 and math.sin(c.theta) >= _SPECTRAL_MIN_SIN
         method = "spectral" if usable else "recursion"

@@ -28,7 +28,6 @@ __all__ = [
     "PhaseField",
     "coin_matrix",
     "bloch_vector",
-    "sample",
     "save_coin_field_csv",
     "save_phase_field_csv",
     "load_coin_field_csv",
@@ -100,22 +99,16 @@ def bloch_vector(beta: float, theta: float) -> np.ndarray:
     return np.array([st * np.cos(beta), st * np.sin(beta), np.cos(theta)])
 
 
-def sample(fn: Callable[[int, int], float], ns, t: int) -> np.ndarray:
-    """Evaluate a scalar callable ``fn(n, t)`` at the integer sites ``ns``.
-
-    ``fn`` gets Python ints and returns a float, and everything above works
-    on the float row this returns.
-    """
-    return _sample_each((fn,), ns, t)[0]
-
-
 def _sample_each(fns, ns, t: int) -> tuple:
-    """The row :func:`sample` returns for each callable of ``fns``, one
-    callable after another, with the sites listed once for all of them.
-    The one place a site/time callable is called site by site."""
+    """One float row per callable of ``fns``: ``float(fn(n, t))`` at the
+    integer sites ``ns`` (as Python ints) at step ``t``.  The one place a
+    site/time callable runs: the sites are listed once, and each distinct
+    callable (by identity) is called once per site, a repeat sharing its row."""
     sites, ts = np.asarray(ns).tolist(), repeat(int(t))
-    return tuple(np.fromiter(map(fn, sites, ts), dtype=np.float64, count=len(sites))
-                 for fn in fns)
+    rows = {id(fn): fn for fn in fns}
+    rows = {key: np.fromiter(map(fn, sites, ts), dtype=np.float64, count=len(sites))
+            for key, fn in rows.items()}
+    return tuple(rows[id(fn)] for fn in fns)
 
 
 @dataclass(frozen=True)
@@ -124,9 +117,9 @@ class CoinField:
 
     ``rows`` returns four float arrays holding the parameters at the integer
     sites ``ns`` at step ``t``.  Every backing implements it: constants,
-    scalar callables evaluated through :func:`sample`, dense tables loaded
-    from file and the dressing transforms.  ``angles`` holds the constant
-    angles of a field built by :meth:`homogeneous`, else ``None``.
+    scalar callables evaluated through :func:`_sample_each`, dense tables
+    loaded from file and the dressing transforms.  ``angles`` holds the
+    constant angles of a field built by :meth:`homogeneous`, else ``None``.
     """
 
     rows: Callable[[np.ndarray, int], tuple]
@@ -199,18 +192,15 @@ class PhaseField:
     when one walk is rewritten in terms of another.  ``rows`` returns two
     float arrays at the integer sites ``ns`` at step ``t``, backed like a
     :class:`CoinField`: two scalar callables ``(n, t) -> radians`` passed to
-    the constructor and evaluated through :func:`sample`, constants, dense
-    tables loaded from file, or any row sampler (:meth:`from_rows`).  One
-    callable passed twice is sampled once per row, its row returned as both
-    components.
+    the constructor and evaluated through :func:`_sample_each`, constants,
+    dense tables loaded from file, or any row sampler (:meth:`from_rows`).
+    One callable passed twice is sampled once per row, its row returned as
+    both components.
     """
 
     def __init__(self, xi_of: Callable[[int, int], float],
                  zeta_of: Callable[[int, int], float]):
-        if zeta_of is xi_of:
-            self.rows = lambda ns, t: _sample_each((xi_of,), ns, t) * 2
-        else:
-            self.rows = lambda ns, t: _sample_each((xi_of, zeta_of), ns, t)
+        self.rows = lambda ns, t: _sample_each((xi_of, zeta_of), ns, t)
 
     @classmethod
     def from_rows(cls, rows: Callable[[np.ndarray, int], tuple]) -> "PhaseField":

@@ -70,10 +70,13 @@ def first_fault(oks):
     return next(k for k, ok in enumerate(masks) if not ok.flat[i]), i
 
 
-def require_finite_fields(params) -> None:
-    """Raise ``ValueError`` naming the first field of the dataclass
-    ``params`` whose value is not finite."""
+def require_finite_fields(params, ok=np.isfinite, must: str = "finite") -> None:
+    """Raise :class:`InputError` naming the first field of the dataclass
+    ``params`` that is not a real number (a 0-d bool, integer or float) or
+    fails ``ok``, the condition the message words as what it ``must`` be."""
     for f in fields(params):
         v = getattr(params, f.name)
-        if not np.isfinite(v):
-            raise ValueError(f"{f.name} must be finite, got {v!r}")
+        if np.ndim(v) or np.asarray(v).dtype.kind not in "biuf":
+            raise InputError(f"{f.name} must be a real number, got {v!r}")
+        if not ok(v):
+            raise InputError(f"{f.name} must be {must}, got {v!r}")

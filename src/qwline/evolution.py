@@ -19,6 +19,7 @@ import numpy as np
 
 from . import kernels
 from .coin import CoinAngles, CoinField, coin_entries
+from .errors import InputError
 from .observables import record_from_amplitudes
 from .state import InitialState, SpinorField, _off_parity_zero, localized_state
 
@@ -88,7 +89,7 @@ def evolve(
     invariance verifications' walks keep their subnormal tails.
     """
     if t_final < 0:
-        raise ValueError(f"t_final must be non-negative, got {t_final}")
+        raise InputError(f"t_final must be non-negative, got {t_final}")
     f = CoinField.lift(f)
     state = localized_state(init) if isinstance(init, InitialState) else init
     t0, stride = state.t, _stride(state)

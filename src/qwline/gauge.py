@@ -22,7 +22,7 @@ import numpy as np
 
 from ._csvio import write_csv
 from .coin import CoinAngles, CoinField, PhaseField
-from .errors import GridError, first_fault
+from .errors import GridError, InputError, first_fault, require_finite_fields
 from .invariance import _dressed_field
 
 __all__ = [
@@ -55,14 +55,11 @@ class UnitSystem:
     hbar_over_e: float = 1.0
 
     def __post_init__(self):
-        for name in ("ell", "tau", "c", "hbar_over_e"):
-            v = getattr(self, name)
-            if not (np.isfinite(v) and v > 0):
-                raise ValueError(f"{name} must be finite and positive, got {v!r}")
+        require_finite_fields(self, lambda v: np.isfinite(v) and v > 0, "finite and positive")
         # an overflowed c * tau has a NaN spacing, which no gap is within
         ct = self.c * self.tau
         if not abs(self.ell - ct) <= 4 * np.spacing(max(self.ell, ct)):
-            raise ValueError(f"scales are inconsistent: ell={self.ell!r} but c*tau={ct!r}")
+            raise InputError(f"scales are inconsistent: ell={self.ell!r} but c*tau={ct!r}")
 
 
 def finite_difference_transform(
@@ -230,7 +227,12 @@ def lattice_phases_from_smooth(
     return PhaseField.from_rows(rows)
 
 
-def _domain_grid(domain, resolution: int, halo: int = 0):
+def _domain_grid(domain, resolution: int, least: int, halo: int = 0):
+    """Coordinates, spacings and location text of a ``resolution``-point
+    sampling per axis of ``domain``, ``halo`` points wider on each side."""
+    if resolution < least:
+        raise GridError(f"resolution must be at least {least}, got {resolution}")
+    where = f"domain {domain!r} at resolution {resolution}"
     x0, x1, t0, t1 = (float(v) for v in domain)
     if not (np.isfinite([x0, x1, t0, t1]).all() and x1 > x0 and t1 > t0):
         raise GridError(f"domain must have positive extent, got {domain!r}")
@@ -239,14 +241,14 @@ def _domain_grid(domain, resolution: int, halo: int = 0):
     dx = (x1 - x0) / (resolution - 1)
     dt = (t1 - t0) / (resolution - 1)
     if not all(np.finfo(np.float64).tiny <= d * d < np.inf for d in (dx, dt)):
-        raise GridError(f"domain {domain!r} at resolution {resolution}: spacings "
-                        f"dx={dx!r}, dt={dt!r} square outside the normal float range")
+        raise GridError(f"{where}: spacings dx={dx!r}, dt={dt!r} square outside "
+                        "the normal float range")
     steps = np.arange(-halo, resolution + halo)
     xs, ts = x0 + dx * steps, t0 + dt * steps
     if not all(np.isfinite(v).all() and (np.diff(v) > 0).all() for v in (xs, ts)):
-        raise GridError(f"domain {domain!r} at resolution {resolution}: sampled "
-                        "coordinates are not finite and strictly increasing")
-    return xs, ts, dx, dt
+        raise GridError(f"{where}: sampled coordinates are not finite and "
+                        "strictly increasing")
+    return xs, ts, dx, dt, where
 
 
 def _sample_pair(f, g, xs, ts, names=("xi", "zeta")) -> tuple:
@@ -290,10 +292,7 @@ def potentials_from_phase_pair(
     ``domain = (x0, x1, t0, t1)``.  A sampled phase or potential that is
     not finite raises :class:`GridError` naming the first such grid point.
     """
-    if resolution < 2:
-        raise GridError(f"resolution must be at least 2, got {resolution}")
-    xs, ts, _, _ = _domain_grid(domain, resolution)
-    where = f"domain {domain!r} at resolution {resolution}"
+    xs, ts, _, _, where = _domain_grid(domain, resolution, 2)
     xi_vals, zeta_vals = _sample_pair(pair.xi, pair.zeta, xs, ts)
     _require_finite(where, xs, ts, xi=xi_vals, zeta=zeta_vals)
     half = 0.5 * units.hbar_over_e
@@ -371,11 +370,8 @@ def efield_invariance_residual(
     the requested domain.  A sampled phase or residual value that is not
     finite raises :class:`GridError` naming the first such grid point.
     """
-    if resolution < 4:
-        raise GridError(f"resolution must be at least 4, got {resolution}")
     halo = 3
-    xs, ts, dx, dt = _domain_grid(domain, resolution, halo=halo)
-    where = f"domain {domain!r} at resolution {resolution}"
+    xs, ts, dx, dt, where = _domain_grid(domain, resolution, 4, halo=halo)
     c = units.c
     width = xs.size
     residual = np.empty((resolution, resolution))

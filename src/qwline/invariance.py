@@ -26,7 +26,7 @@ import numpy as np
 
 from . import kernels
 from .coin import CoinAngles, CoinField, PhaseField, _require_finite, coin_entries
-from .errors import PhaseConditionError, first_fault
+from .errors import InputError, PhaseConditionError, first_fault
 from .state import InitialState, SpinorField, localized_state
 
 __all__ = [
@@ -369,7 +369,7 @@ def _verify(kind, init, ref, phases, t_final, inputs) -> InvarianceReport:
     so the comparisons raise nothing and hold no padding.
     """
     if t_final < 0:
-        raise ValueError(f"t_final must be non-negative, got {t_final}")
+        raise InputError(f"t_final must be non-negative, got {t_final}")
     base = CoinField.lift(ref)
     c = base.angles
     walk = None if c is None else coin_entries(c.theta, c.alpha, c.beta, c.chi)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._csvio import write_csv
-from .errors import UnsupportedParameterError
+from .errors import InputError, UnsupportedParameterError
 from .state import SpinorField
 
 __all__ = [
@@ -107,9 +107,9 @@ def classical_pmf(p: float, t: int) -> np.ndarray:
     weight on the end site they walk to.
     """
     if not 0.0 <= p <= 1.0:
-        raise ValueError(f"step probability must lie in [0, 1], got {p}")
+        raise InputError(f"step probability must lie in [0, 1], got {p}")
     if t < 0:
-        raise ValueError(f"t must be non-negative, got {t}")
+        raise InputError(f"t must be non-negative, got {t}")
     out = np.zeros(2 * t + 1)
     if p in (0.0, 1.0):
         out[2 * t if p else 0] = 1.0
@@ -138,7 +138,7 @@ def stationary_pmf(n, t: int, theta: float, eta: float, phi: float):
     entries at occupied sites (``n + t`` even) compare with :func:`pmf`.
     """
     if t < 1:
-        raise ValueError(f"t must be positive, got {t}")
+        raise InputError(f"t must be positive, got {t}")
     ct = np.cos(theta)
     st = np.sin(theta)
     if not 0.0 < theta < np.pi / 2 or abs(ct) < _SINGULAR_COS:
@@ -223,7 +223,7 @@ def fitted_slope(ts, xs, t_min: int | None = None) -> float:
         t_min = ts[0] + (ts[-1] - ts[0]) / 2.0
     keep = ts >= t_min
     if np.count_nonzero(keep) < 2:
-        raise ValueError("need at least two trajectory points beyond t_min")
+        raise InputError("need at least two trajectory points beyond t_min")
     return float(np.polyfit(ts[keep], xs[keep], 1)[0])
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._csvio import read_csv, write_csv
-from .errors import TableError, require_finite_fields
+from .errors import InputError, TableError, require_finite_fields
 
 __all__ = [
     "InitialState",
@@ -31,7 +31,7 @@ class InitialState:
     """Origin spinor ``(cos(eta), e^{i*gamma} sin(eta))``.
 
     ``eta`` sets the weight balance between the two chirality components,
-    ``gamma`` their relative phase.  Both must be finite.
+    ``gamma`` their relative phase.  Both must be finite real numbers.
     """
 
     eta: float = 0.0
@@ -64,12 +64,12 @@ class SpinorField:
 
     def __post_init__(self):
         if self.t < 0:
-            raise ValueError(f"time index must be non-negative, got {self.t}")
+            raise InputError(f"time index must be non-negative, got {self.t}")
         width = 2 * self.t + 1
         for name in ("plus_amps", "minus_amps"):
             arr = np.array(getattr(self, name), dtype=np.complex128, copy=True)
             if arr.shape != (width,):
-                raise ValueError(
+                raise InputError(
                     f"{name} must have shape ({width},) for t={self.t}, got {arr.shape}"
                 )
             arr.setflags(write=False)

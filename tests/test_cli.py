@@ -648,3 +648,21 @@ def test_readme_command_line_examples_parse():
     for argv in examples:
         cfg = _build_config(build_parser().parse_args(argv))
         assert cfg.command == argv[0]
+
+
+@pytest.mark.parametrize("argv, text, message", [
+    (["evolve"], '{"theta": true, "t_final": 3}', "theta must be a number, got True"),
+    (["evolve"], "[1, 2]", "config file must hold a JSON object"),
+    (["gauge", "--domain", "0,1,2"], None, "domain needs x0,x1,t0,t1, got '0,1,2'"),
+], ids=["json_boolean", "json_list", "three_number_domain"])
+def test_malformed_requests_are_one_config_error(tmp_path, capsys, argv, text, message):
+    """A JSON boolean for a number, a config file that is not an object and
+    a domain of three numbers: exit 2, one stderr line, no output directory."""
+    if text is not None:
+        cfg = tmp_path / "run.json"
+        cfg.write_text(text)
+        argv = argv + ["--config", str(cfg)]
+    out = tmp_path / "out"
+    assert main(argv + ["--outdir", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()

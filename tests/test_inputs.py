@@ -1,0 +1,164 @@
+"""One rule per kind of user input: every refused argument is an
+``InputError``, scalar parameters must be finite real numbers, site/time
+callables run through one sampler, and grid requests share one prologue."""
+import math
+
+import numpy as np
+import pytest
+
+from qwline import (
+    CoinAngles,
+    CoinField,
+    GridError,
+    InitialState,
+    InputError,
+    PhaseField,
+    SmoothPhasePair,
+    SpinorField,
+    UnitSystem,
+    classical_pmf,
+    closed_form_amplitudes,
+    efield_invariance_residual,
+    evolve,
+    fitted_slope,
+    lambda_explicit,
+    lambda_table,
+    omega,
+    potentials_from_phase_pair,
+    quasi_invariant_phases,
+    stationary_pmf,
+    verify_quasi_invariance,
+)
+
+_INIT, _COIN = InitialState(0.3), CoinAngles(0.5)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: omega(1, 0, 0.5), "t must be positive"),
+    (lambda: omega(4, 3, 0.5), "mode index must satisfy"),
+    (lambda: lambda_explicit(0, -1, 0.5), "t must be non-negative"),
+    (lambda: lambda_table(0.5, 3).value(0, 4), "table covers 0 <= t <= 3"),
+    (lambda: lambda_table(0.5, 3).occupied_row(-1), "table covers 0 <= t <= 3"),
+    (lambda: lambda_table(0.5, -1), "t_max must be non-negative"),
+    (lambda: closed_form_amplitudes(_INIT, _COIN, -1), "t must be non-negative"),
+    (lambda: closed_form_amplitudes(_INIT, _COIN, 3, method="bogus"), "unknown method"),
+    (lambda: evolve(_INIT, _COIN, -1), "t_final must be non-negative"),
+    (lambda: verify_quasi_invariance(_INIT, _COIN, quasi_invariant_phases(0.1), -1),
+     "t_final must be non-negative"),
+    (lambda: classical_pmf(1.5, 3), "step probability must lie in"),
+    (lambda: classical_pmf(0.5, -1), "t must be non-negative"),
+    (lambda: stationary_pmf(0, 0, 0.5, 0.0, 0.0), "t must be positive"),
+    (lambda: fitted_slope([0, 1], [0, 1]), "need at least two trajectory points"),
+    (lambda: SpinorField(-1, np.zeros(1), np.zeros(1)), "time index must be non-negative"),
+    (lambda: SpinorField(1, np.zeros(2), np.zeros(3)), "plus_amps must have shape"),
+    (lambda: UnitSystem(ell=2.0), "scales are inconsistent"),
+    (lambda: CoinAngles(1 + 2j), "theta must be a real number"),
+    (lambda: InitialState(math.nan), "eta must be finite"),
+], ids=["omega_t", "omega_r", "lambda_explicit", "table_value", "table_row", "lambda_table",
+        "closed_form_t", "closed_form_method", "evolve", "verify", "classical_p",
+        "classical_t", "stationary", "fitted_slope", "spinor_t", "spinor_shape",
+        "unit_scales", "real_number", "finite"])
+def test_every_refused_argument_is_an_input_error(call, message):
+    with pytest.raises(InputError, match=message):
+        call()
+
+
+def test_validate_checks_a_state_not_an_input():
+    state = SpinorField(0, np.array([2.0]), np.zeros(1))
+    with pytest.raises(ValueError, match="norm deviates") as info:
+        state.validate()
+    assert not isinstance(info.value, InputError)
+
+
+_PARAMETERS = [(CoinAngles, "theta"), (InitialState, "eta"), (UnitSystem, "ell")]
+
+
+@pytest.mark.parametrize("make, name", _PARAMETERS)
+@pytest.mark.parametrize("bad", [1 + 2j, "0.5", None, [0.5]], ids=["complex", "str", "none",
+                                                                 "list"])
+def test_a_parameter_must_be_a_real_number(make, name, bad):
+    with pytest.raises(InputError, match=f"^{name} must be a real number, got "):
+        make(**{name: bad})
+
+
+@pytest.mark.parametrize("make, name", _PARAMETERS)
+@pytest.mark.parametrize("good", [np.float32(1.0), np.array(1.0), 1],
+                         ids=["float32", "0-d array", "int"])
+def test_real_scalars_of_any_kind_are_accepted(make, name, good):
+    # UnitSystem needs ell == c * tau, which 1 keeps
+    assert getattr(make(**{name: good}), name) is good
+
+
+def test_complex_coin_angles_are_refused_before_any_walk():
+    with pytest.raises(InputError, match=r"^theta must be a real number, got \(1\+2j\)$"):
+        evolve(InitialState(0.3), CoinAngles(1 + 2j), 10)
+    with pytest.raises(InputError, match=r"^ell must be a real number, got \(1\+0j\)$"):
+        UnitSystem(ell=1 + 0j)
+
+
+def test_finite_and_positive_messages_are_kept():
+    with pytest.raises(InputError, match=r"^theta must be finite, got nan$"):
+        CoinAngles(math.nan)
+    with pytest.raises(InputError, match=r"^gamma must be finite, got inf$"):
+        InitialState(0.1, math.inf)
+    with pytest.raises(InputError, match=r"^tau must be finite and positive, got -1.0$"):
+        UnitSystem(tau=-1.0)
+    with pytest.raises(InputError, match=r"^c must be finite and positive, got nan$"):
+        UnitSystem(c=math.nan)
+
+
+class _Counting:
+    """A site/time callable that counts its calls."""
+
+    def __init__(self, fn):
+        self.fn, self.calls = fn, 0
+
+    def __call__(self, n, t):
+        self.calls += 1
+        return self.fn(n, t)
+
+
+def _shared(n, t):
+    return 0.01 * n * n - 0.2 * t
+
+
+def test_a_callable_shared_by_coin_parameters_runs_once_per_site():
+    ns = np.arange(-5, 6)
+    g = _Counting(_shared)
+    shared = CoinField.from_functions(lambda n, t: 0.7, g, g, lambda n, t: 0.1 * n)
+    rows = shared.rows(ns, 3)
+    assert g.calls == ns.size
+    assert rows[1] is rows[2]
+    copies = CoinField.from_functions(lambda n, t: 0.7, _Counting(_shared),
+                                      _Counting(_shared), lambda n, t: 0.1 * n)
+    for got, want in zip(rows, copies.rows(ns, 3)):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("build", [lambda f: PhaseField(f, f), PhaseField.symmetric],
+                         ids=["pair", "symmetric"])
+def test_a_shared_phase_callable_runs_once_per_site(build):
+    ns = np.arange(-4, 5)
+    f = _Counting(_shared)
+    xi, zeta = build(f).rows(ns, 2)
+    assert f.calls == ns.size
+    assert xi is zeta
+    assert xi.tolist() == [_shared(n, 2) for n in ns.tolist()]
+
+
+_PAIR = SmoothPhasePair(xi=lambda x, t: x * t, zeta=lambda x, t: x - t)
+
+
+@pytest.mark.parametrize("grid, resolution, least", [
+    (potentials_from_phase_pair, 1, 2),
+    (efield_invariance_residual, 3, 4),
+])
+def test_grid_requests_keep_their_resolution_floor(grid, resolution, least):
+    with pytest.raises(GridError,
+                       match=f"^resolution must be at least {least}, got {resolution}$"):
+        grid(_PAIR, (0.0, 1.0, 0.0, 1.0), resolution)
+
+
+def test_a_callable_value_is_converted_not_type_checked():
+    xi, zeta = PhaseField(lambda n, t: "0.5", lambda n, t: True).rows(np.arange(2), 0)
+    assert xi.tolist() == [0.5, 0.5] and zeta.tolist() == [1.0, 1.0]
