@@ -25,7 +25,7 @@ import numpy as np
 from . import kernels
 from ._csvio import write_csv
 from .coin import CoinAngles
-from .errors import InputError, ParityError, UnsupportedParameterError
+from .errors import InputError, ParityError, UnsupportedParameterError, require_count
 from .state import InitialState, SpinorField
 
 __all__ = [
@@ -42,8 +42,7 @@ __all__ = [
 
 def omega(r: int, t: int, theta: float) -> float:
     """Dispersion angle of mode ``r``: ``arcsin(cos(theta) sin(pi r/(t+1)))``."""
-    if t < 1:
-        raise InputError(f"t must be positive, got {t}")
+    require_count("t", t, 1)
     if not 1 <= r <= t:
         raise InputError(f"mode index must satisfy 1 <= r <= t, got r={r}")
     return float(np.arcsin(np.cos(theta) * np.sin(np.pi * r / (t + 1))))
@@ -78,8 +77,7 @@ def lambda_explicit(n: int, t: int, theta: float) -> float:
     angles.  Sites with ``|n| > t`` return exactly 0, the others their entry
     of the FFT row.
     """
-    if t < 0:
-        raise InputError(f"t must be non-negative, got {t}")
+    require_count("t", t)
     _check_parity(n, t)
     _require_spectral(theta)
     if abs(n) > t:
@@ -129,8 +127,7 @@ def lambda_table(theta: float, t_max: int) -> LambdaTable:
     Works for any real ``theta``, including the degenerate angles the
     spectral form excludes.
     """
-    if t_max < 0:
-        raise InputError(f"t_max must be non-negative, got {t_max}")
+    require_count("t_max", t_max)
     rows = kernels.lambda_fill(math.cos(theta), t_max)
     rows.setflags(write=False)
     return LambdaTable(theta=theta, t_max=t_max, _rows=rows)
@@ -183,8 +180,7 @@ def closed_form_amplitudes(
     spectral form when ``0 < theta < pi/2`` and ``sin(theta) >= 1e-2`` and
     the recursion otherwise, where the mode sum would lose accuracy.
     """
-    if t < 0:
-        raise InputError(f"t must be non-negative, got {t}")
+    require_count("t", t)
     if method not in ("auto", "spectral", "recursion"):
         raise InputError(f"unknown method {method!r}")
     if method == "auto":

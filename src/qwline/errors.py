@@ -72,11 +72,26 @@ def first_fault(oks):
 
 def require_finite_fields(params, ok=np.isfinite, must: str = "finite") -> None:
     """Raise :class:`InputError` naming the first field of the dataclass
-    ``params`` that is not a real number (a 0-d bool, integer or float) or
-    fails ``ok``, the condition the message words as what it ``must`` be."""
+    ``params`` that is not a real number (a 0-d bool, integer or float; a
+    Python int within the int64/uint64 range numpy computes in) or fails
+    ``ok``, the condition the message words as what it ``must`` be."""
     for f in fields(params):
         v = getattr(params, f.name)
-        if np.ndim(v) or np.asarray(v).dtype.kind not in "biuf":
-            raise InputError(f"{f.name} must be a real number, got {v!r}")
+        # as objects, a ragged sequence is one dimension, not an error
+        if np.asarray(v, dtype=object).ndim or np.asarray(v).dtype.kind not in "biuf":
+            what = ("a float or an integer within the int64/uint64 range"
+                    if isinstance(v, int) else "a real number")
+            raise InputError(f"{f.name} must be {what}, got {v!r}")
         if not ok(v):
             raise InputError(f"{f.name} must be {must}, got {v!r}")
+
+
+def require_count(name: str, value, least: int = 0, error=InputError) -> None:
+    """Raise ``error`` unless ``value``, a horizon or a size, is a Python or
+    numpy integer, not a bool, of at least ``least`` (worded non-negative
+    for 0, positive for 1)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        floor = {0: "non-negative", 1: "positive"}.get(least, f"at least {least}")
+        raise error(f"{name} must be {floor}, got {value}")

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import kernels
 from .coin import CoinAngles, CoinField, coin_entries
-from .errors import InputError
+from .errors import require_count
 from .observables import record_from_amplitudes
 from .state import InitialState, SpinorField, _off_parity_zero, localized_state
 
@@ -88,8 +88,7 @@ def evolve(
     every record, which sums over all stored sites.  The closed form and the
     invariance verifications' walks keep their subnormal tails.
     """
-    if t_final < 0:
-        raise InputError(f"t_final must be non-negative, got {t_final}")
+    require_count("t_final", t_final)
     f = CoinField.lift(f)
     state = localized_state(init) if isinstance(init, InitialState) else init
     t0, stride = state.t, _stride(state)

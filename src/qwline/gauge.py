@@ -22,7 +22,7 @@ import numpy as np
 
 from ._csvio import write_csv
 from .coin import CoinAngles, CoinField, PhaseField
-from .errors import GridError, InputError, first_fault, require_finite_fields
+from .errors import GridError, InputError, first_fault, require_count, require_finite_fields
 from .invariance import _dressed_field
 
 __all__ = [
@@ -161,6 +161,8 @@ def potentials_from_transform(
     ``|n| <= n_max, 0 <= t <= t_max``.  Tabulated fields that do not cover
     the window raise ``TotalityError`` naming the first missing site.
     """
+    require_count("n_max", n_max)
+    require_count("t_max", t_max)
     base = CoinField.lift(ref)
     scale = units.hbar_over_e / (units.c * units.tau)
     ns = np.arange(-n_max, n_max + 1)
@@ -230,8 +232,7 @@ def lattice_phases_from_smooth(
 def _domain_grid(domain, resolution: int, least: int, halo: int = 0):
     """Coordinates, spacings and location text of a ``resolution``-point
     sampling per axis of ``domain``, ``halo`` points wider on each side."""
-    if resolution < least:
-        raise GridError(f"resolution must be at least {least}, got {resolution}")
+    require_count("resolution", resolution, least, GridError)
     where = f"domain {domain!r} at resolution {resolution}"
     x0, x1, t0, t1 = (float(v) for v in domain)
     if not (np.isfinite([x0, x1, t0, t1]).all() and x1 > x0 and t1 > t0):

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import kernels
 from .coin import CoinAngles, CoinField, PhaseField, _require_finite, coin_entries
-from .errors import InputError, PhaseConditionError, first_fault
+from .errors import PhaseConditionError, first_fault, require_count
 from .state import InitialState, SpinorField, localized_state
 
 __all__ = [
@@ -206,73 +206,71 @@ def _chunks(t_final: int):
         start = stop
 
 
-def _sample_chunk(base, phases, steps, ends, rows, coin, pair, dressing):
+def _sample_chunk(base, phases, steps, offsets, coin, phase, ahead):
     """Sample base-coin row t, then phase row t + 1, of each step t in
-    ``steps``, once each.
+    ``steps``, once each, into one packed layout.
 
-    Step i, at t = ``steps[i]``, fills the t + 1 cells ending at offset
-    ``ends[i]`` of the packed ``coin`` rows and of ``pair``, which takes
-    xi, zeta of row t (``rows`` for the first step) at n, then xi of row
-    t + 1 at n + 1 and zeta at n - 1.  Rows t + 1, of t + 2 sites, end at
-    ``ends[i] + i + 1``: a ``dressing`` takes phase row t + 1 whole there.
-    Returns the phase rows of the last step sampled, the number of steps
-    sampled and the exception that stopped the sampling, if one did.
+    Step i, at t = ``steps[i]``, fills the t + 1 cells from offset
+    ``offsets[i]`` to ``offsets[i + 1]`` of the ``coin`` rows, where
+    ``ahead`` takes xi of row t + 1 at n + 1 and zeta at n - 1.  ``phase``
+    opens with the carried row ``steps.start`` and takes each row t + 1
+    after row t, so row t lies on the cells of coin row t, and rows t + 1,
+    ``steps.start + 1`` cells on, on those of amplitude rows t + 1.
+    Returns the number of steps sampled and the exception that stopped the
+    sampling, if one did.
     """
-    (xi, zeta), done = rows, 0
     try:
-        for t, end in zip(steps, ends):
-            cells = slice(end - t - 1, end)
+        for done, t in enumerate(steps):
+            cells, end = slice(offsets[done], offsets[done + 1]), offsets[done + 1]
             coin[:, cells] = base.materialize(-t, t, t, 2)
-            xi1, zeta1 = phases.rows(np.arange(-t - 1, t + 2, 2), t + 1)
-            pair[:, cells] = xi, zeta, xi1[1:], zeta1[:-1]
-            if dressing is not None:
-                dressing[:, end + done - t - 1:end + done + 1] = xi1, zeta1
-            xi, zeta = xi1, zeta1
-            done += 1
+            phase[:, end:end + t + 2] = phases.rows(np.arange(-t - 1, t + 2, 2), t + 1)
+            ahead[:, cells] = phase[0, end + 1:end + t + 2], phase[1, end:end + t + 1]
     except Exception as exc:  # raised once the earlier steps are checked
-        return (xi, zeta), done, exc
-    return (xi, zeta), done, None
+        return done, exc
+    return len(steps), None
 
 
-def _check_chunk(steps, ends, shifted, pair, twins, fault) -> None:
-    """Raise the error the ``steps`` meet first, if any, with the message of
-    the row check that names its first site; then raise ``fault``, the
-    error that stopped the chunk's sampling, if one did.
+def _check_chunk(steps, offsets, coin, phase, ahead, common):
+    """The dressed coin of the ``steps``, whose rows :func:`_sample_chunk`
+    packed, after raising the error they meet first, if any, with the
+    message of the row check that names its first site.
 
-    Per step t, in order: the characteristics of the packed ``pair`` rows,
-    or else ``zeta == xi`` on the packed rows t + 1 of ``twins`` (both laid
-    out as in :func:`_sample_chunk`); then the packed dressed coin ``shifted``
-    being finite.  One pass per check covers the whole chunk; only when one
-    fails, or sampling raised, are the steps replayed one at a time.
+    Per step t, in order: the characteristics of phase row t + 1 against row
+    t, or, if ``common``, ``zeta == xi`` on row t + 1; then the dressed coin
+    being finite.  One pass per check covers the steps and reads only their
+    cells; only when one fails are the steps replayed one at a time.
     """
-    a, b = twins if pair is None else (pair[2:], pair[:2])
-    if fault is None and _condition(a, b)[1].all() and np.isfinite(shifted[1:]).all():
-        return
-    for i, (t, end) in enumerate(zip(steps, ends)):
-        cells, ns = slice(end - t - 1, end), np.arange(-t, t + 1, 2)
-        if pair is not None:
-            _require_condition(ns, t, (_RIGHT_MOVING, pair[2, cells], pair[0, cells]),
-                               (_LEFT_MOVING, pair[3, cells], pair[1, cells]))
-        else:
+    k, skip = offsets[len(steps)], steps.start + 1
+    now, nxt = phase[:, :k], ahead[:, :k]
+    shifted = _shifted(coin[:, :k], *now, *nxt, ..., ...)
+    a, b = phase[:, skip:skip + k + len(steps)] if common else (nxt, now)
+    if _condition(a, b)[1].all() and np.isfinite(shifted[1:]).all():
+        return shifted
+    for i, t in enumerate(steps):
+        cells, ns, end = slice(offsets[i], offsets[i + 1]), np.arange(-t, t + 1, 2), offsets[i + 1]
+        if common:
             _require_condition(np.arange(-t - 1, t + 2, 2), t + 1,
-                               (_COMMON_PHASE, *twins[:, end + i - t - 1:end + i + 1]))
+                               (_COMMON_PHASE, *phase[:, end:end + t + 2]))
+        else:
+            _require_condition(ns, t, (_RIGHT_MOVING, ahead[0, cells], phase[0, cells]),
+                               (_LEFT_MOVING, ahead[1, cells], phase[1, cells]))
         _require_finite(ns, t, [row[cells] for row in shifted])
-    if fault is not None:
-        raise fault
+    return shifted
 
 
-def _step_chunk(steps, ends, amps, last, walk, dressed) -> None:
+def _step_chunk(steps, offsets, amps, last, walk, dressed) -> None:
     """Step a walk under the coin entries ``walk`` and its dressed copy
     under ``dressed`` over the ``steps``, from the rows ``last`` into the
-    first rows of ``amps``, then from each row into the next.  Entries and
-    rows are packed as in :func:`_sample_chunk`; ``walk`` may be the four
+    first rows of ``amps``, then from each row into the next.  Entries are
+    packed as in :func:`_sample_chunk`, and the t + 2 amplitudes of rows
+    t + 1 of step i from ``offsets[i] + i``; ``walk`` may be the four
     scalars of a constant coin instead."""
     packed = np.ndim(walk[0]) > 0
     src = tuple(last)
     scratch = np.empty(steps[-1] + 1, dtype=np.complex128)
-    for i, (t, end) in enumerate(zip(steps, ends)):
-        cells = slice(end - t - 1, end)
-        out = tuple(amps[:, end + i - t - 1:end + i + 1])
+    for i, t in enumerate(steps):
+        cells = slice(offsets[i], offsets[i + 1])
+        out = tuple(amps[:, offsets[i] + i:offsets[i + 1] + i + 1])
         kernels.walk_step(src[0], src[1], out[0], out[1], 2,
                           *([e[cells] for e in walk] if packed else walk), scratch)
         kernels.walk_step(src[2], src[3], out[2], out[3], 2, *[e[cells] for e in dressed],
@@ -312,17 +310,6 @@ def _gaps(amps, dressing=None):
     return gaps
 
 
-def _deviations(maxima) -> list:
-    """One dict per step t = 0, 1, .. from ``maxima``, whose column t holds
-    the largest of each row of :func:`_gaps` at step t's sites."""
-    out = {"modulus": np.maximum(maxima[0], maxima[1]), "pmf": maxima[2], "phase_map": maxima[3]}
-    if len(maxima) > 4:
-        out |= {"component": np.maximum(maxima[4], maxima[5]),
-                "relative_phase": np.maximum(maxima[6], maxima[7])}
-    columns = [v.tolist() for v in out.values()]
-    return [{"t": t, **dict(zip(out, row))} for t, row in enumerate(zip(*columns))]
-
-
 @dataclass(frozen=True)
 class InvarianceReport:
     """Aggregated deviations between a reference walk and its dressed copy.
@@ -354,22 +341,23 @@ def _verify(kind, init, ref, phases, t_final, inputs) -> InvarianceReport:
     """Step a walk and its dressed copy side by side, and compare them one
     chunk of steps at a time (see :func:`_chunks`).
 
-    Step t samples base-coin row t, then phase row t + 1, each once.  Only
-    that is done step by step: a chunk is sampled first, its rows packed
-    one after another, and then checked in one pass per check, the
-    characteristics of row t + 1 against row t (``quasi``) or ``zeta ==
-    xi`` on row t + 1 (``exact``; row 0 is checked as it is sampled), both
-    by :func:`_condition`.  The chunk's dressed coin is formed and checked
-    finite, and its coin entries taken, at once.
-    If sampling step s raises, the checks of the chunk's steps before s run
-    first, so every error is the one the steps taken in order meet first.
-    Both walks then step from the last rows of the chunk before into the
-    chunk's packed amplitude rows t + 1.  Their :func:`_gaps` are taken as
-    the rows stand and ``np.maximum.reduceat`` keeps each step's largest,
-    so the comparisons raise nothing and hold no padding.
+    Step t samples base-coin row t, then phase row t + 1, each once, into
+    one packed layout that stores each phase row once, as row t of the
+    dressed coin and as the dressing of amplitude row t (see
+    :func:`_sample_chunk`).  Only that is done step by step: the sampled
+    steps are checked in one pass per check, the characteristics of row
+    t + 1 against row t (``quasi``) or ``zeta == xi`` on row t + 1
+    (``exact``; row 0 is checked as it is sampled), both by
+    :func:`_condition`, and their dressed coin is formed, checked finite
+    and its coin entries taken at once.  If sampling step s raises, the
+    steps before s are checked so first, so every error is the one the
+    steps taken in order meet first.  Both walks then step from the last
+    rows of the chunk before into the chunk's packed amplitude rows t + 1.
+    Their :func:`_gaps`, taken as the rows stand, raise nothing, and
+    ``np.maximum.reduceat`` keeps each step's largest in the columns whose
+    largest the report's ``max_*`` fields are.
     """
-    if t_final < 0:
-        raise InputError(f"t_final must be non-negative, got {t_final}")
+    require_count("t_final", t_final)
     base = CoinField.lift(ref)
     c = base.angles
     walk = None if c is None else coin_entries(c.theta, c.alpha, c.beta, c.chi)
@@ -380,55 +368,47 @@ def _verify(kind, init, ref, phases, t_final, inputs) -> InvarianceReport:
     # dressed coin, and at T = 0 not at all
     _require_finite(origin, 0, rows, ("xi", "zeta"))
     start = localized_state(init)
-    # amplitudes (plus, minus, dressed plus, dressed minus) of the step
-    # before a chunk
+    # amplitudes (plus, minus, dressed plus, dressed minus) and phase rows
+    # of the step before a chunk
     last = np.array([start.plus_amps, start.minus_amps,
                      start.plus_amps * _turn(rows[0]), start.minus_amps * _turn(rows[1])])
     maxima = np.empty((8 if common else 4, t_final + 1))
     maxima[:, :1] = _gaps(last, np.array(rows) if common else None)
     for steps in _chunks(t_final):
-        ends = list(accumulate(range(steps.start + 1, steps.stop + 1)))
-        # one buffer per chunk: coin and pair rows of k cells, then the
-        # dressing and amplitude rows of w.  As separate arrays, glibc gave
-        # a chunk's memory back to the system and faulted it in again for
-        # the next: 273 000 minor page faults in an exact T = 4000
-        # verification, against about 30 000 with one buffer
-        k, w = ends[-1], ends[-1] + len(steps)
-        buf = np.empty(8 * k + 10 * w)
-        coin, pair = buf[:4 * k].reshape(4, k), buf[4 * k:8 * k].reshape(4, k)
-        dressing = buf[8 * k:8 * k + 2 * w].reshape(2, w) if common else None
-        amps = buf[8 * k + 2 * w:].view(np.complex128).reshape(4, w)
-        rows, done, fault = _sample_chunk(base, phases, steps, ends, rows, coin, pair, dressing)
-        if fault is not None:  # check the steps sampled before it first
-            steps, ends = steps[:done], ends[:done]
-            sites = ends[-1] if done else 0
-            coin, pair = coin[:, :sites], pair[:, :sites]
-            dressing = dressing[:, :sites + done] if common else None
-        # pair already holds row t + 1 at n + 1 (xi) and n - 1 (zeta)
-        shifted = _shifted(coin, *pair, ..., ...)
-        _check_chunk(steps, ends, shifted, None if common else pair, dressing, fault)
-        _step_chunk(steps, ends, amps, last,
+        offsets = list(accumulate(range(steps.start + 1, steps.stop + 1), initial=0))
+        # one buffer per chunk: amplitude rows of w cells, coin and ahead
+        # rows of k, then the carried phase row and phase rows of w.  As
+        # separate arrays, glibc faulted each chunk's memory in afresh:
+        # 273 000 minor page faults in an exact T = 4000 verification, not 30 000
+        k, w, skip = offsets[-1], offsets[-1] + len(steps), steps.start + 1
+        buf = np.empty(10 * w + 6 * k + 2 * skip)
+        amps = buf[:8 * w].view(np.complex128).reshape(4, w)
+        coin = buf[8 * w:8 * w + 4 * k].reshape(4, k)
+        ahead = buf[8 * w + 4 * k:8 * w + 6 * k].reshape(2, k)
+        phase = buf[8 * w + 6 * k:].reshape(2, skip + w)
+        phase[:, :skip] = rows
+        done, fault = _sample_chunk(base, phases, steps, offsets, coin, phase, ahead)
+        shifted = _check_chunk(steps[:done], offsets, coin, phase, ahead, common)
+        if fault is not None:
+            raise fault
+        _step_chunk(steps, offsets, amps, last,
                     walk if walk is not None else coin_entries(*coin), coin_entries(*shifted))
-        np.maximum.reduceat(_gaps(amps, dressing),
-                            [end + i - t - 1 for i, (t, end) in enumerate(zip(steps, ends))],
+        np.maximum.reduceat(_gaps(amps, phase[:, skip:] if common else None),
+                            [o + i for i, o in enumerate(offsets[:-1])],
                             axis=1, out=maxima[:, steps.start + 1:steps.stop + 1])
-        last = amps[:, -steps.stop - 1:].copy()
-    per_time = _deviations(maxima)
-
-    def worst(key):
-        return max(d[key] for d in per_time) if key in per_time[0] else None
-
+        last, rows = amps[:, -steps.stop - 1:].copy(), phase[:, -steps.stop - 1:].copy()
+    columns = dict(zip(("modulus", "pmf", "phase_map", "component", "relative_phase"),
+                       [np.maximum(maxima[0], maxima[1]), maxima[2], maxima[3],
+                        *np.maximum(maxima[4::2], maxima[5::2])]))
+    worst = {key: column.max().item() for key, column in columns.items()}
+    per_time = [{"t": t, **dict(zip(columns, row))}
+                for t, row in enumerate(zip(*(column.tolist() for column in columns.values())))]
     return InvarianceReport(
-        kind=kind,
-        t_final=t_final,
-        max_modulus_deviation=worst("modulus"),
-        max_pmf_deviation=worst("pmf"),
-        phase_map_divergence=worst("phase_map"),
-        max_relative_phase_deviation=worst("relative_phase"),
-        max_component_deviation=worst("component"),
-        per_time_deviations=per_time,
-        inputs=dict(inputs or {}),
-    )
+        kind=kind, t_final=t_final, max_modulus_deviation=worst["modulus"],
+        max_pmf_deviation=worst["pmf"], phase_map_divergence=worst["phase_map"],
+        max_relative_phase_deviation=worst.get("relative_phase"),
+        max_component_deviation=worst.get("component"), per_time_deviations=per_time,
+        inputs=dict(inputs or {}))
 
 
 def verify_quasi_invariance(

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._csvio import write_csv
-from .errors import InputError, UnsupportedParameterError
+from .errors import InputError, UnsupportedParameterError, require_count
 from .state import SpinorField
 
 __all__ = [
@@ -108,8 +108,7 @@ def classical_pmf(p: float, t: int) -> np.ndarray:
     """
     if not 0.0 <= p <= 1.0:
         raise InputError(f"step probability must lie in [0, 1], got {p}")
-    if t < 0:
-        raise InputError(f"t must be non-negative, got {t}")
+    require_count("t", t)
     out = np.zeros(2 * t + 1)
     if p in (0.0, 1.0):
         out[2 * t if p else 0] = 1.0

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._csvio import read_csv, write_csv
-from .errors import InputError, TableError, require_finite_fields
+from .errors import InputError, TableError, require_count, require_finite_fields
 
 __all__ = [
     "InitialState",
@@ -63,8 +63,7 @@ class SpinorField:
     parity_localized: bool = True
 
     def __post_init__(self):
-        if self.t < 0:
-            raise InputError(f"time index must be non-negative, got {self.t}")
+        require_count("time index", self.t)
         width = 2 * self.t + 1
         for name in ("plus_amps", "minus_amps"):
             arr = np.array(getattr(self, name), dtype=np.complex128, copy=True)

@@ -25,8 +25,10 @@ from qwline import (
     lambda_table,
     omega,
     potentials_from_phase_pair,
+    potentials_from_transform,
     quasi_invariant_phases,
     stationary_pmf,
+    transform_coin_field,
     verify_quasi_invariance,
 )
 
@@ -54,10 +56,29 @@ _INIT, _COIN = InitialState(0.3), CoinAngles(0.5)
     (lambda: UnitSystem(ell=2.0), "scales are inconsistent"),
     (lambda: CoinAngles(1 + 2j), "theta must be a real number"),
     (lambda: InitialState(math.nan), "eta must be finite"),
+    # horizons and sizes must be integers, of numpy's kind too
+    (lambda: evolve(_INIT, _COIN, 2.5), "^t_final must be an integer, got 2.5$"),
+    (lambda: evolve(_INIT, _COIN, True), "^t_final must be an integer, got True$"),
+    (lambda: (evolve(_INIT, _COIN, np.int64(3)), evolve(_INIT, _COIN, np.float64(3.0))),
+     r"^t_final must be an integer, got np.float64\(3.0\)$"),
+    (lambda: verify_quasi_invariance(_INIT, _COIN, quasi_invariant_phases(0.1), 2.5),
+     "^t_final must be an integer, got 2.5$"),
+    (lambda: closed_form_amplitudes(_INIT, _COIN, 2.5), "^t must be an integer, got 2.5$"),
+    (lambda: lambda_table(0.5, 2.5), "^t_max must be an integer, got 2.5$"),
+    (lambda: classical_pmf(0.5, 2.5), "^t must be an integer, got 2.5$"),
+    (lambda: SpinorField(2.5, np.zeros(6), np.zeros(6)),
+     "^time index must be an integer, got 2.5$"),
+    (lambda: potentials_from_transform(
+        _COIN, transform_coin_field(_COIN, PhaseField.constant(0.1)), n_max=2.5),
+     "^n_max must be an integer, got 2.5$"),
+    (lambda: efield_invariance_residual(_PAIR, (0.0, 1.0, 0.0, 1.0), 64.5),
+     "^resolution must be an integer, got 64.5$"),
 ], ids=["omega_t", "omega_r", "lambda_explicit", "table_value", "table_row", "lambda_table",
         "closed_form_t", "closed_form_method", "evolve", "verify", "classical_p",
         "classical_t", "stationary", "fitted_slope", "spinor_t", "spinor_shape",
-        "unit_scales", "real_number", "finite"])
+        "unit_scales", "real_number", "finite", "evolve_float", "evolve_bool",
+        "evolve_int64_then_float64", "verify_float", "closed_form_float", "lambda_table_float",
+        "classical_float", "spinor_float", "potentials_n_max_float", "efield_float"])
 def test_every_refused_argument_is_an_input_error(call, message):
     with pytest.raises(InputError, match=message):
         call()
@@ -74,10 +95,15 @@ _PARAMETERS = [(CoinAngles, "theta"), (InitialState, "eta"), (UnitSystem, "ell")
 
 
 @pytest.mark.parametrize("make, name", _PARAMETERS)
-@pytest.mark.parametrize("bad", [1 + 2j, "0.5", None, [0.5]], ids=["complex", "str", "none",
-                                                                 "list"])
-def test_a_parameter_must_be_a_real_number(make, name, bad):
-    with pytest.raises(InputError, match=f"^{name} must be a real number, got "):
+@pytest.mark.parametrize("bad, must", [
+    *(pytest.param(bad, "a real number", id=i) for bad, i in (
+        (1 + 2j, "complex"), ("0.5", "str"), (None, "none"), ([0.5], "list"),
+        ([[1], [1, 2]], "ragged"))),
+    # numpy holds it only as an object, so no consumer computes with it
+    pytest.param(2**70, "a float or an integer within the int64/uint64 range", id="huge_int"),
+])
+def test_a_parameter_must_be_a_real_number(make, name, bad, must):
+    with pytest.raises(InputError, match=f"^{name} must be {must}, got "):
         make(**{name: bad})
 
 
