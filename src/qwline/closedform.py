@@ -43,12 +43,14 @@ __all__ = [
 def omega(r: int, t: int, theta: float) -> float:
     """Dispersion angle of mode ``r``: ``arcsin(cos(theta) sin(pi r/(t+1)))``."""
     require_count("t", t, 1)
+    require_count("r", r, -math.inf)
     if not 1 <= r <= t:
         raise InputError(f"mode index must satisfy 1 <= r <= t, got r={r}")
     return float(np.arcsin(np.cos(theta) * np.sin(np.pi * r / (t + 1))))
 
 
 def _check_parity(n: int, t: int) -> None:
+    require_count("n", n, -math.inf)
     if (n + t) % 2 != 0:
         raise ParityError(
             f"site (n={n}, t={t}) is unreachable: n + t must be even"
@@ -106,9 +108,13 @@ class LambdaTable:
     t_max: int
     _rows: np.ndarray
 
-    def value(self, n: int, t: int) -> float:
+    def _check_row(self, t: int) -> None:
+        require_count("t", t, -math.inf)
         if not 0 <= t <= self.t_max:
             raise InputError(f"table covers 0 <= t <= {self.t_max}, got t={t}")
+
+    def value(self, n: int, t: int) -> float:
+        self._check_row(t)
         _check_parity(n, t)
         if abs(n) > t:
             return 0.0
@@ -116,8 +122,7 @@ class LambdaTable:
 
     def occupied_row(self, t: int) -> tuple[np.ndarray, np.ndarray]:
         """Sites ``-t, -t+2, .., t`` and their kernel values at time ``t``."""
-        if not 0 <= t <= self.t_max:
-            raise InputError(f"table covers 0 <= t <= {self.t_max}, got t={t}")
+        self._check_row(t)
         return np.arange(-t, t + 1, 2), self._rows[t, 1:t + 2]
 
 

@@ -249,17 +249,24 @@ def _window_table_rows(values: list, t_max: int, what: str):
 
 def _save_window_csv(path, header: str, t_max: int, rows) -> None:
     """Write ``rows(ns, t)`` on the square window ``|n| <= t_max, 0 <= t <= t_max``,
-    each row broadcast to the sites, so a scalar row is a constant column."""
+    each row broadcast to the sites, so a scalar row is a constant column.
+    Each row is checked finite as it is sampled, before the file is opened,
+    so the first fault in step order is the one named."""
     ns, ts = np.arange(-t_max, t_max + 1), np.arange(t_max + 1)
-    values = zip(*(rows(ns, int(t)) for t in ts))
+
+    def sampled(t):
+        row = rows(ns, t)
+        _require_finite(ns, t, row, header.split(",")[2:])
+        return row
+
+    values = zip(*(sampled(int(t)) for t in ts))
     columns = [np.stack([np.broadcast_to(row, ns.shape) for row in v]) for v in values]
     write_csv(path, header, columns, grid=(ns, ts))
 
 
 def save_coin_field_csv(f: CoinField, t_max: int, path) -> None:
     """Tabulate ``f`` on the square window ``|n| <= t_max, 0 <= t <= t_max``."""
-    _save_window_csv(path, COIN_CSV_HEADER, t_max,
-                     lambda ns, t: f.materialize(-t_max, t_max, t))
+    _save_window_csv(path, COIN_CSV_HEADER, t_max, f.rows)
 
 
 def save_phase_field_csv(f: PhaseField, t_max: int, path) -> None:

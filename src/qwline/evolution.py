@@ -58,7 +58,6 @@ def evolve(
     f: CoinField | CoinAngles,
     t_final: int,
     record_trajectory: bool = False,
-    ell: float = 1.0,
 ):
     """Run ``t_final`` steps from a localized (or given) initial state.
 
@@ -111,7 +110,7 @@ def evolve(
         t_end = t0 + t_final
         labels = np.arange(-t_end, t_end + 1, dtype=np.float64)
         records = [record_from_amplitudes(t0, start[0], start[1],
-                                          labels[t_end - t0:t_end + t0 + 1:stride], ell=ell)]
+                                          labels[t_end - t0:t_end + t0 + 1:stride])]
     for t in range(t0, t0 + t_final):
         if c is None:
             rows = f.materialize(-t, t, t, stride)
@@ -136,7 +135,7 @@ def evolve(
         lo, hi = new_lo, new_hi
         if record_trajectory:
             records.append(record_from_amplitudes(
-                t + 1, dst[0, :m], dst[1, :m], labels[t_end - t - 1:t_end + t + 2:stride], ell=ell))
+                t + 1, dst[0, :m], dst[1, :m], labels[t_end - t - 1:t_end + t + 2:stride]))
         src, dst = dst, src
     t = t0 + t_final
     del dst, scratch, labels

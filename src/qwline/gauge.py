@@ -15,14 +15,14 @@ axis 0) and coordinate vectors are 1-D.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from ._csvio import write_csv
 from .coin import CoinAngles, CoinField, PhaseField
-from .errors import GridError, InputError, first_fault, require_count, require_finite_fields
+from .errors import GridError, first_fault, require_count, require_finite_fields
 from .invariance import _dressed_field
 
 __all__ = [
@@ -44,22 +44,22 @@ __all__ = [
 class UnitSystem:
     """Lattice scales and the potential normalization.
 
-    ``ell`` and ``tau`` are the lattice spacing and time step, tied by the
-    characteristic speed ``ell = c * tau`` (to four ulps of the larger side);
-    ``hbar_over_e`` scales the potentials.  Defaults put everything at 1.
+    ``tau`` is the time step and ``c`` the characteristic speed, which fixes
+    the lattice spacing ``ell = c * tau``; ``hbar_over_e`` scales the
+    potentials.  Defaults put everything at 1.
     """
 
-    ell: float = 1.0
     tau: float = 1.0
     c: float = 1.0
     hbar_over_e: float = 1.0
+    ell: float = field(default=1.0, init=False)
 
     def __post_init__(self):
-        require_finite_fields(self, lambda v: np.isfinite(v) and v > 0, "finite and positive")
-        # an overflowed c * tau has a NaN spacing, which no gap is within
-        ct = self.c * self.tau
-        if not abs(self.ell - ct) <= 4 * np.spacing(max(self.ell, ct)):
-            raise InputError(f"scales are inconsistent: ell={self.ell!r} but c*tau={ct!r}")
+        # ell keeps its default until its factors pass, then is checked itself
+        positive = (lambda v: np.isfinite(v) and v > 0, "finite and positive")
+        require_finite_fields(self, *positive)
+        object.__setattr__(self, "ell", self.c * self.tau)
+        require_finite_fields(self, *positive)
 
 
 def finite_difference_transform(
@@ -112,7 +112,8 @@ def _require_finite(where: str, xs, ts, **fields) -> None:
 class PotentialField:
     """Potential components sampled on a rectangular space-time grid.
 
-    ``a_t`` and ``a_x`` have shape ``(len(t), len(x))``.
+    ``x`` and ``t`` are finite 1-D coordinates; ``a_t`` and ``a_x`` have
+    shape ``(len(t), len(x))``.
     """
 
     x: np.ndarray
@@ -127,6 +128,8 @@ class PotentialField:
         a_x = np.asarray(self.a_x, dtype=np.float64)
         for name, arr in (("x", x), ("t", t), ("a_t", a_t), ("a_x", a_x)):
             object.__setattr__(self, name, arr)
+        if not all(v.ndim == 1 and np.isfinite(v).all() for v in (x, t)):
+            raise GridError("coordinates x and t must be finite 1-D arrays")
         want = (t.size, x.size)
         if a_t.shape != want or a_x.shape != want:
             raise GridError(
@@ -164,7 +167,7 @@ def potentials_from_transform(
     require_count("n_max", n_max)
     require_count("t_max", t_max)
     base = CoinField.lift(ref)
-    scale = units.hbar_over_e / (units.c * units.tau)
+    scale = units.hbar_over_e / units.ell
     ns = np.arange(-n_max, n_max + 1)
     ts = np.arange(t_max + 1)
     a_t = np.empty((ts.size, ns.size))

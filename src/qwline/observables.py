@@ -54,14 +54,14 @@ def magnetization(state: SpinorField) -> np.ndarray:
     return np.abs(state.plus_amps) ** 2 - np.abs(state.minus_amps) ** 2
 
 
-def mean_position(state: SpinorField, ell: float = 1.0) -> float:
-    """First moment of the position distribution, in units of ``ell``."""
-    return ell * float(np.sum(state.n_values * pmf(state)))
+def mean_position(state: SpinorField) -> float:
+    """First moment of the position distribution, in lattice sites."""
+    return float(np.sum(state.n_values * pmf(state)))
 
 
 @dataclass(frozen=True)
 class ObservableRecord:
-    """The standard scalar observables at one time step.
+    """The standard scalar observables at one time step, positions in sites.
 
     The per-site distribution and magnetization are not kept; :func:`pmf`
     and :func:`magnetization` give them for any state.
@@ -71,10 +71,9 @@ class ObservableRecord:
     p_plus: float
     p_minus: float
     mean_x: float
-    ell: float = 1.0
 
 
-def record_from_amplitudes(t, plus, minus, ns, ell: float = 1.0) -> ObservableRecord:
+def record_from_amplitudes(t, plus, minus, ns) -> ObservableRecord:
     """Observables of amplitudes ``plus``, ``minus`` at sites ``ns``.
 
     The arrays may cover any subset of the window that holds all the
@@ -88,13 +87,11 @@ def record_from_amplitudes(t, plus, minus, ns, ell: float = 1.0) -> ObservableRe
     w_plus += w_minus
     w_plus *= ns
     return ObservableRecord(t=t, p_plus=p_plus, p_minus=p_minus,
-                            mean_x=ell * float(np.add.reduce(w_plus)), ell=ell)
+                            mean_x=float(np.add.reduce(w_plus)))
 
 
-def observe(state: SpinorField, ell: float = 1.0) -> ObservableRecord:
-    return record_from_amplitudes(
-        state.t, state.plus_amps, state.minus_amps, state.n_values, ell=ell
-    )
+def observe(state: SpinorField) -> ObservableRecord:
+    return record_from_amplitudes(state.t, state.plus_amps, state.minus_amps, state.n_values)
 
 
 def classical_pmf(p: float, t: int) -> np.ndarray:
@@ -168,6 +165,7 @@ def smoothed_pmf(rho: np.ndarray, half_width: int = 6) -> np.ndarray:
     window edges the average is over the sites actually available.  The
     returned array has the input shape with off-parity sites left at zero.
     """
+    require_count("half_width", half_width)
     rho = np.asarray(rho, dtype=np.float64)
     occ = rho[::2]
     w = np.ones(2 * half_width + 1)
@@ -218,6 +216,8 @@ def fitted_slope(ts, xs, t_min: int | None = None) -> float:
     """
     ts = np.asarray(ts, dtype=np.float64)
     xs = np.asarray(xs, dtype=np.float64)
+    if ts.shape != xs.shape:
+        raise InputError(f"ts and xs must have the same shape, got {ts.shape} and {xs.shape}")
     if t_min is None:
         t_min = ts[0] + (ts[-1] - ts[0]) / 2.0
     keep = ts >= t_min

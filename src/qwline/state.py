@@ -89,6 +89,7 @@ class SpinorField:
 
     def amplitudes_at(self, n: int) -> tuple[complex, complex]:
         """Both components at site ``n`` (zero outside the window)."""
+        require_count("n", n, -math.inf)
         if abs(n) > self.t:
             return 0j, 0j
         i = n + self.t

@@ -258,6 +258,22 @@ def test_table_savers_broadcast_scalar_rows(tmp_path):
         assert (tmp_path / "scalar.csv").read_bytes() == (tmp_path / "full.csv").read_bytes()
 
 
+def test_phase_table_saver_refuses_what_its_loader_refuses(tmp_path):
+    """A non-finite phase is refused before the file is opened, in the words
+    the loader uses for the table that would have been written."""
+    pair = PhaseField(lambda n, t: np.nan if (n, t) == (1, 1) else 0.1 * n,
+                      lambda n, t: 0.2 * t)
+    path = tmp_path / "phase.csv"
+    with pytest.raises(UnsupportedParameterError, match=r"^xi is not finite at \(n=1, t=1\)$"):
+        save_phase_field_csv(pair, 2, path)
+    assert not path.exists()
+    path.write_text("n,t,xi,zeta\n" + "".join(
+        f"{n},{t},{'nan' if (n, t) == (1, 1) else 0.1 * n},{0.2 * t}\n"
+        for t in range(3) for n in range(-2, 3)))
+    with pytest.raises(TableError, match=r"xi is not finite at \(n=1, t=1\)$"):
+        load_phase_field_csv(path)
+
+
 def test_window_csv_rejects_bad_inputs(tmp_path):
     path = tmp_path / "bad.csv"
 

@@ -91,14 +91,10 @@ def test_step_is_linear():
 
 def test_evolve_records_trajectory():
     c = CoinAngles(theta=np.pi / 4)
-    state, records = evolve(InitialState(), c, 12, record_trajectory=True,
-                            ell=2.0)
+    state, records = evolve(InitialState(), c, 12, record_trajectory=True)
     assert len(records) == 13
     assert [r.t for r in records] == list(range(13))
     assert records[0].mean_x == 0.0
-    # Lattice spacing scales the position observable linearly.
-    _, unit_records = evolve(InitialState(), c, 12, record_trajectory=True)
-    assert records[7].mean_x == pytest.approx(2.0 * unit_records[7].mean_x)
     assert state.t == 12
 
 
@@ -225,13 +221,12 @@ def test_resumed_evolution_is_bit_identical():
 def test_recorded_scalars_match_state_observables():
     init = InitialState(eta=0.6, gamma=1.9)
     for coin in (CoinAngles(0.9, 0.3, -1.2, 0.4), _formula_coin()):
-        _, records = evolve(init, coin, 40, record_trajectory=True, ell=1.5)
+        _, records = evolve(init, coin, 40, record_trajectory=True)
         for t, rec in enumerate(records):
             state = evolve(init, coin, t)
             p_plus, p_minus = chirality_probabilities(state)
             assert rec.t == t
-            assert rec.ell == 1.5
-            assert abs(rec.mean_x - mean_position(state, ell=1.5)) <= 1e-12
+            assert abs(rec.mean_x - mean_position(state)) <= 1e-12
             assert abs(rec.p_plus - p_plus) <= 1e-12
             assert abs(rec.p_minus - p_minus) <= 1e-12
 
@@ -259,7 +254,7 @@ def test_long_run_keeps_exact_parity_zeros():
         off.validate()
 
 
-def _windowed_evolve(state, f, t_final, record_trajectory=False, ell=1.0):
+def _windowed_evolve(state, f, t_final, record_trajectory=False):
     """``evolve`` written out on full windows, one fresh window pair per step,
     in the float order the row kernel must keep.
 
@@ -274,7 +269,7 @@ def _windowed_evolve(state, f, t_final, record_trajectory=False, ell=1.0):
 
     def record(t):
         ns = np.arange(-t, t + 1)[::stride]
-        return record_from_amplitudes(t, plus[::stride], minus[::stride], ns, ell=ell)
+        return record_from_amplitudes(t, plus[::stride], minus[::stride], ns)
 
     c = f.angles
     records = [record(state.t)]
@@ -303,8 +298,8 @@ def test_evolve_is_bitwise_the_windowed_stepper(coin, start):
              "spread": _spread_state()}[start]
     for t_final in (0, 1, 2, 50):
         for record in (False, True):
-            got = evolve(state, coin, t_final, record_trajectory=record, ell=1.5)
-            want = _windowed_evolve(state, coin, t_final, record_trajectory=record, ell=1.5)
+            got = evolve(state, coin, t_final, record_trajectory=record)
+            want = _windowed_evolve(state, coin, t_final, record_trajectory=record)
             if record:
                 assert got[1] == want[1]
                 got, want = got[0], want[0]

@@ -12,6 +12,7 @@ from qwline import (
     CoinField,
     GridError,
     InitialState,
+    InputError,
     PhaseField,
     PotentialField,
     SmoothPhasePair,
@@ -41,13 +42,11 @@ DOMAIN = (-1.0, 1.0, 0.0, 1.5)
 def test_unit_system_validation():
     u = UnitSystem()
     assert u.ell == u.tau == u.c == u.hbar_over_e == 1.0
-    UnitSystem(ell=0.5, tau=0.25, c=2.0)
-    # ell = c * tau to a few ulps, at any scale
-    UnitSystem(ell=0.3, tau=0.1, c=3.0)
-    for bad in (dict(ell=2.0), dict(ell=1e-20, tau=1e-20, c=2.0), dict(ell=1e-13, tau=1e-13, c=1.1),
-                dict(ell=1.0, tau=1e200, c=1e200)):
-        with pytest.raises(ValueError, match="inconsistent"):
-            UnitSystem(**bad)
+    assert UnitSystem(tau=0.25, c=2.0).ell == 0.5
+    # the derived spacing is checked like the scales: no overflow, no underflow
+    for tiny_or_huge, got in ((1e200, "inf"), (1e-200, "0.0")):
+        with pytest.raises(InputError, match=f"^ell must be finite and positive, got {got}$"):
+            UnitSystem(tau=tiny_or_huge, c=tiny_or_huge)
     with pytest.raises(ValueError, match="finite and positive"):
         UnitSystem(tau=0.0)
     with pytest.raises(ValueError, match="finite and positive"):
@@ -213,7 +212,7 @@ def test_potentials_from_transform_respects_units():
     a = 0.02
     dressed = transform_coin_field(REF, PhaseField.symmetric(
         lambda n, t: a * n * t))
-    units = UnitSystem(ell=0.5, tau=0.5, c=1.0, hbar_over_e=1.0)
+    units = UnitSystem(tau=0.5, c=1.0, hbar_over_e=1.0)
     p = potentials_from_transform(REF, dressed, units=units, n_max=4, t_max=4)
     # scale = hbar_over_e / (c tau) = 2, grid coordinates shrink by 2.
     assert p.a_t[0, -1] == pytest.approx(2 * a * 4, abs=1e-13)
@@ -370,7 +369,7 @@ def _out_of_place_residual(pair, domain, res, units):
 
 
 @pytest.mark.parametrize("units", [UnitSystem(),
-                                   UnitSystem(ell=0.5, tau=0.25, c=2.0, hbar_over_e=0.7)])
+                                   UnitSystem(tau=0.25, c=2.0, hbar_over_e=0.7)])
 def test_residual_is_bitwise_the_out_of_place_composition(units):
     pairs = [_smooth_pair(name, units.c) for name in ("symmetric", "null", "wave")]
     pairs.append(SmoothPhasePair(xi=lambda X, T: X * X * T,
@@ -561,7 +560,7 @@ def test_lattice_phases_track_continuum_derivatives():
     x_star, t_star = 0.5, 0.5
     errs_t, errs_x = [], []
     for h in (0.1, 0.05, 0.025):
-        units = UnitSystem(ell=h, tau=h, c=1.0)
+        units = UnitSystem(tau=h, c=1.0)
         phases = lattice_phases_from_smooth(
             SmoothPhasePair(xi=xi, zeta=xi), units)
         dressed = transform_coin_field(CoinAngles(theta=0.7), phases)
@@ -578,7 +577,7 @@ def test_lattice_phases_track_continuum_derivatives():
 def test_lattice_phases_broadcast_time_only_pairs():
     """A pair that ignores X returns one value per row; it still samples as
     a full row, so a time-only phase shifts chi alone, by its step."""
-    units = UnitSystem(ell=0.5, tau=0.5, c=1.0)
+    units = UnitSystem(tau=0.5, c=1.0)
     phases = lattice_phases_from_smooth(
         SmoothPhasePair(xi=lambda X, T: 0.3 * T, zeta=lambda X, T: 0.3 * T), units)
     xi, zeta = phases.rows(np.arange(-3, 4), 2)

@@ -13,6 +13,7 @@ from qwline import (
     InitialState,
     InputError,
     PhaseField,
+    PotentialField,
     SmoothPhasePair,
     SpinorField,
     UnitSystem,
@@ -27,6 +28,7 @@ from qwline import (
     potentials_from_phase_pair,
     potentials_from_transform,
     quasi_invariant_phases,
+    smoothed_pmf,
     stationary_pmf,
     transform_coin_field,
     verify_quasi_invariance,
@@ -53,7 +55,7 @@ _INIT, _COIN = InitialState(0.3), CoinAngles(0.5)
     (lambda: fitted_slope([0, 1], [0, 1]), "need at least two trajectory points"),
     (lambda: SpinorField(-1, np.zeros(1), np.zeros(1)), "time index must be non-negative"),
     (lambda: SpinorField(1, np.zeros(2), np.zeros(3)), "plus_amps must have shape"),
-    (lambda: UnitSystem(ell=2.0), "scales are inconsistent"),
+    (lambda: UnitSystem(tau=1e200, c=1e200), "^ell must be finite and positive, got inf$"),
     (lambda: CoinAngles(1 + 2j), "theta must be a real number"),
     (lambda: InitialState(math.nan), "eta must be finite"),
     # horizons and sizes must be integers, of numpy's kind too
@@ -73,12 +75,35 @@ _INIT, _COIN = InitialState(0.3), CoinAngles(0.5)
      "^n_max must be an integer, got 2.5$"),
     (lambda: efield_invariance_residual(_PAIR, (0.0, 1.0, 0.0, 1.0), 64.5),
      "^resolution must be an integer, got 64.5$"),
+    # site and mode indices follow the integer rule, and their ranges keep their own words
+    (lambda: lambda_table(0.5, 3).value(1, 3.0), "^t must be an integer, got 3.0$"),
+    (lambda: lambda_table(0.5, 3).value(1.0, 3), "^n must be an integer, got 1.0$"),
+    (lambda: lambda_table(0.5, 3).occupied_row(2.0), "^t must be an integer, got 2.0$"),
+    (lambda: lambda_explicit(1.0, 3, 0.5), "^n must be an integer, got 1.0$"),
+    (lambda: omega(1.5, 3, 0.5), "^r must be an integer, got 1.5$"),
+    (lambda: omega(True, 3, 0.5), "^r must be an integer, got True$"),
+    (lambda: evolve(_INIT, _COIN, 3).amplitudes_at(0.5), "^n must be an integer, got 0.5$"),
+    (lambda: smoothed_pmf(np.ones(9), half_width=-1), "^half_width must be non-negative, got -1$"),
+    (lambda: smoothed_pmf(np.ones(9), half_width=2.5), "^half_width must be an integer, got 2.5$"),
+    # arrays a call pairs must fit
+    (lambda: fitted_slope([0, 1, 2, 3], [0, 1, 2]),
+     r"^ts and xs must have the same shape, got \(4,\) and \(3,\)$"),
+    (lambda: PotentialField(x=np.zeros((2, 3)), t=np.arange(2.0), a_t=np.zeros((2, 6)),
+                            a_x=np.zeros((2, 6))),
+     "^coordinates x and t must be finite 1-D arrays$"),
+    (lambda: PotentialField(x=[0.0, math.nan], t=[0.0, 1.0], a_t=np.zeros((2, 2)),
+                            a_x=np.zeros((2, 2))),
+     "^coordinates x and t must be finite 1-D arrays$"),
 ], ids=["omega_t", "omega_r", "lambda_explicit", "table_value", "table_row", "lambda_table",
         "closed_form_t", "closed_form_method", "evolve", "verify", "classical_p",
         "classical_t", "stationary", "fitted_slope", "spinor_t", "spinor_shape",
         "unit_scales", "real_number", "finite", "evolve_float", "evolve_bool",
         "evolve_int64_then_float64", "verify_float", "closed_form_float", "lambda_table_float",
-        "classical_float", "spinor_float", "potentials_n_max_float", "efield_float"])
+        "classical_float", "spinor_float", "potentials_n_max_float", "efield_float",
+        "table_value_t_float", "table_value_n_float", "table_row_float",
+        "lambda_explicit_n_float", "omega_r_float", "omega_r_bool", "amplitudes_at_float",
+        "smoothed_negative", "smoothed_float", "fitted_slope_shapes", "potentials_2d_x",
+        "potentials_nan_x"])
 def test_every_refused_argument_is_an_input_error(call, message):
     with pytest.raises(InputError, match=message):
         call()
@@ -91,7 +116,7 @@ def test_validate_checks_a_state_not_an_input():
     assert not isinstance(info.value, InputError)
 
 
-_PARAMETERS = [(CoinAngles, "theta"), (InitialState, "eta"), (UnitSystem, "ell")]
+_PARAMETERS = [(CoinAngles, "theta"), (InitialState, "eta"), (UnitSystem, "tau")]
 
 
 @pytest.mark.parametrize("make, name", _PARAMETERS)
@@ -111,15 +136,14 @@ def test_a_parameter_must_be_a_real_number(make, name, bad, must):
 @pytest.mark.parametrize("good", [np.float32(1.0), np.array(1.0), 1],
                          ids=["float32", "0-d array", "int"])
 def test_real_scalars_of_any_kind_are_accepted(make, name, good):
-    # UnitSystem needs ell == c * tau, which 1 keeps
     assert getattr(make(**{name: good}), name) is good
 
 
 def test_complex_coin_angles_are_refused_before_any_walk():
     with pytest.raises(InputError, match=r"^theta must be a real number, got \(1\+2j\)$"):
         evolve(InitialState(0.3), CoinAngles(1 + 2j), 10)
-    with pytest.raises(InputError, match=r"^ell must be a real number, got \(1\+0j\)$"):
-        UnitSystem(ell=1 + 0j)
+    with pytest.raises(InputError, match=r"^tau must be a real number, got \(1\+0j\)$"):
+        UnitSystem(tau=1 + 0j)
 
 
 def test_finite_and_positive_messages_are_kept():

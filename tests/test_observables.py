@@ -53,16 +53,15 @@ def test_magnetization_profile():
 def test_mean_position_scaling():
     state = _walk()
     x = mean_position(state)
-    assert mean_position(state, ell=3.0) == pytest.approx(3.0 * x)
     rho = pmf(state)
     assert x == pytest.approx(float(np.sum(state.n_values * rho)))
 
 
 def test_observe_record():
     state = _walk(9)
-    rec = observe(state, ell=2.0)
+    rec = observe(state)
     assert rec.t == 9
-    assert rec.mean_x == pytest.approx(mean_position(state, ell=2.0))
+    assert rec.mean_x == pytest.approx(mean_position(state))
     assert rec.p_plus + rec.p_minus == pytest.approx(1.0, abs=1e-13)
 
 
