@@ -25,7 +25,8 @@ import numpy as np
 from . import kernels
 from ._csvio import write_csv
 from .coin import CoinAngles
-from .errors import InputError, ParityError, UnsupportedParameterError, require_count
+from .errors import (InputError, ParityError, UnsupportedParameterError, require_count,
+                     require_finite_fields)
 from .state import InitialState, SpinorField
 
 __all__ = [
@@ -42,6 +43,7 @@ __all__ = [
 
 def omega(r: int, t: int, theta: float) -> float:
     """Dispersion angle of mode ``r``: ``arcsin(cos(theta) sin(pi r/(t+1)))``."""
+    require_finite_fields({"theta": theta})
     require_count("t", t, 1)
     require_count("r", r, -math.inf)
     if not 1 <= r <= t:
@@ -79,6 +81,7 @@ def lambda_explicit(n: int, t: int, theta: float) -> float:
     angles.  Sites with ``|n| > t`` return exactly 0, the others their entry
     of the FFT row.
     """
+    require_finite_fields({"theta": theta})
     require_count("t", t)
     _check_parity(n, t)
     _require_spectral(theta)
@@ -129,9 +132,10 @@ class LambdaTable:
 def lambda_table(theta: float, t_max: int) -> LambdaTable:
     """Fill ``lam`` for all times up to ``t_max`` via the two-step recursion.
 
-    Works for any real ``theta``, including the degenerate angles the
+    Works for any finite ``theta``, including the degenerate angles the
     spectral form excludes.
     """
+    require_finite_fields({"theta": theta})
     require_count("t_max", t_max)
     rows = kernels.lambda_fill(math.cos(theta), t_max)
     rows.setflags(write=False)

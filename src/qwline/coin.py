@@ -144,21 +144,6 @@ class CoinField:
         """``ref`` itself, or the constant field of constant angles."""
         return CoinField.homogeneous(ref) if isinstance(ref, CoinAngles) else ref
 
-    def _at(self, k: int, n: int, t: int) -> float:
-        return float(self.rows(np.array([n]), t)[k][0])
-
-    def theta_of(self, n: int, t: int) -> float:
-        return self._at(0, n, t)
-
-    def alpha_of(self, n: int, t: int) -> float:
-        return self._at(1, n, t)
-
-    def beta_of(self, n: int, t: int) -> float:
-        return self._at(2, n, t)
-
-    def chi_of(self, n: int, t: int) -> float:
-        return self._at(3, n, t)
-
     def materialize(self, n_lo: int, n_hi: int, t: int, stride: int = 1):
         """Evaluate all four parameters on ``n = n_lo, n_lo + stride, .. n_hi`` at step ``t``.
 
@@ -210,10 +195,6 @@ class PhaseField:
         return pair
 
     @classmethod
-    def from_functions(cls, xi_of, zeta_of) -> "PhaseField":
-        return cls(xi_of, zeta_of)
-
-    @classmethod
     def constant(cls, xi: float, zeta: float | None = None) -> "PhaseField":
         """Constant phases; without ``zeta`` both components carry ``xi``."""
         values = (xi, xi if zeta is None else zeta)
@@ -224,14 +205,6 @@ class PhaseField:
     def symmetric(cls, xi_of: Callable[[int, int], float]) -> "PhaseField":
         """Both components carry the same phase (``zeta == xi``)."""
         return cls(xi_of, xi_of)
-
-    _at = CoinField._at
-
-    def xi_of(self, n: int, t: int) -> float:
-        return self._at(0, n, t)
-
-    def zeta_of(self, n: int, t: int) -> float:
-        return self._at(1, n, t)
 
 
 def _window_table_rows(values: list, t_max: int, what: str):

@@ -72,18 +72,20 @@ def first_fault(oks):
 
 def require_finite_fields(params, ok=np.isfinite, must: str = "finite") -> None:
     """Raise :class:`InputError` naming the first field of the dataclass
-    ``params`` that is not a real number (a 0-d bool, integer or float; a
-    Python int within the int64/uint64 range numpy computes in) or fails
-    ``ok``, the condition the message words as what it ``must`` be."""
-    for f in fields(params):
-        v = getattr(params, f.name)
+    ``params``, or the first entry of a dict of named values, that is not a
+    real number (a 0-d bool, integer or float; a Python int within the
+    int64/uint64 range numpy computes in) or fails ``ok``, the condition the
+    message words as what it ``must`` be."""
+    named = params.items() if isinstance(params, dict) else (
+        (f.name, getattr(params, f.name)) for f in fields(params))
+    for name, v in named:
         # as objects, a ragged sequence is one dimension, not an error
         if np.asarray(v, dtype=object).ndim or np.asarray(v).dtype.kind not in "biuf":
             what = ("a float or an integer within the int64/uint64 range"
                     if isinstance(v, int) else "a real number")
-            raise InputError(f"{f.name} must be {what}, got {v!r}")
+            raise InputError(f"{name} must be {what}, got {v!r}")
         if not ok(v):
-            raise InputError(f"{f.name} must be {must}, got {v!r}")
+            raise InputError(f"{name} must be {must}, got {v!r}")
 
 
 def require_count(name: str, value, least: int = 0, error=InputError) -> None:

@@ -174,12 +174,13 @@ def quasi_invariant_phases(rate: float) -> PhaseField:
     return PhaseField.from_rows(rows)
 
 
-def relative_phase_map(state: SpinorField, floor: float = _PAIR_PHASE_FLOOR):
+def relative_phase_map(state: SpinorField):
     """Phase of ``psi_plus conj(psi_minus)`` where both components carry weight.
 
     Returns ``(sites, phases)``; sites where either modulus is at or below
-    ``floor`` are dropped since their phase is numerical noise.
+    ``_PAIR_PHASE_FLOOR`` are dropped since their phase is numerical noise.
     """
+    floor = _PAIR_PHASE_FLOOR
     keep = (np.abs(state.plus_amps) > floor) & (np.abs(state.minus_amps) > floor)
     ns = state.n_values[keep]
     phases = np.angle(state.plus_amps[keep] * np.conj(state.minus_amps[keep]))

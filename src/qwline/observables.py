@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._csvio import write_csv
-from .errors import InputError, UnsupportedParameterError, require_count
+from .errors import InputError, UnsupportedParameterError, require_count, require_finite_fields
 from .state import SpinorField
 
 __all__ = [
@@ -37,6 +37,16 @@ __all__ = [
 _SINGULAR_COS = 1e-12
 
 
+def _bias(theta, eta, phi, k: int = 1):
+    """``cos(2 eta) + sin(2 eta) tan(k theta) cos(phi)``, the term by which
+    the start ``(eta, phi)`` tilts the walk, refused where ``tan(k theta)``
+    is singular."""
+    if abs(np.cos(k * theta)) < _SINGULAR_COS:
+        tan = "tan(theta)" if k == 1 else f"tan({k} theta)"
+        raise UnsupportedParameterError(f"{tan} is singular at theta={theta}")
+    return np.cos(2 * eta) + np.sin(2 * eta) * np.tan(k * theta) * np.cos(phi)
+
+
 def pmf(state: SpinorField) -> np.ndarray:
     """Position distribution ``|psi_plus|^2 + |psi_minus|^2`` over the window."""
     return np.abs(state.plus_amps) ** 2 + np.abs(state.minus_amps) ** 2
@@ -44,9 +54,8 @@ def pmf(state: SpinorField) -> np.ndarray:
 
 def chirality_probabilities(state: SpinorField) -> tuple[float, float]:
     """Total weight carried by each component (sums to the norm)."""
-    p_plus = float(np.sum(np.abs(state.plus_amps) ** 2))
-    p_minus = float(np.sum(np.abs(state.minus_amps) ** 2))
-    return p_plus, p_minus
+    record = observe(state)
+    return record.p_plus, record.p_minus
 
 
 def magnetization(state: SpinorField) -> np.ndarray:
@@ -56,7 +65,7 @@ def magnetization(state: SpinorField) -> np.ndarray:
 
 def mean_position(state: SpinorField) -> float:
     """First moment of the position distribution, in lattice sites."""
-    return float(np.sum(state.n_values * pmf(state)))
+    return observe(state).mean_x
 
 
 @dataclass(frozen=True)
@@ -103,6 +112,7 @@ def classical_pmf(p: float, t: int) -> np.ndarray:
     overflows nor loses the far tails; ``p = 0`` and ``p = 1`` put all the
     weight on the end site they walk to.
     """
+    require_finite_fields({"p": p})
     if not 0.0 <= p <= 1.0:
         raise InputError(f"step probability must lie in [0, 1], got {p}")
     require_count("t", t)
@@ -133,6 +143,7 @@ def stationary_pmf(n, t: int, theta: float, eta: float, phi: float):
     scalar or an array of sites and evaluates every ``n`` given, so only the
     entries at occupied sites (``n + t`` even) compare with :func:`pmf`.
     """
+    require_finite_fields({"t": t, "theta": theta, "eta": eta, "phi": phi})
     if t < 1:
         raise InputError(f"t must be positive, got {t}")
     ct = np.cos(theta)
@@ -141,7 +152,7 @@ def stationary_pmf(n, t: int, theta: float, eta: float, phi: float):
         raise UnsupportedParameterError(
             f"envelope requires theta strictly inside (0, pi/2), got {theta}"
         )
-    bias = np.cos(2 * eta) + np.sin(2 * eta) * np.tan(theta) * np.cos(phi)
+    bias = _bias(theta, eta, phi)
     n_arr = np.asarray(n, dtype=np.float64)
     inside = np.abs(n_arr) < t * ct
     safe = np.where(inside, n_arr, 0.0)
@@ -167,6 +178,8 @@ def smoothed_pmf(rho: np.ndarray, half_width: int = 6) -> np.ndarray:
     """
     require_count("half_width", half_width)
     rho = np.asarray(rho, dtype=np.float64)
+    if rho.ndim != 1:
+        raise InputError(f"rho must be a 1-D array, got shape {rho.shape}")
     occ = rho[::2]
     w = np.ones(2 * half_width + 1)
     num = np.convolve(occ, w, mode="same")
@@ -181,14 +194,8 @@ def ballistic_slope(theta: float, eta: float, phi: float) -> float:
 
     ``(1 - sin(theta)) (cos(2 eta) + sin(2 eta) tan(theta) cos(phi))``.
     """
-    if abs(np.cos(theta)) < _SINGULAR_COS:
-        raise UnsupportedParameterError(
-            f"tan(theta) is singular at theta={theta}"
-        )
-    return float(
-        (1.0 - np.sin(theta))
-        * (np.cos(2 * eta) + np.sin(2 * eta) * np.tan(theta) * np.cos(phi))
-    )
+    require_finite_fields({"theta": theta, "eta": eta, "phi": phi})
+    return float((1.0 - np.sin(theta)) * _bias(theta, eta, phi))
 
 
 def symmetry_residuals(theta: float, eta: float, phi: float) -> tuple[float, float]:
@@ -198,14 +205,8 @@ def symmetry_residuals(theta: float, eta: float, phi: float) -> tuple[float, flo
     Returns ``(cos(2 eta) + sin(2 eta) tan(theta) cos(phi),
     cos(2 eta) + sin(2 eta) tan(2 theta) cos(phi))``.
     """
-    if abs(np.cos(theta)) < _SINGULAR_COS:
-        raise UnsupportedParameterError(f"tan(theta) is singular at theta={theta}")
-    if abs(np.cos(2 * theta)) < _SINGULAR_COS:
-        raise UnsupportedParameterError(f"tan(2 theta) is singular at theta={theta}")
-    c2, s2 = np.cos(2 * eta), np.sin(2 * eta)
-    r_a = c2 + s2 * np.tan(theta) * np.cos(phi)
-    r_b = c2 + s2 * np.tan(2 * theta) * np.cos(phi)
-    return float(r_a), float(r_b)
+    require_finite_fields({"theta": theta, "eta": eta, "phi": phi})
+    return float(_bias(theta, eta, phi)), float(_bias(theta, eta, phi, k=2))
 
 
 def fitted_slope(ts, xs, t_min: int | None = None) -> float:
@@ -218,6 +219,8 @@ def fitted_slope(ts, xs, t_min: int | None = None) -> float:
     xs = np.asarray(xs, dtype=np.float64)
     if ts.shape != xs.shape:
         raise InputError(f"ts and xs must have the same shape, got {ts.shape} and {xs.shape}")
+    if not (ts.ndim == 1 and np.isfinite(ts).all() and np.isfinite(xs).all()):
+        raise InputError("ts and xs must be finite 1-D arrays")
     if t_min is None:
         t_min = ts[0] + (ts[-1] - ts[0]) / 2.0
     keep = ts >= t_min

@@ -75,14 +75,6 @@ class SpinorField:
             object.__setattr__(self, name, arr)
 
     @property
-    def n_min(self) -> int:
-        return -self.t
-
-    @property
-    def n_max(self) -> int:
-        return self.t
-
-    @property
     def n_values(self) -> np.ndarray:
         """Site labels for the window, ``[-t, ..., t]``."""
         return np.arange(-self.t, self.t + 1)

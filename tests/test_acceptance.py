@@ -198,10 +198,10 @@ def test_criterion_8_difference_and_pointwise_transforms_agree(capsys):
     t0 = time.perf_counter()
     ref = CoinAngles(theta=0.8, alpha=0.15, beta=-0.6, chi=0.25)
     families = (
-        PhaseField.from_functions(lambda n, t: 0.05 * (n - t),
-                                  lambda n, t: 0.05 * (n + t)),
+        PhaseField(lambda n, t: 0.05 * (n - t),
+                   lambda n, t: 0.05 * (n + t)),
         PhaseField.symmetric(lambda n, t: 1e-3 * n * t),
-        PhaseField.from_functions(
+        PhaseField(
             lambda n, t: 0.3 * math.sin(0.05 * n) * math.cos(0.07 * t),
             lambda n, t: 0.2 * math.cos(0.03 * n + 0.11 * t)),
     )

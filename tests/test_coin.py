@@ -83,7 +83,7 @@ def test_homogeneous_field_materialize():
     assert np.all(th == 0.7) and np.all(al == -0.2)
     assert np.all(be == 1.1) and np.all(ch == 0.05)
     assert th.shape == (7,)
-    assert f.theta_of(12, 99) == 0.7
+    assert f.rows(np.array([12]), 99)[0][0] == 0.7
 
 
 def test_from_functions_materialize_matches_closures():
@@ -137,10 +137,10 @@ def test_only_a_homogeneous_field_carries_angles():
 
 def test_phase_field_constructors():
     const = PhaseField.constant(0.25)
-    assert const.xi_of(3, 7) == 0.25
-    assert const.zeta_of(-1, 0) == 0.25
+    assert const.rows(np.array([3]), 7)[0][0] == 0.25
+    assert const.rows(np.array([-1]), 0)[1][0] == 0.25
     two = PhaseField.constant(0.1, 0.2)
-    assert two.zeta_of(0, 0) == 0.2
+    assert two.rows(np.array([0]), 0)[1][0] == 0.2
 
     calls = []
 
@@ -152,10 +152,11 @@ def test_phase_field_constructors():
     shared = PhaseField.symmetric(shared_of)
     xi, zeta = shared.rows(np.arange(-2, 3), 1)
     assert xi is zeta and len(calls) == 5
-    assert shared.zeta_of(4, 1) == shared.xi_of(4, 1) == 1.0
+    xi, zeta = shared.rows(np.array([4]), 1)
+    assert zeta[0] == xi[0] == 1.0
 
     # distinct callables are each sampled, even when equal-valued
-    split = PhaseField.from_functions(lambda n, t: 1.0, lambda n, t: 1.0)
+    split = PhaseField(lambda n, t: 1.0, lambda n, t: 1.0)
     xi, zeta = split.rows(np.arange(3), 0)
     assert xi is not zeta and np.array_equal(xi, zeta)
 
@@ -195,12 +196,10 @@ def test_coin_csv_round_trip(tmp_path):
     path = tmp_path / "coin.csv"
     save_coin_field_csv(f, t_max=6, path=path)
     g = load_coin_field_csv(path)
+    ns = np.arange(-6, 7)
     for t in range(7):
-        for n in range(-6, 7):
-            assert g.theta_of(n, t) == f.theta_of(n, t)
-            assert g.alpha_of(n, t) == f.alpha_of(n, t)
-            assert g.beta_of(n, t) == f.beta_of(n, t)
-            assert g.chi_of(n, t) == f.chi_of(n, t)
+        for got, want in zip(g.rows(ns, t), f.rows(ns, t), strict=True):
+            assert np.array_equal(got, want)
 
 
 def test_tabulated_lookup_outside_window(tmp_path):
@@ -208,9 +207,9 @@ def test_tabulated_lookup_outside_window(tmp_path):
     save_coin_field_csv(CoinField.homogeneous(CoinAngles(0.5)), t_max=3, path=path)
     g = load_coin_field_csv(path)
     with pytest.raises(TotalityError, match=r"\(n=0, t=4\)"):
-        g.theta_of(0, 4)
+        g.rows(np.array([0]), 4)
     with pytest.raises(TotalityError, match=r"\(n=4, t=2\)"):
-        g.beta_of(4, 2)
+        g.rows(np.array([4]), 2)
 
 
 def test_table_rows_name_first_site_outside(tmp_path):
@@ -228,19 +227,19 @@ def test_table_rows_name_first_site_outside(tmp_path):
 
 
 def test_phase_csv_round_trip(tmp_path):
-    f = PhaseField.from_functions(
+    f = PhaseField(
         xi_of=lambda n, t: 0.05 * (n - t),
         zeta_of=lambda n, t: 0.05 * (n + t),
     )
     path = tmp_path / "phase.csv"
     save_phase_field_csv(f, t_max=5, path=path)
     g = load_phase_field_csv(path)
+    ns = np.arange(-5, 6)
     for t in range(6):
-        for n in range(-5, 6):
-            assert g.xi_of(n, t) == f.xi_of(n, t)
-            assert g.zeta_of(n, t) == f.zeta_of(n, t)
+        for got, want in zip(g.rows(ns, t), f.rows(ns, t), strict=True):
+            assert np.array_equal(got, want)
     with pytest.raises(TotalityError):
-        g.xi_of(0, 6)
+        g.rows(np.array([0]), 6)
 
 
 def test_table_savers_broadcast_scalar_rows(tmp_path):

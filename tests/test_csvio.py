@@ -95,9 +95,8 @@ def test_phase_table_round_trip_is_byte_identical(tmp_path_factory, data, t_max)
                              load_phase_field_csv, field,
                              tmp_path_factory.mktemp("phase"))
     for t in range(t_max + 1):
-        for n in range(-t_max, t_max + 1):
-            assert _same_bits(loaded.xi_of(n, t), xi[t, n + t_max])
-            assert _same_bits(loaded.zeta_of(n, t), zeta[t, n + t_max])
+        rows = loaded.rows(np.arange(-t_max, t_max + 1), t)
+        assert all(_same_bits(got, v[t]) for got, v in zip(rows, (xi, zeta)))
 
 
 def _naive_grid_csv(header, xs, ts, fields):

@@ -53,15 +53,20 @@ def test_unit_system_validation():
         UnitSystem(hbar_over_e=-1.0)
 
 
+def _phase_callables():
+    # Three structurally different dressing pairs with moderate magnitudes,
+    # as (xi, zeta) callables: quasi, bilinear symmetric and wavy.
+    bilinear = lambda n, t: 1e-3 * n * t  # noqa: E731
+    return (
+        (lambda n, t: 0.05 * (n - t), lambda n, t: 0.05 * (n + t)),
+        (bilinear, bilinear),
+        (lambda n, t: 0.3 * np.sin(0.05 * n) * np.cos(0.07 * t),
+         lambda n, t: 0.2 * np.cos(0.03 * n + 0.11 * t)),
+    )
+
+
 def _phase_families():
-    # Three structurally different dressing pairs with moderate magnitudes.
-    quasi = PhaseField.from_functions(
-        lambda n, t: 0.05 * (n - t), lambda n, t: 0.05 * (n + t))
-    bilinear = PhaseField.symmetric(lambda n, t: 1e-3 * n * t)
-    wavy = PhaseField.from_functions(
-        lambda n, t: 0.3 * np.sin(0.05 * n) * np.cos(0.07 * t),
-        lambda n, t: 0.2 * np.cos(0.03 * n + 0.11 * t))
-    return quasi, bilinear, wavy
+    return tuple(PhaseField(xi, zeta) for xi, zeta in _phase_callables())
 
 
 def test_finite_difference_transform_matches_pointwise():
@@ -69,15 +74,10 @@ def test_finite_difference_transform_matches_pointwise():
     for phases in _phase_families():
         a = transform_coin_field(REF, phases)
         b = finite_difference_transform(REF, phases)
-        worst = 0.0
+        worst, ns = 0.0, np.arange(-30, 31, 5)
         for t in range(0, 40, 4):
-            for n in range(-30, 31, 5):
-                worst = max(
-                    worst,
-                    abs(a.chi_of(n, t) - b.chi_of(n, t)),
-                    abs(a.alpha_of(n, t) - b.alpha_of(n, t)),
-                    abs(a.beta_of(n, t) - b.beta_of(n, t)),
-                )
+            for got, want in zip(a.rows(ns, t)[1:], b.rows(ns, t)[1:], strict=True):
+                worst = max(worst, np.max(np.abs(got - want)))
         assert worst < 1e-14
 
 
@@ -101,13 +101,13 @@ def test_transform_rows_equal_scalar_formulas():
         shift = 0.5 * (d_n + d_t)
         return REF.alpha + shift, REF.beta + (zeta(n, t) - xi(n, t)) - shift, chi
 
-    for phases in _phase_families():
+    for xi, zeta in _phase_callables():
         for transform, formula in ((transform_coin_field, pointwise),
                                    (finite_difference_transform, differences)):
-            f = transform(REF, phases)
+            f = transform(REF, PhaseField(xi, zeta))
             for t in (0, 7, 39):
                 theta, *rows = f.materialize(-30, 30, t)
-                want = [formula(phases.xi_of, phases.zeta_of, n, t) for n in range(-30, 31)]
+                want = [formula(xi, zeta, n, t) for n in range(-30, 31)]
                 assert np.all(theta == REF.theta)
                 assert np.array(rows).tobytes() == np.array(want, dtype=float).T.tobytes()
 
@@ -176,10 +176,10 @@ def test_difference_form_reads_no_step_beyond_the_pointwise_form(tmp_path):
 
 def test_finite_difference_transform_zero_phases():
     b = finite_difference_transform(REF, PhaseField.constant(0.0))
-    assert b.chi_of(3, 7) == REF.chi
-    assert b.alpha_of(-2, 1) == REF.alpha
-    assert b.beta_of(0, 0) == REF.beta
-    assert b.theta_of(5, 5) == REF.theta
+    assert b.rows(np.array([3]), 7)[3][0] == REF.chi
+    assert b.rows(np.array([-2]), 1)[1][0] == REF.alpha
+    assert b.rows(np.array([0]), 0)[2][0] == REF.beta
+    assert b.rows(np.array([5]), 5)[0][0] == REF.theta
 
 
 def test_potentials_from_transform_bilinear():
@@ -565,9 +565,10 @@ def test_lattice_phases_track_continuum_derivatives():
             SmoothPhasePair(xi=xi, zeta=xi), units)
         dressed = transform_coin_field(CoinAngles(theta=0.7), phases)
         n, t = round(x_star / h), round(t_star / h)
-        errs_t.append(abs(dressed.chi_of(n, t) / units.tau
+        _, alpha, _, chi = dressed.rows(np.array([n]), t)
+        errs_t.append(abs(chi[0] / units.tau
                           - d_dt(x_star, t_star)))
-        errs_x.append(abs(dressed.alpha_of(n, t) / units.ell
+        errs_x.append(abs(alpha[0] / units.ell
                           - d_dx(x_star, t_star)))
     assert errs_t[0] > errs_t[1] > errs_t[2]
     assert errs_x[0] > errs_x[1] > errs_x[2]

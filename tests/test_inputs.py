@@ -17,6 +17,7 @@ from qwline import (
     SmoothPhasePair,
     SpinorField,
     UnitSystem,
+    ballistic_slope,
     classical_pmf,
     closed_form_amplitudes,
     efield_invariance_residual,
@@ -30,6 +31,7 @@ from qwline import (
     quasi_invariant_phases,
     smoothed_pmf,
     stationary_pmf,
+    symmetry_residuals,
     transform_coin_field,
     verify_quasi_invariance,
 )
@@ -85,9 +87,33 @@ _INIT, _COIN = InitialState(0.3), CoinAngles(0.5)
     (lambda: evolve(_INIT, _COIN, 3).amplitudes_at(0.5), "^n must be an integer, got 0.5$"),
     (lambda: smoothed_pmf(np.ones(9), half_width=-1), "^half_width must be non-negative, got -1$"),
     (lambda: smoothed_pmf(np.ones(9), half_width=2.5), "^half_width must be an integer, got 2.5$"),
+    # formula arguments follow the scalar rule
+    (lambda: omega(1, 3, math.nan), "^theta must be finite, got nan$"),
+    (lambda: omega(1, 3, math.inf), "^theta must be finite, got inf$"),
+    (lambda: lambda_table(math.nan, 3), "^theta must be finite, got nan$"),
+    (lambda: lambda_table(math.inf, 3), "^theta must be finite, got inf$"),
+    (lambda: lambda_table(1 + 2j, 3), r"^theta must be a real number, got \(1\+2j\)$"),
+    (lambda: lambda_explicit(1, 3, 1 + 2j), r"^theta must be a real number, got \(1\+2j\)$"),
+    (lambda: ballistic_slope(math.nan, 0.1, 0.2), "^theta must be finite, got nan$"),
+    (lambda: ballistic_slope(0.3, math.nan, 0.2), "^eta must be finite, got nan$"),
+    (lambda: ballistic_slope(0.3, 0.1, math.inf), "^phi must be finite, got inf$"),
+    (lambda: symmetry_residuals(0.3, 0.1, math.nan), "^phi must be finite, got nan$"),
+    (lambda: stationary_pmf(np.arange(-10, 11), 10, 0.5, math.nan, 0.0),
+     "^eta must be finite, got nan$"),
+    (lambda: stationary_pmf(np.arange(-10, 11), 10, 0.5, 0.1, math.inf),
+     "^phi must be finite, got inf$"),
+    (lambda: stationary_pmf(np.arange(-10, 11), math.nan, 0.5, 0.1, 0.0),
+     "^t must be finite, got nan$"),
+    (lambda: classical_pmf(1 + 2j, 3), r"^p must be a real number, got \(1\+2j\)$"),
     # arrays a call pairs must fit
     (lambda: fitted_slope([0, 1, 2, 3], [0, 1, 2]),
      r"^ts and xs must have the same shape, got \(4,\) and \(3,\)$"),
+    (lambda: fitted_slope([0, 1, 2, 3], [0, 1, math.nan, 3]),
+     "^ts and xs must be finite 1-D arrays$"),
+    (lambda: fitted_slope(np.ones((3, 3)), np.ones((3, 3))),
+     "^ts and xs must be finite 1-D arrays$"),
+    (lambda: smoothed_pmf(np.ones((3, 3))), r"^rho must be a 1-D array, got shape \(3, 3\)$"),
+    (lambda: smoothed_pmf(5.0), r"^rho must be a 1-D array, got shape \(\)$"),
     (lambda: PotentialField(x=np.zeros((2, 3)), t=np.arange(2.0), a_t=np.zeros((2, 6)),
                             a_x=np.zeros((2, 6))),
      "^coordinates x and t must be finite 1-D arrays$"),
@@ -102,8 +128,12 @@ _INIT, _COIN = InitialState(0.3), CoinAngles(0.5)
         "classical_float", "spinor_float", "potentials_n_max_float", "efield_float",
         "table_value_t_float", "table_value_n_float", "table_row_float",
         "lambda_explicit_n_float", "omega_r_float", "omega_r_bool", "amplitudes_at_float",
-        "smoothed_negative", "smoothed_float", "fitted_slope_shapes", "potentials_2d_x",
-        "potentials_nan_x"])
+        "smoothed_negative", "smoothed_float", "omega_nan", "omega_inf", "lambda_table_nan",
+        "lambda_table_inf", "lambda_table_complex", "lambda_explicit_complex",
+        "ballistic_nan_theta", "ballistic_nan_eta", "ballistic_inf_phi", "symmetry_nan_phi",
+        "stationary_nan_eta", "stationary_inf_phi", "stationary_nan_t", "classical_complex",
+        "fitted_slope_shapes", "fitted_slope_nan", "fitted_slope_2d", "smoothed_2d",
+        "smoothed_0d", "potentials_2d_x", "potentials_nan_x"])
 def test_every_refused_argument_is_an_input_error(call, message):
     with pytest.raises(InputError, match=message):
         call()

@@ -41,12 +41,11 @@ def test_quasi_phases_shift_only_beta():
     """Characteristic-riding phases leave chi and alpha bitwise unchanged."""
     dressed = transform_coin_field(REF, quasi_invariant_phases(0.1))
     for t in range(0, 30, 3):
-        for n in range(-t, t + 1, 4):
-            assert dressed.chi_of(n, t) == REF.chi
-            assert dressed.alpha_of(n, t) == REF.alpha
-            assert dressed.theta_of(n, t) == REF.theta
-            assert dressed.beta_of(n, t) == pytest.approx(REF.beta + 0.1 * t,
-                                                          abs=1e-12)
+        theta, alpha, beta, chi = dressed.rows(np.arange(-t, t + 1, 4), t)
+        assert np.all(chi == REF.chi)
+        assert np.all(alpha == REF.alpha)
+        assert np.all(theta == REF.theta)
+        assert beta == pytest.approx(REF.beta + 0.1 * t, abs=1e-12)
 
 
 def test_bilinear_symmetric_phase_shifts():
@@ -55,22 +54,21 @@ def test_bilinear_symmetric_phase_shifts():
     a = 0.05
     phases = PhaseField.symmetric(lambda n, t: a * n * t)
     dressed = transform_coin_field(REF, phases)
+    ns = np.array([-7, -2, 0, 3, 11])
     for t in (0, 1, 5, 20):
-        for n in (-7, -2, 0, 3, 11):
-            assert dressed.chi_of(n, t) == pytest.approx(REF.chi + a * n,
-                                                         abs=1e-12)
-            assert dressed.alpha_of(n, t) == pytest.approx(
-                REF.alpha + a * (t + 1), abs=1e-12)
-            assert dressed.beta_of(n, t) == pytest.approx(
-                REF.beta - a * (t + 1), abs=1e-12)
+        _, alpha, beta, chi = dressed.rows(ns, t)
+        assert chi == pytest.approx(REF.chi + a * ns, abs=1e-12)
+        assert alpha == pytest.approx(REF.alpha + a * (t + 1), abs=1e-12)
+        assert beta == pytest.approx(REF.beta - a * (t + 1), abs=1e-12)
 
 
 def test_zero_phases_reproduce_reference():
     dressed = transform_coin_field(REF, PhaseField.constant(0.0))
     for n, t in ((0, 0), (-4, 9), (13, 2)):
-        assert dressed.chi_of(n, t) == REF.chi
-        assert dressed.alpha_of(n, t) == REF.alpha
-        assert dressed.beta_of(n, t) == REF.beta
+        _, alpha, beta, chi = dressed.rows(np.array([n]), t)
+        assert chi[0] == REF.chi
+        assert alpha[0] == REF.alpha
+        assert beta[0] == REF.beta
 
 
 def test_exact_transform_requires_common_phase():
@@ -78,38 +76,39 @@ def test_exact_transform_requires_common_phase():
     a = exact_transform(REF, shared)
     b = transform_coin_field(REF, shared)
     for n, t in ((0, 0), (2, 5), (-3, 8)):
-        assert a.chi_of(n, t) == b.chi_of(n, t)
-        assert a.beta_of(n, t) == b.beta_of(n, t)
+        rows_a, rows_b = a.rows(np.array([n]), t), b.rows(np.array([n]), t)
+        assert rows_a[3][0] == rows_b[3][0]
+        assert rows_a[2][0] == rows_b[2][0]
 
     # Equal-valued but distinct callables pass the pointwise check.
-    agree = PhaseField.from_functions(lambda n, t: 0.2 * n,
-                                      lambda n, t: 0.2 * n)
-    exact_transform(REF, agree).chi_of(1, 1)
+    agree = PhaseField(lambda n, t: 0.2 * n,
+                       lambda n, t: 0.2 * n)
+    exact_transform(REF, agree).rows(np.array([1]), 1)
 
-    split = PhaseField.from_functions(lambda n, t: 0.2 * n,
-                                      lambda n, t: 0.2 * n + 1e-6 * t)
+    split = PhaseField(lambda n, t: 0.2 * n,
+                       lambda n, t: 0.2 * n + 1e-6 * t)
     dressed = exact_transform(REF, split)
     with pytest.raises(PhaseConditionError, match="zeta == xi"):
-        dressed.chi_of(0, 3)
+        dressed.rows(np.array([0]), 3)
 
 
 def test_characteristic_precondition_is_enforced():
-    bad = PhaseField.from_functions(lambda n, t: 0.01 * n * n,
-                                    lambda n, t: 0.0)
+    bad = PhaseField(lambda n, t: 0.01 * n * n,
+                     lambda n, t: 0.0)
     with pytest.raises(PhaseConditionError, match="right-moving"):
         verify_quasi_invariance(InitialState(eta=0.3), REF, bad, 6)
-    bad = PhaseField.from_functions(lambda n, t: 0.0,
-                                    lambda n, t: 0.01 * t * t)
+    bad = PhaseField(lambda n, t: 0.0,
+                     lambda n, t: 0.01 * t * t)
     with pytest.raises(PhaseConditionError, match="left-moving"):
         verify_quasi_invariance(InitialState(eta=0.3), REF, bad, 6)
     # a NaN gap fails the check; row 2 is checked against row 1 in step 1
-    bad = PhaseField.from_functions(lambda n, t: float("nan") if t == 2 else 0.0,
-                                    lambda n, t: 0.0)
+    bad = PhaseField(lambda n, t: float("nan") if t == 2 else 0.0,
+                     lambda n, t: 0.0)
     with pytest.raises(PhaseConditionError, match=re.escape("= nan at (n=-1, t=1)")):
         verify_quasi_invariance(InitialState(eta=0.3), REF, bad, 6)
     # a gap at the last site of a late row is named at that site
-    bad = PhaseField.from_functions(lambda n, t: 1e-6 if (n, t) == (151, 151) else 0.0,
-                                    lambda n, t: 0.0)
+    bad = PhaseField(lambda n, t: 1e-6 if (n, t) == (151, 151) else 0.0,
+                     lambda n, t: 0.0)
     with pytest.raises(PhaseConditionError,
                        match=re.escape("xi(n, t) = 1.000e-06 at (n=150, t=150)")):
         verify_quasi_invariance(InitialState(eta=0.3), REF, bad, 151)
@@ -137,7 +136,7 @@ def test_quasi_invariance_with_random_characteristic_profiles():
     span = 2 * t_final + 3
     right = rng.uniform(-np.pi, np.pi, size=2 * span + 1)
     left = rng.uniform(-np.pi, np.pi, size=2 * span + 1)
-    phases = PhaseField.from_functions(
+    phases = PhaseField(
         lambda n, t: float(right[(n - t) + span]),
         lambda n, t: float(left[(n + t) + span]),
     )
@@ -171,8 +170,8 @@ def test_exact_invariance_bilinear():
 
 
 def test_exact_invariance_rejects_asymmetric_pair():
-    phases = PhaseField.from_functions(lambda n, t: 0.1 * (n - t),
-                                       lambda n, t: 0.1 * (n + t))
+    phases = PhaseField(lambda n, t: 0.1 * (n - t),
+                        lambda n, t: 0.1 * (n + t))
     with pytest.raises(PhaseConditionError, match="zeta == xi"):
         verify_exact_invariance(InitialState(eta=0.3), REF, phases, 8)
 
@@ -206,7 +205,7 @@ def test_relative_phase_map_floor():
     minus = np.array([0.3j, 0.0, 0.5], dtype=complex)
     state = SpinorField(t=1, plus_amps=plus, minus_amps=minus,
                         parity_localized=False)
-    ns, phases = relative_phase_map(state, floor=1e-9)
+    ns, phases = relative_phase_map(state)
     # Site 1 has a vanishing plus modulus, so only site -1 survives.
     assert list(ns) == [-1]
     assert phases[0] == pytest.approx(-np.pi / 2)

@@ -35,8 +35,6 @@ def test_construction_copies_and_freezes():
 
 def test_window_accessors():
     state = _random_state(np.random.default_rng(7), t=4)
-    assert state.n_min == -4
-    assert state.n_max == 4
     assert np.array_equal(state.n_values, np.arange(-4, 5))
 
 
