@@ -14,7 +14,6 @@ import os
 import re
 import sys
 from dataclasses import dataclass, field, fields
-from fractions import Fraction
 from pathlib import Path
 from typing import Callable
 
@@ -87,7 +86,13 @@ def _angle(name: str, value) -> float:
         den = int(m.group(3)) if m.group(3) else 1
         if den == 0:
             raise ConfigError(f"zero denominator in {name} {value!r}")
-        return sign * float(Fraction(num, den)) * math.pi
+        try:
+            out = sign * (num / den) * math.pi  # int / int rounds correctly
+        except OverflowError:
+            out = math.inf
+        if not math.isfinite(out):
+            raise ConfigError(f"{name} must be finite, got {value!r}")
+        return out
     return _parse_number(name, text)
 
 

@@ -180,6 +180,8 @@ def smoothed_pmf(rho: np.ndarray, half_width: int = 6) -> np.ndarray:
     rho = np.asarray(rho, dtype=np.float64)
     if rho.ndim != 1:
         raise InputError(f"rho must be a 1-D array, got shape {rho.shape}")
+    if not rho.size:
+        raise InputError(f"rho must hold at least one site, got shape {rho.shape}")
     occ = rho[::2]
     w = np.ones(2 * half_width + 1)
     num = np.convolve(occ, w, mode="same")
@@ -210,10 +212,14 @@ def symmetry_residuals(theta: float, eta: float, phi: float) -> tuple[float, flo
 
 
 def fitted_slope(ts, xs, t_min: int | None = None) -> float:
-    """Least-squares slope of ``xs`` against ``ts``.
+    """Least-squares slope of ``xs`` against the times ``ts >= t_min``.
 
     By default the fit runs over the second half of the trajectory, where
-    the transient from the first few steps has died out.
+    the transient from the first few steps has died out.  The slope is
+    the centered closed form ``sum(u (x - x.mean())) / sum(u^2)`` with
+    ``u = t - t.mean()``: numpy reductions only, no BLAS or LAPACK call.
+    Centering ``x`` too keeps a large offset from cancelling away the
+    slope.
     """
     ts = np.asarray(ts, dtype=np.float64)
     xs = np.asarray(xs, dtype=np.float64)
@@ -221,12 +227,22 @@ def fitted_slope(ts, xs, t_min: int | None = None) -> float:
         raise InputError(f"ts and xs must have the same shape, got {ts.shape} and {xs.shape}")
     if not (ts.ndim == 1 and np.isfinite(ts).all() and np.isfinite(xs).all()):
         raise InputError("ts and xs must be finite 1-D arrays")
-    if t_min is None:
-        t_min = ts[0] + (ts[-1] - ts[0]) / 2.0
+    if t_min is None:  # an empty trajectory keeps no point whatever the bound
+        t_min = ts[0] + (ts[-1] - ts[0]) / 2.0 if ts.size else 0.0
+    else:
+        require_finite_fields({"t_min": t_min})
     keep = ts >= t_min
     if np.count_nonzero(keep) < 2:
         raise InputError("need at least two trajectory points beyond t_min")
-    return float(np.polyfit(ts[keep], xs[keep], 1)[0])
+    t, x = ts[keep], xs[keep]
+    # equal times can average to a neighbouring float, so test them, not u
+    spread = t.max() - t.min()
+    if spread == 0:
+        raise InputError("need at least two distinct trajectory times beyond t_min")
+    # u in units of the spread: its sum of squares lies in [1/2, len(t)]
+    # and can neither underflow nor overflow
+    u = (t - t.mean()) / spread
+    return float(np.add.reduce(u * (x - x.mean())) / np.add.reduce(u * u) / spread)
 
 
 def save_pmf_csv(path, ns, rho) -> None:

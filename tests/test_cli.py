@@ -6,10 +6,13 @@ import shlex
 import subprocess
 import sys
 from dataclasses import fields
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qwline
 from qwline import (
@@ -43,6 +46,28 @@ def test_parse_angle_rejects_garbage():
     for bad in ("pie", "pi/0", "2**pi", "", "1e999", float("nan"), float("inf")):
         with pytest.raises(ConfigError):
             parse_angle(bad)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sign=st.sampled_from(["", "+", "-"]), num=st.integers(0, 10**30),
+       den=st.integers(1, 10**30), star=st.booleans())
+def test_pi_forms_are_correctly_rounded_rationals_of_pi(sign, num, den, star):
+    text = f"{sign}{num}{'*' if star else ''}pi/{den}"
+    exact = float(Fraction(num, den))
+    assert parse_angle(text) == (-1 if sign == "-" else 1) * exact * math.pi
+
+
+def test_overflowing_pi_form_exits_2_from_flag_or_file(tmp_path, capsys):
+    """A pi form whose value is beyond the float range is one config error,
+    given as a flag or in a config file, and creates no directory."""
+    huge = "1" + "0" * 400 + "pi"
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"theta": huge}))
+    out = tmp_path / "out"
+    for extra in (["--theta", huge], ["--config", str(cfg)]):
+        assert main(["closedform", "--t-final", "3", "--outdir", str(out)] + extra) == 2
+        assert capsys.readouterr().err == f"config error: theta must be finite, got {huge!r}\n"
+        assert not out.exists()
 
 
 def test_evolve_writes_round_trippable_state(tmp_path, capsys):

@@ -114,6 +114,16 @@ _INIT, _COIN = InitialState(0.3), CoinAngles(0.5)
      "^ts and xs must be finite 1-D arrays$"),
     (lambda: smoothed_pmf(np.ones((3, 3))), r"^rho must be a 1-D array, got shape \(3, 3\)$"),
     (lambda: smoothed_pmf(5.0), r"^rho must be a 1-D array, got shape \(\)$"),
+    (lambda: smoothed_pmf(np.array([])), r"^rho must hold at least one site, got shape \(0,\)$"),
+    # a fit needs two distinct kept times and a real, finite t_min
+    (lambda: fitted_slope([], []), "^need at least two trajectory points beyond t_min$"),
+    (lambda: fitted_slope([5, 5, 5], [1, 2, 3]),
+     "^need at least two distinct trajectory times beyond t_min$"),
+    (lambda: fitted_slope([0, 1, 2], [0, 1, 2], t_min="a"),
+     "^t_min must be a real number, got 'a'$"),
+    (lambda: fitted_slope([0, 1, 2], [0, 1, 2], t_min=1 + 2j),
+     r"^t_min must be a real number, got \(1\+2j\)$"),
+    (lambda: fitted_slope([0, 1, 2], [0, 1, 2], t_min=math.nan), "^t_min must be finite, got nan$"),
     (lambda: PotentialField(x=np.zeros((2, 3)), t=np.arange(2.0), a_t=np.zeros((2, 6)),
                             a_x=np.zeros((2, 6))),
      "^coordinates x and t must be finite 1-D arrays$"),
@@ -133,7 +143,9 @@ _INIT, _COIN = InitialState(0.3), CoinAngles(0.5)
         "ballistic_nan_theta", "ballistic_nan_eta", "ballistic_inf_phi", "symmetry_nan_phi",
         "stationary_nan_eta", "stationary_inf_phi", "stationary_nan_t", "classical_complex",
         "fitted_slope_shapes", "fitted_slope_nan", "fitted_slope_2d", "smoothed_2d",
-        "smoothed_0d", "potentials_2d_x", "potentials_nan_x"])
+        "smoothed_0d", "smoothed_empty", "fitted_slope_empty", "fitted_slope_equal_times",
+        "fitted_slope_text_t_min", "fitted_slope_complex_t_min", "fitted_slope_nan_t_min",
+        "potentials_2d_x", "potentials_nan_x"])
 def test_every_refused_argument_is_an_input_error(call, message):
     with pytest.raises(InputError, match=message):
         call()
