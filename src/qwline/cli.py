@@ -289,6 +289,13 @@ def _write(cfg: RunConfig, name: str, save: Callable[[Path], object]) -> None:
     print(f"wrote {path}")
 
 
+def _write_report(cfg: RunConfig, name: str, report, inputs: dict) -> None:
+    """Write an invariance report as JSON, with the run's resolved
+    ``inputs`` echoed under its ``inputs`` key."""
+    text = json.dumps({**report.to_dict(), "inputs": inputs}, indent=2, sort_keys=True)
+    _write(cfg, name, lambda path: path.write_text(text + "\n"))
+
+
 def _gate(breach: bool, what: str) -> int:
     """The exit code of a verification: on a ``breach``, print ``what``
     went over the tolerance and return :data:`EXIT_TOLERANCE`."""
@@ -364,12 +371,12 @@ def _cmd_invariance(cfg: RunConfig) -> int:
         phases = PhaseField.from_rows(bilinear)
         inputs["a"] = a
     if cfg.family == "quasi":
-        report = verify_quasi_invariance(init, coin, phases, cfg.t_final, inputs=inputs)
+        report = verify_quasi_invariance(init, coin, phases, cfg.t_final)
         gate = max(report.max_modulus_deviation, report.max_pmf_deviation)
     else:
-        report = verify_exact_invariance(init, coin, phases, cfg.t_final, inputs=inputs)
+        report = verify_exact_invariance(init, coin, phases, cfg.t_final)
         gate = report.max_component_deviation
-    _write(cfg, "invariance_report.json", lambda path: path.write_text(report.to_json() + "\n"))
+    _write_report(cfg, "invariance_report.json", report, inputs)
     print(f"max modulus deviation {report.max_modulus_deviation:.3e}")
     print(f"max pmf deviation {report.max_pmf_deviation:.3e}")
     print(f"phase map divergence {report.phase_map_divergence:.3e}")
@@ -461,21 +468,10 @@ def _cmd_figures(cfg: RunConfig) -> int:
     drift_final = evolve(init, drifting, t_final)
     for name, state in (("reference", ref_final), ("drifting", drift_final)):
         _write(cfg, f"fig3_{name}_t{t_final}.csv", lambda path: save_spinor_csv(state, path))
-    report = verify_quasi_invariance(
-        init,
-        ref_coin,
-        quasi_invariant_phases(rate),
-        t_final,
-        inputs={
-            "theta": theta,
-            "eta": eta,
-            "gamma": 0.0,
-            "beta0": 0.0,
-            "beta1": rate,
-            "t_final": t_final,
-        },
-    )
-    _write(cfg, "fig3_report.json", lambda path: path.write_text(report.to_json() + "\n"))
+    report = verify_quasi_invariance(init, ref_coin, quasi_invariant_phases(rate), t_final)
+    _write_report(cfg, "fig3_report.json", report, {
+        "theta": theta, "eta": eta, "gamma": 0.0, "beta0": 0.0, "beta1": rate,
+        "t_final": t_final})
     print(f"max modulus deviation {report.max_modulus_deviation:.3e}")
     print(f"phase map divergence {report.phase_map_divergence:.3e}")
     return EXIT_OK

@@ -222,7 +222,7 @@ def closed_form_amplitudes(
 
     plus, minus = np.zeros((2, 2 * t + 1), dtype=np.complex128)
     plus[::2], minus[::2] = plus_vals, minus_vals
-    return SpinorField(t=t, plus_amps=plus, minus_amps=minus, parity_localized=True)
+    return SpinorField(t=t, plus_amps=plus, minus_amps=minus)
 
 
 def initial_velocities(init: InitialState, c: CoinAngles) -> tuple[float, float]:

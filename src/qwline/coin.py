@@ -20,7 +20,7 @@ import numpy as np
 
 from ._csvio import read_csv, write_csv
 from .errors import (TableError, TotalityError, UnsupportedParameterError, first_fault,
-                     require_finite_fields)
+                     require_count, require_finite_fields)
 
 __all__ = [
     "CoinAngles",
@@ -76,16 +76,6 @@ def coin_entries(theta, alpha, beta, chi):
     ea = np.exp(1j * alpha)
     ebm = np.exp(-1j * beta)
     return ea * cos_g, ebm * sin_g, np.conj(ebm) * sin_g, np.conj(ea) * cos_g
-
-
-_PAULI = np.array(
-    [
-        [[0, 1], [1, 0]],
-        [[0, -1j], [1j, 0]],
-        [[1, 0], [0, -1]],
-    ],
-    dtype=np.complex128,
-)
 
 
 def bloch_vector(beta: float, theta: float) -> np.ndarray:
@@ -225,6 +215,7 @@ def _save_window_csv(path, header: str, t_max: int, rows) -> None:
     each row broadcast to the sites, so a scalar row is a constant column.
     Each row is checked finite as it is sampled, before the file is opened,
     so the first fault in step order is the one named."""
+    require_count("t_max", t_max)
     ns, ts = np.arange(-t_max, t_max + 1), np.arange(t_max + 1)
 
     def sampled(t):

@@ -21,7 +21,7 @@ from . import kernels
 from .coin import CoinAngles, CoinField, coin_entries
 from .errors import require_count
 from .observables import record_from_amplitudes
-from .state import InitialState, SpinorField, _off_parity_zero, localized_state
+from .state import InitialState, SpinorField, localized_state
 
 __all__ = ["step_homogeneous", "step_inhomogeneous", "evolve"]
 
@@ -44,13 +44,6 @@ def step_homogeneous(state: SpinorField, c: CoinAngles) -> SpinorField:
     so the two entry points are bit-identical by construction.
     """
     return step_inhomogeneous(state, CoinField.homogeneous(c))
-
-
-def _stride(state: SpinorField) -> int:
-    """2 when the walk stores every other site only (a parity-localized
-    state that is exactly zero on its other sites), else 1."""
-    sparse = state.parity_localized and _off_parity_zero(state.plus_amps, state.minus_amps)
-    return 2 if sparse else 1
 
 
 def evolve(
@@ -90,7 +83,7 @@ def evolve(
     require_count("t_final", t_final)
     f = CoinField.lift(f)
     state = localized_state(init) if isinstance(init, InitialState) else init
-    t0, stride = state.t, _stride(state)
+    t0, stride = state.t, 2 if state.parity_localized else 1
     k = 2 // stride
     start = np.array([state.plus_amps[::stride], state.minus_amps[::stride]])
     live = np.flatnonzero(start.any(axis=0))
@@ -144,6 +137,5 @@ def evolve(
     # the row pairs are released before the state copies the expansion, so
     # no more than two full windows are held at once
     del pairs, src
-    final = SpinorField(t=t, plus_amps=full[0], minus_amps=full[1],
-                        parity_localized=state.parity_localized)
+    final = SpinorField(t=t, plus_amps=full[0], minus_amps=full[1])
     return (final, records) if record_trajectory else final

@@ -329,7 +329,6 @@ class InvarianceReport:
     max_relative_phase_deviation: float | None
     max_component_deviation: float | None
     per_time_deviations: list
-    inputs: dict
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -338,7 +337,7 @@ class InvarianceReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
-def _verify(kind, init, ref, phases, t_final, inputs) -> InvarianceReport:
+def _verify(kind, init, ref, phases, t_final) -> InvarianceReport:
     """Step a walk and its dressed copy side by side, and compare them one
     chunk of steps at a time (see :func:`_chunks`).
 
@@ -408,8 +407,7 @@ def _verify(kind, init, ref, phases, t_final, inputs) -> InvarianceReport:
         kind=kind, t_final=t_final, max_modulus_deviation=worst["modulus"],
         max_pmf_deviation=worst["pmf"], phase_map_divergence=worst["phase_map"],
         max_relative_phase_deviation=worst.get("relative_phase"),
-        max_component_deviation=worst.get("component"), per_time_deviations=per_time,
-        inputs=dict(inputs or {}))
+        max_component_deviation=worst.get("component"), per_time_deviations=per_time)
 
 
 def verify_quasi_invariance(
@@ -417,7 +415,6 @@ def verify_quasi_invariance(
     ref: CoinField | CoinAngles,
     phases: PhaseField,
     t_final: int,
-    inputs: dict | None = None,
 ) -> InvarianceReport:
     """Run a walk and its characteristic-riding dressed copy side by side.
 
@@ -429,7 +426,7 @@ def verify_quasi_invariance(
     deviations at rounding level at every step, while the relative-phase
     map drifts by ``xi - zeta``.
     """
-    return _verify("quasi", init, ref, phases, t_final, inputs)
+    return _verify("quasi", init, ref, phases, t_final)
 
 
 def verify_exact_invariance(
@@ -437,7 +434,6 @@ def verify_exact_invariance(
     ref: CoinField | CoinAngles,
     phases: PhaseField,
     t_final: int,
-    inputs: dict | None = None,
 ) -> InvarianceReport:
     """Run a walk and its common-phase dressed copy side by side.
 
@@ -447,4 +443,4 @@ def verify_exact_invariance(
     deviation, componentwise distance included, should sit at rounding
     level for any ``xi`` whatsoever.
     """
-    return _verify("exact", init, ref, phases, t_final, inputs)
+    return _verify("exact", init, ref, phases, t_final)

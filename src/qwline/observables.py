@@ -219,7 +219,9 @@ def fitted_slope(ts, xs, t_min: int | None = None) -> float:
     the centered closed form ``sum(u (x - x.mean())) / sum(u^2)`` with
     ``u = t - t.mean()``: numpy reductions only, no BLAS or LAPACK call.
     Centering ``x`` too keeps a large offset from cancelling away the
-    slope.
+    slope.  The kept times and positions are first scaled by powers of
+    two into ``[-1, 1]``, which is exact, so that no sum, difference or
+    spread of times or positions near the float range overflows.
     """
     ts = np.asarray(ts, dtype=np.float64)
     xs = np.asarray(xs, dtype=np.float64)
@@ -234,7 +236,9 @@ def fitted_slope(ts, xs, t_min: int | None = None) -> float:
     keep = ts >= t_min
     if np.count_nonzero(keep) < 2:
         raise InputError("need at least two trajectory points beyond t_min")
-    t, x = ts[keep], xs[keep]
+    # 2**e itself overflows at e = 1024, so scale by ldexp
+    e_t, e_x = (np.frexp(np.abs(v).max())[1] for v in (ts[keep], xs[keep]))
+    t, x = np.ldexp(ts[keep], -e_t), np.ldexp(xs[keep], -e_x)
     # equal times can average to a neighbouring float, so test them, not u
     spread = t.max() - t.min()
     if spread == 0:
@@ -242,7 +246,8 @@ def fitted_slope(ts, xs, t_min: int | None = None) -> float:
     # u in units of the spread: its sum of squares lies in [1/2, len(t)]
     # and can neither underflow nor overflow
     u = (t - t.mean()) / spread
-    return float(np.add.reduce(u * (x - x.mean())) / np.add.reduce(u * u) / spread)
+    slope = np.add.reduce(u * (x - x.mean())) / np.add.reduce(u * u) / spread
+    return float(np.ldexp(slope, e_x - e_t))
 
 
 def save_pmf_csv(path, ns, rho) -> None:

@@ -8,7 +8,7 @@ from a single site only populates sites with ``n + t`` even.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,12 +41,6 @@ class InitialState:
         require_finite_fields(self)
 
 
-def _off_parity_zero(plus: np.ndarray, minus: np.ndarray) -> bool:
-    """Whether both components vanish exactly on the sites with ``n + t``
-    odd, their odd window indices (``-0.0`` does, NaN does not)."""
-    return not (np.any(plus[1::2]) or np.any(minus[1::2]))
-
-
 @dataclass(frozen=True, eq=False)
 class SpinorField:
     """Walker state at a fixed time ``t``.
@@ -54,13 +48,15 @@ class SpinorField:
     ``plus_amps[i]`` and ``minus_amps[i]`` hold the two components at site
     ``n = i - t``; both arrays span the full reachable window ``-t .. t``.
     Instances are immutable: the amplitude arrays are copied on construction
-    and marked read-only.
+    and marked read-only.  ``parity_localized`` is read from the copies: it
+    is true when both components vanish exactly on the sites with ``n + t``
+    odd, their odd window indices (``-0.0`` does, NaN does not).
     """
 
     t: int
     plus_amps: np.ndarray
     minus_amps: np.ndarray
-    parity_localized: bool = True
+    parity_localized: bool = field(init=False)
 
     def __post_init__(self):
         require_count("time index", self.t)
@@ -73,6 +69,8 @@ class SpinorField:
                 )
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        object.__setattr__(self, "parity_localized",
+                           not (np.any(self.plus_amps[1::2]) or np.any(self.minus_amps[1::2])))
 
     @property
     def n_values(self) -> np.ndarray:
@@ -96,8 +94,7 @@ class SpinorField:
     def validate(self, atol: float | None = None) -> None:
         """Check the physical invariants; raise ``ValueError`` on failure.
 
-        Verifies finiteness, normalization within ``atol``, and (when
-        ``parity_localized``) exact zeros on sites with ``n + t`` odd.  The
+        Verifies finiteness and normalization within ``atol``.  The
         default ``atol`` is ``max(1e-12, 8 eps sqrt(t (2t + 1)))``: the norm
         drift of a correct walk grows like ``eps sqrt(t (2t + 1))`` (at most
         1.3 times that over 360 random walks with t up to 4000).
@@ -111,15 +108,13 @@ class SpinorField:
         drift = abs(self.norm() - 1.0)
         if drift > atol:
             raise ValueError(f"norm deviates from 1 by {drift:.3e} (atol={atol:.1e})")
-        if self.parity_localized and not _off_parity_zero(self.plus_amps, self.minus_amps):
-            raise ValueError("off-parity sites carry nonzero amplitude")
 
 
 def localized_state(init: InitialState) -> SpinorField:
     """Walker at ``t = 0``: everything on site 0 with the given spinor."""
     plus = np.array([np.cos(init.eta)], dtype=np.complex128)
     minus = np.array([np.exp(1j * init.gamma) * np.sin(init.eta)], dtype=np.complex128)
-    return SpinorField(t=0, plus_amps=plus, minus_amps=minus, parity_localized=True)
+    return SpinorField(t=0, plus_amps=plus, minus_amps=minus)
 
 
 def save_spinor_csv(state: SpinorField, path) -> None:
@@ -132,10 +127,8 @@ def save_spinor_csv(state: SpinorField, path) -> None:
 def load_spinor_csv(path) -> SpinorField:
     """Read a state written by :func:`save_spinor_csv`.
 
-    The rows must cover a full window ``-t .. t`` in order.  The parity flag
-    is recovered from the data: it is set when every off-parity site is
-    exactly zero.  A malformed file raises :class:`TableError` (a
-    ``ValueError``).
+    The rows must cover a full window ``-t .. t`` in order.  A malformed
+    file raises :class:`TableError` (a ``ValueError``).
     """
     cols = read_csv(path, SPINOR_CSV_HEADER, "spinor")
     t = (cols["n"].size - 1) // 2
@@ -146,5 +139,4 @@ def load_spinor_csv(path) -> SpinorField:
     plus, minus = np.empty((2, 2 * t + 1), dtype=np.complex128)
     plus.real, plus.imag = cols["re_plus"], cols["im_plus"]
     minus.real, minus.imag = cols["re_minus"], cols["im_minus"]
-    return SpinorField(t=t, plus_amps=plus, minus_amps=minus,
-                       parity_localized=_off_parity_zero(plus, minus))
+    return SpinorField(t=t, plus_amps=plus, minus_amps=minus)

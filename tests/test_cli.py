@@ -19,12 +19,15 @@ from qwline import (
     CoinAngles,
     CoinField,
     InitialState,
+    PhaseField,
     evolve,
     load_spinor_csv,
     quasi_invariant_phases,
     save_coin_field_csv,
     save_phase_field_csv,
     save_spinor_csv,
+    verify_exact_invariance,
+    verify_quasi_invariance,
 )
 from qwline.cli import (_COMMANDS, ConfigError, RunConfig, _build_config, build_parser,
                         main, parse_angle)
@@ -366,6 +369,27 @@ def test_invariance_phase_file(tmp_path, capsys):
     assert rc == 0
     report = json.loads((tmp_path / "invariance_report.json").read_text())
     assert report["inputs"]["phase_file"] == str(phase_path)
+
+
+@pytest.mark.parametrize("family", ["quasi", "exact"])
+def test_invariance_report_is_the_library_report_and_the_cli_inputs(tmp_path, capsys, family):
+    """The command writes the library's report as it stands, with the
+    fields it resolved echoed under ``inputs``."""
+    rc = main(["invariance", "--family", family, "--theta", "0.8", "--eta", "0.5",
+               "--beta1", "0.1", "--a", "0.05", "--t-final", "20", "--outdir", str(tmp_path)])
+    assert rc == 0
+    init, coin = InitialState(eta=0.5), CoinAngles(0.8)
+    inputs = {"theta": 0.8, "eta": 0.5, "gamma": 0.0, "alpha": 0.0, "beta": 0.0, "chi": 0.0,
+              "t_final": 20, "family": family}
+    if family == "quasi":
+        report = verify_quasi_invariance(init, coin, quasi_invariant_phases(0.1), 20)
+        inputs["beta1"] = 0.1
+    else:
+        phases = PhaseField.from_rows(lambda ns, t: (0.05 * ns * t,) * 2)
+        report = verify_exact_invariance(init, coin, phases, 20)
+        inputs["a"] = 0.05
+    want = json.dumps({**report.to_dict(), "inputs": inputs}, indent=2, sort_keys=True) + "\n"
+    assert (tmp_path / "invariance_report.json").read_text() == want
 
 
 def test_invariance_tolerance_gate(tmp_path, capsys):

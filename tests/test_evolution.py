@@ -159,8 +159,7 @@ def _spread_state():
     rng = np.random.default_rng(5)
     amps = rng.normal(size=(2, 7)) + 1j * rng.normal(size=(2, 7))
     amps /= np.sqrt(np.sum(np.abs(amps) ** 2))
-    return SpinorField(t=3, plus_amps=amps[0], minus_amps=amps[1],
-                       parity_localized=False)
+    return SpinorField(t=3, plus_amps=amps[0], minus_amps=amps[1])
 
 
 def test_unlocalized_evolution_equals_repeated_single_steps():
@@ -262,8 +261,7 @@ def _windowed_evolve(state, f, t_final, record_trajectory=False):
     window, a spread one every site.
     """
     f = CoinField.lift(f)
-    sparse = state.parity_localized and not (np.any(state.plus_amps[1::2])
-                                             or np.any(state.minus_amps[1::2]))
+    sparse = not (np.any(state.plus_amps[1::2]) or np.any(state.minus_amps[1::2]))
     stride = 2 if sparse else 1
     plus, minus = state.plus_amps, state.minus_amps
 
@@ -282,20 +280,28 @@ def _windowed_evolve(state, f, t_final, record_trajectory=False):
         plus[2::stride] = a * src_plus + b * src_minus
         minus[:-2:stride] = cc * src_plus - d * src_minus
         records.append(record(t + 1))
-    final = SpinorField(t=state.t + t_final, plus_amps=plus, minus_amps=minus,
-                        parity_localized=state.parity_localized)
+    final = SpinorField(t=state.t + t_final, plus_amps=plus, minus_amps=minus)
     return (final, records) if record_trajectory else final
+
+
+def _with_off_parity_amplitude(state):
+    """``state`` with one amplitude added on a site with ``n + t`` odd."""
+    plus = state.plus_amps.copy()
+    plus[1] = 1e-3
+    return SpinorField(t=state.t, plus_amps=plus, minus_amps=state.minus_amps)
 
 
 @pytest.mark.parametrize("coin", [CoinAngles(0.9, 0.3, -1.2, 0.4), _formula_coin()],
                          ids=["constant", "formula"])
-@pytest.mark.parametrize("start", ["localized", "resumed", "spread"])
+@pytest.mark.parametrize("start", ["localized", "resumed", "spread", "off-parity"])
 def test_evolve_is_bitwise_the_windowed_stepper(coin, start):
     """Stepping the stored sites alone keeps every bit of the full-window
-    walk: finals and recorded observables, stride 2 and stride 1."""
+    walk: finals and recorded observables, stride 2 and stride 1, which a
+    single off-parity amplitude in a resumed walk selects."""
     init = InitialState(eta=0.6, gamma=1.9)
     state = {"localized": localized_state(init), "resumed": evolve(init, coin, 3),
-             "spread": _spread_state()}[start]
+             "spread": _spread_state(),
+             "off-parity": _with_off_parity_amplitude(evolve(init, coin, 3))}[start]
     for t_final in (0, 1, 2, 50):
         for record in (False, True):
             got = evolve(state, coin, t_final, record_trajectory=record)

@@ -29,6 +29,8 @@ from qwline import (
     potentials_from_phase_pair,
     potentials_from_transform,
     quasi_invariant_phases,
+    save_coin_field_csv,
+    save_phase_field_csv,
     smoothed_pmf,
     stationary_pmf,
     symmetry_residuals,
@@ -149,6 +151,32 @@ _INIT, _COIN = InitialState(0.3), CoinAngles(0.5)
 def test_every_refused_argument_is_an_input_error(call, message):
     with pytest.raises(InputError, match=message):
         call()
+
+
+@pytest.mark.parametrize("save, table", [
+    (save_coin_field_csv, CoinField.homogeneous(_COIN)),
+    (save_phase_field_csv, quasi_invariant_phases(0.1)),
+], ids=["coin", "phase"])
+@pytest.mark.parametrize("t_max, message", [
+    (2.5, "^t_max must be an integer, got 2.5$"),
+    (True, "^t_max must be an integer, got True$"),
+    (-1, "^t_max must be non-negative, got -1$"),
+], ids=["float", "bool", "negative"])
+def test_table_savers_take_an_integer_horizon(tmp_path, save, table, t_max, message):
+    path = tmp_path / "table.csv"
+    with pytest.raises(InputError, match=message):
+        save(table, t_max, path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("ts, t_min, slope", [
+    ([1e308, 1.5e308], 0, 1 / 0.5e308),
+    ([-1e308, 1e308], -1.5e308, 0.5 / 1e308),
+], ids=["sum_overflows", "spread_overflows"])
+def test_fitted_slope_near_the_float_range(ts, t_min, slope):
+    """Times whose sum or spread overflows still fit, without a warning
+    (the suite turns a RuntimeWarning into an error)."""
+    assert fitted_slope(ts, [0, 1], t_min) == pytest.approx(slope, rel=1e-12, abs=0)
 
 
 def test_validate_checks_a_state_not_an_input():

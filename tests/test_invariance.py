@@ -187,13 +187,12 @@ def test_verify_rejects_negative_horizon():
 
 def test_report_serialization():
     report = verify_quasi_invariance(
-        InitialState(eta=np.pi / 3), REF, quasi_invariant_phases(0.1), 4,
-        inputs={"rate": 0.1, "theta": float(REF.theta)})
+        InitialState(eta=np.pi / 3), REF, quasi_invariant_phases(0.1), 4)
     blob = report.to_json()
     assert blob == report.to_json()
     data = json.loads(blob)
     assert data["kind"] == "quasi"
-    assert data["inputs"]["rate"] == 0.1
+    assert "inputs" not in data
     assert data["max_component_deviation"] is None
     assert len(data["per_time_deviations"]) == 5
     # Keys are sorted, so the serialized form is deterministic.
@@ -203,8 +202,7 @@ def test_report_serialization():
 def test_relative_phase_map_floor():
     plus = np.array([0.6, 0.0, 1e-12], dtype=complex)
     minus = np.array([0.3j, 0.0, 0.5], dtype=complex)
-    state = SpinorField(t=1, plus_amps=plus, minus_amps=minus,
-                        parity_localized=False)
+    state = SpinorField(t=1, plus_amps=plus, minus_amps=minus)
     ns, phases = relative_phase_map(state)
     # Site 1 has a vanishing plus modulus, so only site -1 survives.
     assert list(ns) == [-1]
@@ -238,7 +236,6 @@ def test_transform_is_exact_for_random_phase_tables(data, t_max):
         t=0,
         plus_amps=start.plus_amps * np.exp(1j * xi[0, t_max]),
         minus_amps=start.minus_amps * np.exp(1j * zeta[0, t_max]),
-        parity_localized=True,
     )
     plain = evolve(start, coin, t_max)
     dressed = evolve(dressed_start, transform_coin_field(coin, phases), t_max)
@@ -611,8 +608,7 @@ def _unmemoised_report(kind, init, ref, phases, t_final):
         kind=kind, t_final=t_final, max_modulus_deviation=worst("modulus"),
         max_pmf_deviation=worst("pmf"), phase_map_divergence=worst("phase_map"),
         max_relative_phase_deviation=worst("relative_phase"),
-        max_component_deviation=worst("component"), per_time_deviations=per_time,
-        inputs={"case": kind})
+        max_component_deviation=worst("component"), per_time_deviations=per_time)
 
 
 def _random_profile(seed):
@@ -643,7 +639,7 @@ def test_reports_are_bitwise_the_unmemoised_composition(case, t_final):
         "exact-constant-coin": ("exact", REF, PhaseField(_common, lambda n, t: _common(n, t))),
     }[case]
     verify = verify_exact_invariance if kind == "exact" else verify_quasi_invariance
-    got = verify(init, ref, phases, t_final, inputs={"case": kind})
+    got = verify(init, ref, phases, t_final)
     assert got.to_json() == _unmemoised_report(kind, init, ref, phases, t_final).to_json()
 
 

@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 
 from qwline import (
+    CoinAngles,
     InitialState,
     SpinorField,
+    closed_form_amplitudes,
+    evolve,
     load_spinor_csv,
     localized_state,
     save_spinor_csv,
 )
-from qwline.evolution import _stride
 
 
 def _random_state(rng, t):
@@ -68,15 +70,35 @@ def test_validate_rejects_norm_drift():
         state.validate()
 
 
-def test_validate_rejects_off_parity_amplitude():
+def test_validate_accepts_off_parity_amplitude():
+    """One off-parity amplitude makes a valid state that is not parity
+    localized, and it evolves on every site: after three steps all its
+    weight sits on the sites with n + t odd."""
     plus = np.array([0.0, 1.0, 0.0], dtype=np.complex128)
     state = SpinorField(t=1, plus_amps=plus, minus_amps=np.zeros(3))
-    with pytest.raises(ValueError, match="off-parity"):
-        state.validate()
-    # The same data is fine once the parity promise is dropped.
-    loose = SpinorField(t=1, plus_amps=plus, minus_amps=np.zeros(3),
-                        parity_localized=False)
-    loose.validate()
+    assert state.parity_localized is False
+    state.validate()
+    evolved = evolve(state, CoinAngles(0.9, 0.3, -1.2, 0.4), 3)
+    assert evolved.parity_localized is False
+    assert not (np.any(evolved.plus_amps[::2]) or np.any(evolved.minus_amps[::2]))
+    assert abs(evolved.norm() - 1.0) < 1e-15
+
+
+def test_parity_is_read_from_the_amplitudes(tmp_path):
+    """No caller sets the flag: every constructor's state reads it off its
+    own rows."""
+    init, coin = InitialState(eta=0.6, gamma=1.9), CoinAngles(0.9, 0.3, -1.2, 0.4)
+    with pytest.raises(TypeError):
+        SpinorField(t=0, plus_amps=[1.0], minus_amps=[0.0], parity_localized=False)
+    assert localized_state(init).parity_localized is True
+    assert closed_form_amplitudes(init, coin, 6).parity_localized is True
+    assert evolve(init, coin, 6).parity_localized is True  # stride 2
+    spread = SpinorField(t=1, plus_amps=[0.6, 0.0, 0.0], minus_amps=[0.0, 0.8, 0.0])
+    assert evolve(spread, coin, 6).parity_localized is False  # stride 1
+    path = tmp_path / "state.csv"
+    for state in (evolve(init, coin, 6), spread):
+        save_spinor_csv(state, path)
+        assert load_spinor_csv(path).parity_localized is state.parity_localized
 
 
 @pytest.mark.parametrize("name", ["eta", "gamma"])
@@ -120,8 +142,8 @@ def test_csv_round_trip_is_byte_identical(tmp_path):
 def test_csv_parity_flag_inference(tmp_path):
     plus = np.array([0.0, 0.6, 0.0], dtype=np.complex128)
     minus = np.array([0.0, 0.8, 0.0], dtype=np.complex128)
-    state = SpinorField(t=1, plus_amps=plus, minus_amps=minus,
-                        parity_localized=False)
+    state = SpinorField(t=1, plus_amps=plus, minus_amps=minus)
+    assert state.parity_localized is False
     path = tmp_path / "offset.csv"
     save_spinor_csv(state, path)
     assert load_spinor_csv(path).parity_localized is False
@@ -133,22 +155,18 @@ def test_csv_parity_flag_inference(tmp_path):
 @pytest.mark.parametrize("value", [0.0, -0.0, complex(-0.0, -0.0), 1e-300, np.nan,
                                    complex(0.0, np.nan)])
 def test_off_parity_zero_agrees_in_every_caller(tmp_path, value):
-    """validate, the evolve stride and the loader's parity flag share one
-    test: -0.0 is an exact zero, NaN is not."""
+    """A built and a loaded state read the parity flag, and so the evolve
+    stride, by one test: -0.0 is an exact zero, NaN is not."""
     zero = value == 0
     plus = np.array([0.6, value, 0.0], dtype=np.complex128)
     minus = np.array([0.0, 0.0, 0.8], dtype=np.complex128)
     state = SpinorField(t=1, plus_amps=plus, minus_amps=minus)
-    assert _stride(state) == (2 if zero else 1)
+    assert state.parity_localized is zero
     path = tmp_path / "state.csv"
     save_spinor_csv(state, path)
     assert load_spinor_csv(path).parity_localized is zero
     if np.isfinite(value):
-        if zero:
-            state.validate()
-        else:
-            with pytest.raises(ValueError, match="off-parity"):
-                state.validate()
+        state.validate()
 
 
 def test_csv_load_rejects_bad_inputs(tmp_path):
