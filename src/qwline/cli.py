@@ -462,8 +462,7 @@ def _cmd_figures(cfg: RunConfig) -> int:
     rate, t_final = 0.1, 16
     init = InitialState(eta=eta, gamma=0.0)
     ref_coin = CoinAngles(theta)
-    drifting = CoinField(
-        lambda ns, t: tuple(np.full(len(ns), v) for v in (theta, 0.0, rate * t, 0.0)))
+    drifting = CoinField(lambda ns, t: (theta, 0.0, rate * t, 0.0))
     ref_final = evolve(init, ref_coin, t_final)
     drift_final = evolve(init, drifting, t_final)
     for name, state in (("reference", ref_final), ("drifting", drift_final)):

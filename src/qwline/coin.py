@@ -85,6 +85,7 @@ def bloch_vector(beta: float, theta: float) -> np.ndarray:
     so a step-dependent ``beta`` sequence traces a precession of this vector
     around the z axis at fixed polar angle ``theta``.
     """
+    require_finite_fields({"beta": beta, "theta": theta})
     st = np.sin(theta)
     return np.array([st * np.cos(beta), st * np.sin(beta), np.cos(theta)])
 
@@ -105,11 +106,12 @@ def _sample_each(fns, ns, t: int) -> tuple:
 class CoinField:
     """Coin parameters as a row sampler ``rows(ns, t) -> (theta, alpha, beta, chi)``.
 
-    ``rows`` returns four float arrays holding the parameters at the integer
-    sites ``ns`` at step ``t``.  Every backing implements it: constants,
-    scalar callables evaluated through :func:`_sample_each`, dense tables
-    loaded from file and the dressing transforms.  ``angles`` holds the
-    constant angles of a field built by :meth:`homogeneous`, else ``None``.
+    ``rows`` returns the parameters at the integer sites ``ns`` at step
+    ``t`` as four float rows, each a scalar or one value per site, which
+    every consumer takes as returned.  Every backing implements it:
+    constants, scalar callables evaluated through :func:`_sample_each`,
+    dense tables loaded from file and the dressing transforms.  ``angles``
+    holds the constant angles of a :meth:`homogeneous` field, else ``None``.
     """
 
     rows: Callable[[np.ndarray, int], tuple]
@@ -137,25 +139,22 @@ class CoinField:
     def materialize(self, n_lo: int, n_hi: int, t: int, stride: int = 1):
         """Evaluate all four parameters on ``n = n_lo, n_lo + stride, .. n_hi`` at step ``t``.
 
-        Returns four float arrays.  Non-finite values raise
-        :class:`UnsupportedParameterError` (a ``ValueError``) naming the
-        first offending site, so a bad closure cannot silently poison the
-        evolution.
+        Returns the rows as :attr:`rows` does; a non-finite value raises
+        :class:`UnsupportedParameterError` naming its site, so a bad closure
+        cannot silently poison the evolution.
         """
         ns = np.arange(n_lo, n_hi + 1, stride)
-        out = self.rows(ns, t)
-        _require_finite(ns, t, out)
-        return out
+        return _require_finite(ns, t, self.rows(ns, t))
 
 
-def _require_finite(ns, t: int, rows, names=("theta", "alpha", "beta", "chi")) -> None:
-    """Raise :class:`UnsupportedParameterError` at the first site of ``ns``
-    where one of the ``rows``, a coin row ``(theta, alpha, beta, chi)``
-    unless other ``names`` are given, is not finite, naming the first such
-    row there.  One pass checks the rows joined (flattened, so a scalar row
-    passes too); the bad site is looked for only when that pass fails."""
+def _require_finite(ns, t: int, rows, names=("theta", "alpha", "beta", "chi")):
+    """``rows`` once checked finite, a coin row ``(theta, alpha, beta, chi)``
+    unless other ``names`` are given: :class:`UnsupportedParameterError`
+    names the first bad site of ``ns`` and the first bad row there.  One
+    pass checks the rows joined (flattened, so a scalar row passes too); the
+    bad site is looked for only when that pass fails."""
     if np.isfinite(np.concatenate(rows, axis=None)).all():
-        return
+        return rows
     k, i = first_fault([np.isfinite(row) for row in rows])
     raise UnsupportedParameterError(f"{names[k]} is not finite at (n={ns[i]}, t={t})")
 
@@ -165,12 +164,12 @@ class PhaseField:
 
     ``xi`` multiplies the plus component and ``zeta`` the minus component
     when one walk is rewritten in terms of another.  ``rows`` returns two
-    float arrays at the integer sites ``ns`` at step ``t``, backed like a
-    :class:`CoinField`: two scalar callables ``(n, t) -> radians`` passed to
-    the constructor and evaluated through :func:`_sample_each`, constants,
-    dense tables loaded from file, or any row sampler (:meth:`from_rows`).
-    One callable passed twice is sampled once per row, its row returned as
-    both components.
+    float rows at the integer sites ``ns`` at step ``t``, each a scalar or
+    one value per site, backed like a :class:`CoinField`: two callables
+    ``(n, t) -> radians`` passed to the constructor and evaluated through
+    :func:`_sample_each`, constants, dense tables loaded from file, or any
+    row sampler (:meth:`from_rows`).  One callable passed twice is sampled
+    once per row, its row returned as both components.
     """
 
     def __init__(self, xi_of: Callable[[int, int], float],
@@ -217,13 +216,8 @@ def _save_window_csv(path, header: str, t_max: int, rows) -> None:
     so the first fault in step order is the one named."""
     require_count("t_max", t_max)
     ns, ts = np.arange(-t_max, t_max + 1), np.arange(t_max + 1)
-
-    def sampled(t):
-        row = rows(ns, t)
-        _require_finite(ns, t, row, header.split(",")[2:])
-        return row
-
-    values = zip(*(sampled(int(t)) for t in ts))
+    values = zip(*(_require_finite(ns, t, rows(ns, t), header.split(",")[2:])
+                   for t in range(t_max + 1)))
     columns = [np.stack([np.broadcast_to(row, ns.shape) for row in v]) for v in values]
     write_csv(path, header, columns, grid=(ns, ts))
 

@@ -63,7 +63,7 @@ def evolve(
     updates and samples the coin at only its occupied sites, one row entry
     per site, and keeps exact zeros on the others.  A constant coin is
     reduced to its four entries once; any other coin is materialized at
-    every step on all the stored sites of the step.
+    every step on its live sites (below), each row a scalar or one per site.
 
     Only the live window of stored sites is stepped: from the first to the
     last nonzero stored site of the start, growing by one site at each end
@@ -106,8 +106,8 @@ def evolve(
                                           labels[t_end - t0:t_end + t0 + 1:stride])]
     for t in range(t0, t0 + t_final):
         if c is None:
-            rows = f.materialize(-t, t, t, stride)
-            entries = coin_entries(*(r[lo:hi] if np.ndim(r) else r for r in rows))
+            entries = coin_entries(*f.materialize(stride * lo - t, stride * (hi - 1) - t,
+                                                  t, stride))
         kernels.walk_step(src[0, lo:hi], src[1, lo:hi], dst[0, lo:hi + k], dst[1, lo:hi + k],
                           stride, *entries, scratch)
         m, hi = m + k, hi + k

@@ -81,7 +81,7 @@ def _require_condition(ns, t: int, *checks) -> None:
     if all(held.all() for _, held in results):
         return
     k, i = first_fault([held for _, held in results])
-    raise PhaseConditionError(f"{checks[k][0]} {results[k][0][i]:.3e} at (n={ns[i]}, t={t})")
+    raise PhaseConditionError(f"{checks[k][0]} {results[k][0].flat[i]:.3e} at (n={ns[i]}, t={t})")
 
 
 def _twin_checked(phases: PhaseField):
@@ -126,7 +126,7 @@ def _dressed_field(ref: CoinField | CoinAngles, phase_rows,
     def rows(ns, t):
         coin, (xi0, zeta0) = base.rows(ns, t), phase_rows(ns, t)
         ahead = np.unique(np.concatenate([ns + d for d in offsets]))
-        xi1, zeta1 = phase_rows(ahead, t + 1)
+        xi1, zeta1 = (np.broadcast_to(v, ahead.shape) for v in phase_rows(ahead, t + 1))
         return formula(coin, xi0, zeta0, xi1, zeta1,
                        *(np.searchsorted(ahead, ns + d) for d in offsets))
 
@@ -223,8 +223,10 @@ def _sample_chunk(base, phases, steps, offsets, coin, phase, ahead):
     try:
         for done, t in enumerate(steps):
             cells, end = slice(offsets[done], offsets[done + 1]), offsets[done + 1]
-            coin[:, cells] = base.materialize(-t, t, t, 2)
-            phase[:, end:end + t + 2] = phases.rows(np.arange(-t - 1, t + 2, 2), t + 1)
+            rows = (*base.materialize(-t, t, t, 2),
+                    *phases.rows(np.arange(-t - 1, t + 2, 2), t + 1))
+            for row, v in zip((*coin[:, cells], *phase[:, end:end + t + 2]), rows, strict=True):
+                row[...] = v  # a scalar row fills its cells
             ahead[:, cells] = phase[0, end + 1:end + t + 2], phase[1, end:end + t + 1]
     except Exception as exc:  # raised once the earlier steps are checked
         return done, exc
@@ -363,10 +365,9 @@ def _verify(kind, init, ref, phases, t_final) -> InvarianceReport:
     walk = None if c is None else coin_entries(c.theta, c.alpha, c.beta, c.chi)
     common = kind == "exact"
     origin = np.zeros(1, dtype=np.int64)
-    rows = (_twin_checked(phases) if common else phases.rows)(origin, 0)
-    # row 0 would otherwise be checked finite only within step 0's
-    # dressed coin, and at T = 0 not at all
-    _require_finite(origin, 0, rows, ("xi", "zeta"))
+    # else row 0 is checked finite only in step 0's dressed coin, at T = 0 never
+    rows = _require_finite(origin, 0, [np.broadcast_to(v, 1) for v in (
+        _twin_checked(phases) if common else phases.rows)(origin, 0)], ("xi", "zeta"))
     start = localized_state(init)
     # amplitudes (plus, minus, dressed plus, dressed minus) and phase rows
     # of the step before a chunk

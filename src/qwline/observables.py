@@ -153,7 +153,10 @@ def stationary_pmf(n, t: int, theta: float, eta: float, phi: float):
             f"envelope requires theta strictly inside (0, pi/2), got {theta}"
         )
     bias = _bias(theta, eta, phi)
-    n_arr = np.asarray(n, dtype=np.float64)
+    n_arr = np.asarray(n)
+    if n_arr.dtype.kind not in "biuf" or not np.isfinite(n_arr).all():
+        raise InputError(f"sites n must be real and finite, got {n!r}")
+    n_arr = n_arr.astype(np.float64)
     inside = np.abs(n_arr) < t * ct
     safe = np.where(inside, n_arr, 0.0)
     vals = (
@@ -162,19 +165,17 @@ def stationary_pmf(n, t: int, theta: float, eta: float, phi: float):
         / ((t * t - safe * safe) * np.sqrt(t * t * ct * ct - safe * safe))
     )
     vals = np.where(inside, vals, 0.0)
-    if np.isscalar(n) or np.ndim(n) == 0:
-        return float(vals)
-    return vals
+    return float(vals) if vals.ndim == 0 else vals
 
 
 def smoothed_pmf(rho: np.ndarray, half_width: int = 6) -> np.ndarray:
     """Moving average of a parity walk's distribution over occupied sites.
 
-    The exact distribution carries strong interference fringes on top of a
-    slowly varying profile; averaging each occupied site with its
-    ``half_width`` occupied neighbours per side removes them.  Near the
-    window edges the average is over the sites actually available.  The
-    returned array has the input shape with off-parity sites left at zero.
+    Averaging each occupied site with its ``half_width`` occupied neighbours
+    per side removes the interference fringes over the slowly varying
+    profile.  Near the window edges, and on a walk narrower than the window,
+    the average is over the sites available (the full sums, centred).  The
+    result has the input shape with off-parity sites left at zero.
     """
     require_count("half_width", half_width)
     rho = np.asarray(rho, dtype=np.float64)
@@ -183,9 +184,9 @@ def smoothed_pmf(rho: np.ndarray, half_width: int = 6) -> np.ndarray:
     if not rho.size:
         raise InputError(f"rho must hold at least one site, got shape {rho.shape}")
     occ = rho[::2]
-    w = np.ones(2 * half_width + 1)
-    num = np.convolve(occ, w, mode="same")
-    den = np.convolve(np.ones_like(occ), w, mode="same")
+    w, centred = np.ones(2 * half_width + 1), slice(half_width, half_width + occ.size)
+    num = np.convolve(occ, w)[centred]
+    den = np.convolve(np.ones_like(occ), w)[centred]
     out = np.zeros_like(rho)
     out[::2] = num / den
     return out
@@ -247,6 +248,8 @@ def fitted_slope(ts, xs, t_min: int | None = None) -> float:
     # and can neither underflow nor overflow
     u = (t - t.mean()) / spread
     slope = np.add.reduce(u * (x - x.mean())) / np.add.reduce(u * u) / spread
+    if np.frexp(slope)[1] + e_x - e_t > 1024:  # 2**1024 is beyond the float range
+        raise InputError("the slope overflows the float range")
     return float(np.ldexp(slope, e_x - e_t))
 
 

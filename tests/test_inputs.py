@@ -18,6 +18,7 @@ from qwline import (
     SpinorField,
     UnitSystem,
     ballistic_slope,
+    bloch_vector,
     classical_pmf,
     closed_form_amplitudes,
     efield_invariance_residual,
@@ -107,6 +108,17 @@ _INIT, _COIN = InitialState(0.3), CoinAngles(0.5)
     (lambda: stationary_pmf(np.arange(-10, 11), math.nan, 0.5, 0.1, 0.0),
      "^t must be finite, got nan$"),
     (lambda: classical_pmf(1 + 2j, 3), r"^p must be a real number, got \(1\+2j\)$"),
+    (lambda: bloch_vector(math.nan, 0.1), "^beta must be finite, got nan$"),
+    (lambda: bloch_vector("a", 0.1), "^beta must be a real number, got 'a'$"),
+    (lambda: bloch_vector(0.1, math.inf), "^theta must be finite, got inf$"),
+    # so are the sites of the envelope
+    (lambda: stationary_pmf(math.nan, 10, 0.5, 0.1, 0.0),
+     "^sites n must be real and finite, got nan$"),
+    (lambda: stationary_pmf(np.array([0.0, math.inf]), 10, 0.5, 0.1, 0.0),
+     r"^sites n must be real and finite, got array\(\[ 0., inf\]\)$"),
+    (lambda: stationary_pmf(1 + 2j, 10, 0.5, 0.1, 0.0),
+     r"^sites n must be real and finite, got \(1\+2j\)$"),
+    (lambda: stationary_pmf("a", 10, 0.5, 0.1, 0.0), "^sites n must be real and finite, got 'a'$"),
     # arrays a call pairs must fit
     (lambda: fitted_slope([0, 1, 2, 3], [0, 1, 2]),
      r"^ts and xs must have the same shape, got \(4,\) and \(3,\)$"),
@@ -144,6 +156,8 @@ _INIT, _COIN = InitialState(0.3), CoinAngles(0.5)
         "lambda_table_inf", "lambda_table_complex", "lambda_explicit_complex",
         "ballistic_nan_theta", "ballistic_nan_eta", "ballistic_inf_phi", "symmetry_nan_phi",
         "stationary_nan_eta", "stationary_inf_phi", "stationary_nan_t", "classical_complex",
+        "bloch_nan_beta", "bloch_text_beta", "bloch_inf_theta", "stationary_nan_site",
+        "stationary_inf_site", "stationary_complex_site", "stationary_text_site",
         "fitted_slope_shapes", "fitted_slope_nan", "fitted_slope_2d", "smoothed_2d",
         "smoothed_0d", "smoothed_empty", "fitted_slope_empty", "fitted_slope_equal_times",
         "fitted_slope_text_t_min", "fitted_slope_complex_t_min", "fitted_slope_nan_t_min",
@@ -177,6 +191,19 @@ def test_fitted_slope_near_the_float_range(ts, t_min, slope):
     """Times whose sum or spread overflows still fit, without a warning
     (the suite turns a RuntimeWarning into an error)."""
     assert fitted_slope(ts, [0, 1], t_min) == pytest.approx(slope, rel=1e-12, abs=0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_fitted_slope_beyond_the_float_range_is_refused():
+    """A slope whose value overflows is an input error, not a numpy
+    warning or an infinite slope."""
+    with pytest.raises(InputError, match="^the slope overflows the float range$"):
+        fitted_slope([0, 1e-320], [0, 1e308], 0)
+    # 2**1023 is a float, 2**1024 is not
+    assert fitted_slope([0, 2.0**-1074], [0, 2.0**-51], 0) == 2.0**1023
+    with pytest.raises(InputError, match="^the slope overflows the float range$"):
+        fitted_slope([0, 2.0**-1074], [0, 2.0**-50], 0)
+    assert fitted_slope([0, 1e-300], [0, 1e-10], 0) == pytest.approx(1e290, rel=1e-12)
 
 
 def test_validate_checks_a_state_not_an_input():

@@ -150,6 +150,30 @@ def test_smoothed_pmf_small_cases():
     assert out[::2] == pytest.approx([1.0, 2.0 / 3.0, 1.0])
 
 
+def _direct_average(occ, half_width):
+    """Each occupied site's mean over the occupied sites within
+    ``half_width`` of it, one site at a time."""
+    return np.array([occ[max(0, i - half_width):i + half_width + 1].mean()
+                     for i in range(occ.size)])
+
+
+@pytest.mark.parametrize("t", range(12))
+def test_smoothed_pmf_of_walks_narrower_than_the_window(t):
+    """Below t = 12 a walk has fewer occupied sites than the default
+    window of 13; each site averages over the sites actually available."""
+    rho = pmf(_walk(t))
+    out = smoothed_pmf(rho)
+    assert out.shape == rho.shape
+    assert np.all(out[1::2] == 0)
+    assert out[::2] == pytest.approx(_direct_average(rho[::2], 6), rel=1e-14, abs=0)
+
+
+def test_smoothed_pmf_of_two_sites_under_a_window_of_three():
+    out = smoothed_pmf(np.ones(3), 1)
+    assert out.tolist() == [1.0, 0.0, 1.0]
+    assert out[::2].tolist() == _direct_average(np.ones(2), 1).tolist()
+
+
 def test_ballistic_slope_values():
     assert ballistic_slope(np.pi / 6, np.pi / 6, 0.0) == pytest.approx(0.5,
                                                                        abs=1e-14)
