@@ -65,17 +65,36 @@ def coin_matrix(c: CoinAngles) -> np.ndarray:
 
 
 def coin_entries(theta, alpha, beta, chi):
-    """Coin entries ``(a, b, c, d)`` of ``[[a, b], [c, -d]]``, elementwise.
+    """Coin entries of ``[[a, b], [c, -d]]``, stacked as the pair of
+    ``(2, m)`` arrays ``cross = (a, c)`` and ``self_ = (b, -d)``, the form
+    the one step kernel (:func:`qwline.kernels.walk_step`) consumes.
 
-    Accepts scalars or equal-shape arrays; the one step kernel
-    (:func:`qwline.kernels.walk_step`) consumes them in this form.
+    Takes one row per parameter, each a scalar or one value per site.
+    Entries of rows are written in place into one ``(4, m)`` array, with no
+    copy; scalars keep numpy's scalar arithmetic, one column (``m = 1``)
+    when all are, since numpy rounds a product of two complex scalars apart
+    from the same product in a row.  Either way each entry has the bits of
+    its expression below, and ``-d`` those of ``d`` negated.
     """
     gain = np.exp(1j * chi)
     cos_g = np.cos(theta) * gain
     sin_g = np.sin(theta) * gain
     ea = np.exp(1j * alpha)
     ebm = np.exp(-1j * beta)
-    return ea * cos_g, ebm * sin_g, np.conj(ebm) * sin_g, np.conj(ea) * cos_g
+    if cos_g.ndim and ea.ndim and ebm.ndim:
+        entries = np.empty((4, cos_g.size), dtype=np.complex128)
+        np.multiply(ea, cos_g, out=entries[0])
+        np.multiply(np.conj(ebm), sin_g, out=entries[1])
+        np.multiply(ebm, sin_g, out=entries[2])
+        # negated as floats: numpy's complex negative is several times slower
+        d = np.multiply(np.conj(ea, out=ea), cos_g, out=entries[3]).view(np.float64)
+        np.negative(d, out=d)
+        return entries[:2], entries[2:]
+    entries = ea * cos_g, np.conj(ebm) * sin_g, ebm * sin_g, -(np.conj(ea) * cos_g)
+    if cos_g.ndim or ea.ndim or ebm.ndim:  # scalars and rows: broadcast to the sites
+        entries = np.broadcast_arrays(*entries)
+    entries = np.array(entries).reshape(4, -1)
+    return entries[:2], entries[2:]
 
 
 def bloch_vector(beta: float, theta: float) -> np.ndarray:

@@ -9,9 +9,12 @@ components with the coin evaluated at the source site::
                                    - e^{-i alpha} cos(theta) psi_minus(n+1, t) ]
 
 with all coin parameters taken at the source site and time ((n-1, t) above
-for the plus component, (n+1, t) for the minus one).  No renormalization is
-ever applied; norm drift stays at rounding level and is left observable as
-a diagnostic.
+for the plus component, (n+1, t) for the minus one).  Both components of a
+step are formed together: :func:`qwline.kernels.walk_step` makes one numpy
+call per term across the two rows, writing through a view of the output
+pair that is built once per pair, and a recorded step reads both rows in
+one pass.  No renormalization is ever applied; norm drift stays at rounding
+level and is left observable as a diagnostic.
 """
 from __future__ import annotations
 
@@ -62,7 +65,7 @@ def evolve(
     to the full window once, at the end.  A parity-localized state stores,
     updates and samples the coin at only its occupied sites, one row entry
     per site, and keeps exact zeros on the others.  A constant coin is
-    reduced to its four entries once; any other coin is materialized at
+    reduced to its stacked entries once; any other coin is materialized at
     every step on its live sites (below), each row a scalar or one per site.
 
     Only the live window of stored sites is stepped: from the first to the
@@ -88,12 +91,16 @@ def evolve(
     start = np.array([state.plus_amps[::stride], state.minus_amps[::stride]])
     live = np.flatnonzero(start.any(axis=0))
     lo, hi = (int(live[0]), int(live[-1]) + 1) if live.size else (0, 0)
-    # two row pairs, this step's and the next's, and the kernel's scratch row
+    # two row pairs, this step's and the next's, and the kernel's scratch rows
     m = start.shape[1]
-    pairs = np.zeros((2, 2, m + k * t_final), dtype=np.complex128)
+    size = m + k * t_final
+    pairs = np.zeros((2, 2, size), dtype=np.complex128)
     pairs[0, :, :m] = start
-    src, dst = pairs
-    scratch = np.empty(pairs.shape[2], dtype=np.complex128)
+    # per pair, the kernel's (2, size - k) output view: plus row from site k,
+    # minus row from site 0, so columns lo:hi are where sites lo:hi land
+    outs = [pair.reshape(-1)[k:2 * size - k].reshape(2, size - k) for pair in pairs]
+    (src, dst), (src_out, dst_out) = pairs, outs
+    scratch = np.empty((2, size), dtype=np.complex128)
     c = f.angles
     entries = None if c is None else coin_entries(c.theta, c.alpha, c.beta, c.chi)
     tiny = np.finfo(np.float64).tiny
@@ -102,14 +109,13 @@ def evolve(
         # labels of every site any step stores; step t reads -t .. t
         t_end = t0 + t_final
         labels = np.arange(-t_end, t_end + 1, dtype=np.float64)
-        records = [record_from_amplitudes(t0, start[0], start[1],
-                                          labels[t_end - t0:t_end + t0 + 1:stride])]
+        records = [record_from_amplitudes(t0, start, labels[t_end - t0:t_end + t0 + 1:stride])]
     for t in range(t0, t0 + t_final):
         if c is None:
             entries = coin_entries(*f.materialize(stride * lo - t, stride * (hi - 1) - t,
                                                   t, stride))
-        kernels.walk_step(src[0, lo:hi], src[1, lo:hi], dst[0, lo:hi + k], dst[1, lo:hi + k],
-                          stride, *entries, scratch)
+        kernels.walk_step(src[0, lo:hi], src[1, lo:hi], dst_out[:, lo:hi], dst[0, lo:lo + k],
+                          dst[1, hi:hi + k], *entries, scratch[:, :hi - lo])
         m, hi = m + k, hi + k
         # flush underflowed end sites, the minus component first on the
         # left and the plus component first on the right, as the kernel
@@ -128,14 +134,15 @@ def evolve(
         lo, hi = new_lo, new_hi
         if record_trajectory:
             records.append(record_from_amplitudes(
-                t + 1, dst[0, :m], dst[1, :m], labels[t_end - t - 1:t_end + t + 2:stride]))
-        src, dst = dst, src
+                t + 1, dst[:, :m], labels[t_end - t - 1:t_end + t + 2:stride]))
+        src, dst, src_out, dst_out = dst, src, dst_out, src_out
     t = t0 + t_final
     del dst, scratch, labels
     full = np.zeros((2, 2 * t + 1), dtype=np.complex128)
     full[:, ::stride] = src[:, :m]
-    # the row pairs are released before the state copies the expansion, so
-    # no more than two full windows are held at once
-    del pairs, src
+    # the row pairs, and the output views that hold them, are released
+    # before the state copies the expansion, so no more than two full
+    # windows are held at once
+    del outs, src_out, dst_out, pairs, src
     final = SpinorField(t=t, plus_amps=full[0], minus_amps=full[1])
     return (final, records) if record_trajectory else final

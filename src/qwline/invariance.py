@@ -125,7 +125,11 @@ def _dressed_field(ref: CoinField | CoinAngles, phase_rows,
 
     def rows(ns, t):
         coin, (xi0, zeta0) = base.rows(ns, t), phase_rows(ns, t)
-        ahead = np.unique(np.concatenate([ns + d for d in offsets]))
+        # the distinct sites, sorted: np.unique would import numpy.ma
+        ahead = np.sort(np.concatenate([ns + d for d in offsets]))
+        first = np.ones(ahead.size, dtype=bool)
+        np.not_equal(ahead[1:], ahead[:-1], out=first[1:])
+        ahead = ahead[first]
         xi1, zeta1 = (np.broadcast_to(v, ahead.shape) for v in phase_rows(ahead, t + 1))
         return formula(coin, xi0, zeta0, xi1, zeta1,
                        *(np.searchsorted(ahead, ns + d) for d in offsets))
@@ -265,20 +269,28 @@ def _step_chunk(steps, offsets, amps, last, walk, dressed) -> None:
     """Step a walk under the coin entries ``walk`` and its dressed copy
     under ``dressed`` over the ``steps``, from the rows ``last`` into the
     first rows of ``amps``, then from each row into the next.  Entries are
-    packed as in :func:`_sample_chunk`, and the t + 2 amplitudes of rows
-    t + 1 of step i from ``offsets[i] + i``; ``walk`` may be the four
-    scalars of a constant coin instead."""
-    packed = np.ndim(walk[0]) > 0
+    stacked as :func:`qwline.coin.coin_entries` returns them and packed as
+    in :func:`_sample_chunk`, and the t + 2 amplitudes of rows t + 1 of step
+    i from ``offsets[i] + i``; ``walk`` may be the one column of a constant
+    coin instead."""
     src = tuple(last)
-    scratch = np.empty(steps[-1] + 1, dtype=np.complex128)
+    scratch = np.empty((2, steps[-1] + 1), dtype=np.complex128)
+    # each walk's output view of the buffer, built once: its plus row from
+    # cell 1, its minus row from cell 0, so a step whose new rows take cells
+    # at .. end writes columns at:end and zeroes cell at (plus) and end (minus)
+    w = amps.shape[1]
+    flat = amps.reshape(-1)
+    walks = [(r, flat[w * r + 1:w * (r + 2) - 1].reshape(2, w - 1), entries)
+             for r, entries in ((0, walk), (2, dressed))]
     for i, t in enumerate(steps):
         cells = slice(offsets[i], offsets[i + 1])
-        out = tuple(amps[:, offsets[i] + i:offsets[i + 1] + i + 1])
-        kernels.walk_step(src[0], src[1], out[0], out[1], 2,
-                          *([e[cells] for e in walk] if packed else walk), scratch)
-        kernels.walk_step(src[2], src[3], out[2], out[3], 2, *[e[cells] for e in dressed],
-                          scratch)
-        src = out
+        at, end = offsets[i] + i, offsets[i + 1] + i
+        for r, out, (cross, self_) in walks:
+            if cross.shape[1] > 1:
+                cross, self_ = cross[:, cells], self_[:, cells]
+            kernels.walk_step(src[r], src[r + 1], out[:, at:end], amps[r, at:at + 1],
+                              amps[r + 1, end:end + 1], cross, self_, scratch[:, :t + 1])
+        src = tuple(amps[:, at:end + 1])
 
 
 def _turn(phase):

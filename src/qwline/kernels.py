@@ -4,12 +4,15 @@
 ``lambda_fill`` runs the two-step recursion of the lattice kernel and
 ``lambda_spectral`` evaluates one row of its mode expansion by FFT.  Rows
 hold the values at the occupied sites only, so no kernel touches the sites a
-parity-localized walker leaves exactly zero.  Each kernel is the only
-implementation of its operation, so repeated calls with identical inputs are
-bit-identical.  ``evolve`` steps a walk's live window and flushes its
-underflowed end sites to zero; the invariance verifications step every
-stored site, and ``lambda_fill`` keeps its subnormal tails too: the closed
-form is the independent side of the cross-check with stepping.
+parity-localized walker leaves exactly zero.  The loops make short numpy
+calls on rows of hundreds to thousands of sites, where the cost of a call is
+much of the work: ``walk_step`` makes one call per term across both
+chirality rows, and ``lambda_fill`` forms each product of a row once.  Each
+kernel is the only implementation of its operation, so repeated calls with
+identical inputs are bit-identical.  ``evolve`` steps a walk's live window
+and flushes its underflowed end sites to zero; the invariance verifications
+step every stored site, and ``lambda_fill`` keeps its subnormal tails too:
+the closed form is the independent side of the cross-check with stepping.
 """
 from __future__ import annotations
 
@@ -24,21 +27,31 @@ __all__ = ["BACKEND", "walk_step", "lambda_fill", "lambda_spectral"]
 # one walk step: shift after coin, a row gains 2 // stride stored sites
 # ---------------------------------------------------------------------------
 
-def walk_step(plus, minus, out_plus, out_minus, stride, a, b, c, d, scratch):
+def walk_step(plus, minus, out, head, tail, cross, self_, scratch):
     """Advance both components one step, from ``plus``, ``minus`` into
-    ``out_plus``, ``out_minus``.
+    ``out``, ``head`` and ``tail``.
 
     The source rows hold ``m`` consecutive stored sites, ``stride`` apart:
     stride 2 for a parity-localized walker, whose other sites are zero, else
     1.  The output rows, ``k = 2 // stride`` entries longer, hold the sites
     one step later that those sites reach, from the one left of the first to
-    the one right of the last, and must not overlap the source.  ``a``,
-    ``b``, ``c``, ``d`` are the coin entries ``[[a, b], [c, -d]]`` at the
-    source sites (scalars for a constant coin).  The plus component moves
-    right and the minus component left, so the first ``k`` plus outputs and
-    the last ``k`` minus outputs are set to exactly zero.  ``scratch``, a
-    complex row of at least ``m`` entries apart from all four rows, takes
-    the minus products, so a step allocates no array.
+    the one right of the last, and must not overlap the source.  The plus
+    component moves right and the minus component left, so ``out``, a
+    ``(2, m)`` array, takes the last ``m`` plus outputs and the first ``m``
+    minus outputs, and ``head``, the first ``k`` plus outputs, and ``tail``,
+    the last ``k`` minus outputs, are set to exactly zero.  ``cross`` holds
+    the coin entries ``(a, c)`` and ``self_`` the entries ``(b, -d)`` of
+    ``[[a, b], [c, -d]]`` at the source sites, as :func:`qwline.coin.coin_entries`
+    stacks them (one column for a constant coin).  ``scratch``, a ``(2, m)``
+    complex array apart from the rows, takes the ``minus`` products, so a
+    step allocates no array and makes three numpy calls for both rows.
+
+    The rows are bitwise ``a * plus + b * minus`` and ``c * plus - d *
+    minus`` but for the sign of some exact zeros.  ``x + (-y)`` is ``x - y``
+    exactly, and ``(-d) * minus`` is ``-(d * minus)`` except where a part of
+    ``d * minus`` sums two terms to exactly ``+0.0``: ``(-d) * minus`` has
+    ``+0.0`` there too.  Where that part of ``c * plus`` is ``-0.0``, the
+    minus output part is then ``+0.0``, not the ``-0.0`` of the difference.
 
     :func:`qwline.evolution.evolve` hands it only a walk's live window and
     sets end sites whose two components fall below
@@ -47,20 +60,13 @@ def walk_step(plus, minus, out_plus, out_minus, stride, a, b, c, d, scratch):
     step; the invariance verifications hand it every stored site, tails
     included.
     """
-    k = 2 // stride
-    m = len(plus)
-    products = scratch[:m]
-    head, tail = out_plus[k:], out_minus[:m]
     # coin entry first, then the other term added: the float order of
-    # a * plus + b * minus, so the result is bitwise that expression
-    np.multiply(a, plus, out=head)
-    np.multiply(b, minus, out=products)
-    head += products
-    out_plus[:k].fill(0)
-    np.multiply(c, plus, out=tail)
-    np.multiply(d, minus, out=products)
-    tail -= products
-    out_minus[m:].fill(0)
+    # a * plus + b * minus and of c * plus + (-d) * minus
+    np.multiply(cross, plus, out=out)
+    np.multiply(self_, minus, out=scratch)
+    out += scratch
+    head.fill(0)
+    tail.fill(0)
 
 
 # ---------------------------------------------------------------------------
@@ -85,15 +91,15 @@ def lambda_fill(cos_theta, t_max, rolling=False):
     depth = 3 if rolling else t_max + 1
     out = np.zeros((depth, t_max + 2))
     out[0, 1] = 1.0
-    scratch = np.empty(t_max + 1)
+    products = np.empty(t_max + 2)
     for t in range(2, t_max + 1):
-        prev = out[(t - 1) % depth]
+        # each product cos(theta) * lam(n, t - 1) once, read at n + 1 and
+        # n - 1: the float order of cos * left - cos * right + lam(n, t - 2)
+        scaled = products[:t + 2]
+        np.multiply(cos_theta, out[(t - 1) % depth, :t + 2], out=scaled)
         # a rolling slot last held row t - 3 (columns 1 .. t - 2): every stale
         # entry is overwritten, and the columns read past a row stay zero
-        row, right = out[t % depth, 1:t + 2], scratch[:t + 1]
-        np.multiply(cos_theta, prev[:t + 1], out=row)
-        np.multiply(cos_theta, prev[1:t + 2], out=right)
-        row -= right
+        row = np.subtract(scaled[:-1], scaled[1:], out=out[t % depth, 1:t + 2])
         row += out[(t - 2) % depth, :t + 1]
     if rolling:
         return out[[(t_max - 1) % depth, t_max % depth]]

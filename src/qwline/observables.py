@@ -82,25 +82,26 @@ class ObservableRecord:
     mean_x: float
 
 
-def record_from_amplitudes(t, plus, minus, ns) -> ObservableRecord:
-    """Observables of amplitudes ``plus``, ``minus`` at sites ``ns``.
+def record_from_amplitudes(t, amps, ns) -> ObservableRecord:
+    """Observables of the amplitude rows ``amps = (plus, minus)`` at sites ``ns``.
 
-    The arrays may cover any subset of the window that holds all the
-    weight, e.g. the occupied sites of a parity-localized walker.
+    The rows may cover any subset of the window that holds all the weight,
+    e.g. the occupied sites of a parity-localized walker.
     """
-    # |psi|^2 as abs, then square, in place: the bits of np.abs(x) ** 2
-    w_plus, w_minus = np.abs(plus), np.abs(minus)
-    np.square(w_plus, out=w_plus)
-    np.square(w_minus, out=w_minus)
-    p_plus, p_minus = float(np.add.reduce(w_plus)), float(np.add.reduce(w_minus))
-    w_plus += w_minus
-    w_plus *= ns
+    # |psi|^2 as abs, then square, in place: the bits of np.abs(x) ** 2.
+    # The sum along the rows is bitwise each row's own np.add.reduce
+    weights = np.abs(amps)
+    np.square(weights, out=weights)
+    p_plus, p_minus = np.add.reduce(weights, axis=-1).tolist()
+    total = weights[0]
+    total += weights[1]
+    total *= ns
     return ObservableRecord(t=t, p_plus=p_plus, p_minus=p_minus,
-                            mean_x=float(np.add.reduce(w_plus)))
+                            mean_x=float(np.add.reduce(total)))
 
 
 def observe(state: SpinorField) -> ObservableRecord:
-    return record_from_amplitudes(state.t, state.plus_amps, state.minus_amps, state.n_values)
+    return record_from_amplitudes(state.t, (state.plus_amps, state.minus_amps), state.n_values)
 
 
 def classical_pmf(p: float, t: int) -> np.ndarray:

@@ -267,13 +267,14 @@ def _windowed_evolve(state, f, t_final, record_trajectory=False):
 
     def record(t):
         ns = np.arange(-t, t + 1)[::stride]
-        return record_from_amplitudes(t, plus[::stride], minus[::stride], ns)
+        return record_from_amplitudes(t, (plus[::stride], minus[::stride]), ns)
 
     c = f.angles
     records = [record(state.t)]
     for t in range(state.t, state.t + t_final):
         angles = f.materialize(-t, t, t, stride) if c is None else (c.theta, c.alpha, c.beta, c.chi)
-        a, b, cc, d = coin_entries(*angles)
+        (a, cc), (b, minus_d) = coin_entries(*angles)
+        d = -minus_d
         src_plus, src_minus = plus[::stride], minus[::stride]
         plus = np.zeros(2 * t + 3, dtype=complex)
         minus = np.zeros(2 * t + 3, dtype=complex)

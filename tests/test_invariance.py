@@ -1,6 +1,10 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +35,7 @@ from qwline import (
     verify_exact_invariance,
     verify_quasi_invariance,
 )
+import qwline
 from qwline import invariance
 from qwline.coin import _window_table_rows
 
@@ -698,3 +703,47 @@ def test_verification_peak_memory_is_bounded(verify, phases):
     finally:
         tracemalloc.stop()
     assert peak <= 4.5, peak
+
+
+@pytest.mark.parametrize("offsets", [(1, -1), (-1, 0, 1)])
+def test_dressed_rows_read_the_distinct_sites_ahead(offsets):
+    """Phase row t + 1 is read once over the sorted distinct sites ``ns + d``,
+    those ``np.unique`` gives, however the sites ``ns`` come."""
+    rng = np.random.default_rng(7)
+    reads = {}
+
+    def rows(ns, t):
+        reads[t] = ns
+        return 0.01 * ns * t, -0.02 * ns
+
+    field = invariance._dressed_field(CoinAngles(0.7), rows, offsets,
+                                      lambda coin, xi0, zeta0, xi1, zeta1, *at: at)
+    for size in (0, 1, 2, 5, 40, 300):
+        ns = rng.integers(-9, 10, size=size)
+        at = field.rows(ns, 3)
+        assert np.array_equal(reads[4], np.unique(np.concatenate([ns + d for d in offsets])))
+        for d, index in zip(offsets, at, strict=True):
+            assert np.array_equal(reads[4][index], ns + d)
+
+
+_READ_TRANSFORMED_ROWS = """
+import sys
+import numpy as np
+from qwline import CoinAngles, PhaseField, exact_transform, transform_coin_field
+from qwline.gauge import finite_difference_transform
+phases = PhaseField.symmetric(lambda n, t: 0.1 * n * t)
+for transform in (transform_coin_field, exact_transform, finite_difference_transform):
+    transform(CoinAngles(0.7), phases).rows(np.arange(-5, 6, 2), 5)
+sys.exit("numpy.ma" in sys.modules)
+"""
+
+
+def test_transformed_rows_leave_numpy_ma_unimported():
+    """Reading the rows of the three dressing transforms imports no
+    ``numpy.ma``, which ``np.unique`` imports on its first call."""
+    src = str(Path(qwline.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    run = subprocess.run([sys.executable, "-c", _READ_TRANSFORMED_ROWS],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr or "numpy.ma was imported"
