@@ -320,34 +320,41 @@ def potentials_from_phase_pair(
 _BLOCK_ROWS = 32
 
 
-def _null_derivative(flat, width: int, sign: float, dx: float, dt: float, k: int,
-                     c: float):
-    """Centered light-cone derivative with half-width ``k`` cells.
+def _differences(flat, width: int, k: int, ratio: float):
+    """Raw centered differences, ``2 k`` cells apart, of a block of rows.
 
     ``flat`` holds a block of grid rows, each ``width`` cells wide, raveled
-    in C order.  The result has ``2 k`` fewer rows of the same width, also
-    raveled, and every pass runs on contiguous memory: the time difference
-    subtracts ``flat`` from itself shifted by ``2 k`` rows, the space
-    difference by ``2 k`` cells.  The ``k`` cells at each end of a result
-    row difference across the seam between two rows, so they are no
-    derivative and may overflow.  Applied again with half-width ``k'``,
-    they reach only the ``k + k'`` cells at each row end, which the caller
-    trims once.  Works in place on two buffers with the rounding of ``0.5 *
-    (d_dt / c + sign * d_dx)``: ``sign`` is ``+-1.0``, so adding ``sign *
-    d_dx`` is adding or subtracting ``d_dx``; dividing by ``c == 1.0`` is
-    the identity and is skipped.
+    in C order.  Returns the time difference ``f[t + k] - f[t - k]`` and
+    ``ratio`` times the space difference ``f[x + k] - f[x - k]``, each with
+    ``2 k`` fewer rows of the same width, also raveled.  Every pass runs on
+    contiguous memory: the time difference subtracts ``flat`` from itself
+    shifted by ``2 k`` rows, the space difference by ``2 k`` cells.  The
+    ``k`` cells at each end of a result row difference across the seam
+    between two rows, so they are no derivative and may overflow.
+    Differenced again with half-width ``k'``, they reach only the ``k +
+    k'`` cells at each row end, which the caller trims once.
     """
     rows = 2 * k * width
-    d_dt = np.subtract(flat[rows:], flat[:-rows])
-    d_dt /= 2 * k * dt
+    d_t = np.subtract(flat[rows:], flat[:-rows])
     middle = flat[k * width - k : flat.size - k * width + k]
-    d_dx = np.subtract(middle[2 * k :], middle[: -2 * k])
-    d_dx /= 2 * k * dx
-    if c != 1.0:
-        d_dt /= c
-    (np.add if sign > 0 else np.subtract)(d_dt, d_dx, out=d_dt)
-    d_dt *= 0.5
-    return d_dt
+    d_x = np.subtract(middle[2 * k :], middle[: -2 * k])
+    d_x *= ratio
+    return d_t, d_x
+
+
+def _null(flat, width: int, k: int, ratio: float, op):
+    """Unscaled null derivative ``D_t f + ratio D_x f`` for ``op`` ``np.add``,
+    ``D_t f - ratio D_x f`` for ``np.subtract``, in the time difference's
+    buffer."""
+    d_t, d_x = _differences(flat, width, k, ratio)
+    return op(d_t, d_x, out=d_t)
+
+
+def _null_pair(flat, width: int, k: int, ratio: float):
+    """Both unscaled null derivatives of ``flat`` from one pair of
+    differences."""
+    d_t, d_x = _differences(flat, width, k, ratio)
+    return np.add(d_t, d_x), np.subtract(d_t, d_x, out=d_t)
 
 
 def efield_invariance_residual(
@@ -373,10 +380,25 @@ def efield_invariance_residual(
     mixed widths keep the check honest at the cost of a 3-cell halo around
     the requested domain.  A sampled phase or residual value that is not
     finite raises :class:`GridError` naming the first such grid point.
+
+    Each null derivative is taken unscaled, as ``N_k^+- f = D_t f +- ratio
+    D_x f`` with the raw centered differences ``D_t``, ``D_x`` of half-width
+    ``k`` and ``ratio = dt c / dx``.  The inner one is scaled once, by ``s1
+    = 1 / (2 dt c)``, so it keeps a derivative's magnitude; the outer
+    one's scale and every factor ``1/2`` fold into ``K = hbar_over_e / (32
+    dt)``, applied as each block is written into the field: ``residual = K
+    (N_2^- s1 N_1^+ xi - N_2^+ s1 N_1^- zeta)``.  So ``c`` enters only
+    through ``ratio`` and ``s1``: no stage divides by ``c`` for a later one
+    to multiply back, which would overflow for extreme ``c``.
     """
     halo = 3
     xs, ts, dx, dt, where = _domain_grid(domain, resolution, 4, halo=halo)
     c = units.c
+    # the docstring's ratio, s1 and K; c * (dt / dx) overflows only when
+    # the ratio itself does
+    ratio = c * (dt / dx)
+    s1 = 1 / (2 * dt * c)
+    scale = units.hbar_over_e / (32 * dt)
     width = xs.size
     residual = np.empty((resolution, resolution))
     # a block of output rows needs its rows plus the halo on each side; the
@@ -401,17 +423,23 @@ def efield_invariance_residual(
             used = samples[: len(fields)]
             for buf, vals in zip(used, fields.values()):
                 buf[carried:rows] = vals
-            flats = [buf[:rows].ravel() for buf in used]
-            xi_flat, zeta_flat = flats[0], flats[-1]
-            block = _null_derivative(
-                _null_derivative(xi_flat, width, +1.0, dx, dt, 1, c), width, -1.0, dx, dt, 2, c
-            )
-            block -= _null_derivative(
-                _null_derivative(zeta_flat, width, -1.0, dx, dt, 1, c), width, +1.0, dx, dt, 2, c
-            )
+            # stage 1: s1 N_1^+ xi and s1 N_1^- zeta, whose differences are
+            # formed once when the callable is shared
+            if len(fields) == 1:
+                plus, minus = _null_pair(used[0, :rows].ravel(), width, 1, ratio)
+            else:
+                plus = _null(used[0, :rows].ravel(), width, 1, ratio, np.add)
+                minus = _null(used[1, :rows].ravel(), width, 1, ratio, np.subtract)
+            plus *= s1
+            minus *= s1
+            # stage 2: N_2^- of the first less N_2^+ of the second; each
+            # input buffer is let go once it is differenced
+            block = _null(plus, width, 2, ratio, np.subtract)
+            del plus
+            block -= _null(minus, width, 2, ratio, np.add)
+            del minus
             out = residual[lo:hi]
-            np.multiply(block.reshape(hi - lo, width)[:, halo:-halo],
-                        0.5 * units.hbar_over_e * c, out=out)
+            np.multiply(block.reshape(hi - lo, width)[:, halo:-halo], scale, out=out)
             # the block's |residual| goes into the block's own buffer; its
             # maximum is not finite exactly when the block holds a value
             # that is not, which the check after the loop then names

@@ -33,6 +33,8 @@ from qwline import (
 from qwline.cli import _smooth_pair
 from qwline.gauge import _BLOCK_ROWS
 
+import _oracle
+
 REF = CoinAngles(theta=0.8, alpha=0.15, beta=-0.6, chi=0.25)
 # Spatial and temporal spacings intentionally differ so light-cone
 # characteristics never line up with the grid diagonals.
@@ -349,23 +351,31 @@ def test_residual_field_covers_requested_domain():
     assert top < 1e-3
 
 
+def _changing_pair():
+    return SmoothPhasePair(xi=lambda X, T: 0.8 * X * T * T + np.sin(X - T),
+                           zeta=lambda X, T: np.zeros_like(X))
+
+
 def _out_of_place_residual(pair, domain, res, units):
     """The residual with every stencil and the scaling written out of place,
-    in the float order the library's in-place stencils must keep."""
+    in the float order the library's in-place stencils must keep: unscaled
+    null derivatives ``D_t +- ratio D_x``, the inner one scaled by ``s1``,
+    and one factor ``K`` on their difference."""
     x0, x1, t0, t1 = domain
     dx, dt = (x1 - x0) / (res - 1), (t1 - t0) / (res - 1)
     steps = np.arange(-3, res + 3)
     tt, xx = np.meshgrid(t0 + dt * steps, x0 + dx * steps, indexing="ij")
     c = units.c
+    ratio, s1 = c * (dt / dx), 1 / (2 * dt * c)
 
     def null(arr, sign, k):
-        d_dt = (arr[2 * k:, k:-k] - arr[:-2 * k, k:-k]) / (2 * k * dt)
-        d_dx = (arr[k:-k, 2 * k:] - arr[k:-k, :-2 * k]) / (2 * k * dx)
-        return 0.5 * (d_dt / c + sign * d_dx)
+        d_t = arr[2 * k:, k:-k] - arr[:-2 * k, k:-k]
+        d_x = ratio * (arr[k:-k, 2 * k:] - arr[k:-k, :-2 * k])
+        return d_t + sign * d_x
 
-    term_xi = null(null(pair.xi(xx, tt), +1.0, 1), -1.0, 2)
-    term_zeta = null(null(pair.zeta(xx, tt), -1.0, 1), +1.0, 2)
-    return 0.5 * units.hbar_over_e * c * (term_xi - term_zeta)
+    term_xi = null(s1 * null(pair.xi(xx, tt), +1.0, 1), -1.0, 2)
+    term_zeta = null(s1 * null(pair.zeta(xx, tt), -1.0, 1), +1.0, 2)
+    return units.hbar_over_e / (32 * dt) * (term_xi - term_zeta)
 
 
 @pytest.mark.parametrize("units", [UnitSystem(),
@@ -374,8 +384,7 @@ def test_residual_is_bitwise_the_out_of_place_composition(units):
     pairs = [_smooth_pair(name, units.c) for name in ("symmetric", "null", "wave")]
     pairs.append(SmoothPhasePair(xi=lambda X, T: X * X * T,
                                  zeta=lambda X, T: np.zeros_like(X)))
-    pairs.append(SmoothPhasePair(xi=lambda X, T: 0.8 * X * T * T + np.sin(X - T),
-                                 zeta=lambda X, T: np.zeros_like(X)))
+    pairs.append(_changing_pair())
     # constant phases; on the sampler's sparse grid these are a row and a column
     pairs.append(SmoothPhasePair(xi=lambda X, T: np.full_like(X, 0.7),
                                  zeta=lambda X, T: np.full_like(T, -0.2)))
@@ -407,6 +416,39 @@ def test_residual_row_seams_overflow_out_of_sight():
     assert np.isfinite(want).all()
     assert np.array_equal(field.view(np.int64), want.view(np.int64))
     assert top == np.max(np.abs(want))
+
+
+# C of the bound C eps res on the residual's largest error against the
+# long-double reference.  Measured C = error / (eps res) at res 128-1024:
+# symmetric 0.069-0.097, null 0.028-0.053, wave 0.037-0.050, changing
+# 0.075-0.142.  The form that divided each stage by c read up to 0.183
+# (changing, res 1024).
+ORACLE_C = 0.25
+
+
+@pytest.mark.parametrize("name", ["symmetric", "null", "wave", "changing"])
+def test_residual_error_against_long_double_is_eps_res(name):
+    pair = _changing_pair() if name == "changing" else _smooth_pair(name, 1.0)
+    for res in (128, 256, 512, 1024):
+        _, field = efield_invariance_residual(pair, DOMAIN, res)
+        err = np.max(np.abs(field - _oracle.efield_residual(pair, DOMAIN, res)))
+        assert err <= ORACLE_C * _oracle.EPS * res, (res, err)
+
+
+@pytest.mark.parametrize("tau, c", [(1e100, 1e-200), (1e-100, 1e200)])
+def test_residual_is_finite_for_extreme_speeds(tau, c):
+    """At c = 1e-200 the peak is 2.4756e199; a composition that divides the
+    time differences by c in each stage and multiplies the result by c
+    overflows on the way there."""
+    units = UnitSystem(tau=tau, c=c)
+    pair = SmoothPhasePair(xi=lambda X, T: np.sin(X - T),
+                           zeta=lambda X, T: np.cos(X + T))
+    top, field = efield_invariance_residual(pair, DOMAIN, 16, units)
+    want = _oracle.efield_residual(pair, DOMAIN, 16, units)
+    want_top = np.max(np.abs(want))
+    assert want_top > 1e199
+    assert abs(top - want_top) <= 4 * _oracle.EPS * want_top
+    assert np.max(np.abs(field - want)) <= 4 * _oracle.EPS * want_top
 
 
 def test_non_finite_samples_raise_grid_error():
