@@ -331,10 +331,7 @@ def _cmd_closedform(cfg: RunConfig) -> int:
     init, coin = _init(cfg), _angles(cfg)
     analytic = closed_form_amplitudes(init, coin, cfg.t_final, method=cfg.method)
     stepped = evolve(init, coin, cfg.t_final)
-    deviation = max(
-        float(np.max(np.abs(analytic.plus_amps - stepped.plus_amps))),
-        float(np.max(np.abs(analytic.minus_amps - stepped.minus_amps))),
-    )
+    deviation = float(np.max(np.abs(analytic.amps - stepped.amps)))
     _write(cfg, f"closedform_t{cfg.t_final}.csv", lambda path: save_spinor_csv(analytic, path))
     print(f"max amplitude deviation from stepping: {deviation:.3e}")
     return _gate(deviation > cfg.tol, f"{deviation:.3e} > {cfg.tol:.1e}")

@@ -213,16 +213,11 @@ def closed_form_amplitudes(
     m00 = np.exp(1j * init.gamma) * np.sin(init.eta)
     p11, m11 = one_step_amplitudes(init, c)
 
-    plus_vals = np.exp(1j * (c.chi * t + c.alpha * ns)) * (
-        p00 * lam_t + np.exp(-1j * (c.chi + c.alpha)) * p11 * lam_left
-    )
-    minus_vals = np.exp(1j * (c.chi * t + c.alpha * ns)) * (
-        m00 * lam_t + np.exp(-1j * (c.chi - c.alpha)) * m11 * lam_right
-    )
-
-    plus, minus = np.zeros((2, 2 * t + 1), dtype=np.complex128)
-    plus[::2], minus[::2] = plus_vals, minus_vals
-    return SpinorField(t=t, plus_amps=plus, minus_amps=minus)
+    phase = np.exp(1j * (c.chi * t + c.alpha * ns))
+    amps = np.zeros((2, 2 * t + 1), dtype=np.complex128)
+    amps[0, ::2] = phase * (p00 * lam_t + np.exp(-1j * (c.chi + c.alpha)) * p11 * lam_left)
+    amps[1, ::2] = phase * (m00 * lam_t + np.exp(-1j * (c.chi - c.alpha)) * m11 * lam_right)
+    return SpinorField._adopt(t, amps)
 
 
 def initial_velocities(init: InitialState, c: CoinAngles) -> tuple[float, float]:

@@ -52,16 +52,9 @@ class CoinAngles:
 
 
 def coin_matrix(c: CoinAngles) -> np.ndarray:
-    """The 2x2 coin unitary for constant parameters."""
-    ct, st = np.cos(c.theta), np.sin(c.theta)
-    gain = np.exp(1j * c.chi)
-    return gain * np.array(
-        [
-            [np.exp(1j * c.alpha) * ct, np.exp(-1j * c.beta) * st],
-            [np.exp(1j * c.beta) * st, -np.exp(-1j * c.alpha) * ct],
-        ],
-        dtype=np.complex128,
-    )
+    """The 2x2 coin unitary for constant parameters, ``[[a, b], [c, -d]]``:
+    the columns ``cross`` and ``self_`` of :func:`coin_entries` side by side."""
+    return np.hstack(coin_entries(c.theta, c.alpha, c.beta, c.chi))
 
 
 def coin_entries(theta, alpha, beta, chi):

@@ -88,7 +88,7 @@ def evolve(
     state = localized_state(init) if isinstance(init, InitialState) else init
     t0, stride = state.t, 2 if state.parity_localized else 1
     k = 2 // stride
-    start = np.array([state.plus_amps[::stride], state.minus_amps[::stride]])
+    start = state.amps[:, ::stride]
     live = np.flatnonzero(start.any(axis=0))
     lo, hi = (int(live[0]), int(live[-1]) + 1) if live.size else (0, 0)
     # two row pairs, this step's and the next's, and the kernel's scratch rows
@@ -140,9 +140,5 @@ def evolve(
     del dst, scratch, labels
     full = np.zeros((2, 2 * t + 1), dtype=np.complex128)
     full[:, ::stride] = src[:, :m]
-    # the row pairs, and the output views that hold them, are released
-    # before the state copies the expansion, so no more than two full
-    # windows are held at once
-    del outs, src_out, dst_out, pairs, src
-    final = SpinorField(t=t, plus_amps=full[0], minus_amps=full[1])
+    final = SpinorField._adopt(t, full)
     return (final, records) if record_trajectory else final

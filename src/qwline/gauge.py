@@ -384,7 +384,8 @@ def efield_invariance_residual(
     Each null derivative is taken unscaled, as ``N_k^+- f = D_t f +- ratio
     D_x f`` with the raw centered differences ``D_t``, ``D_x`` of half-width
     ``k`` and ``ratio = dt c / dx``.  The inner one is scaled once, by ``s1
-    = 1 / (2 dt c)``, so it keeps a derivative's magnitude; the outer
+    = 1 / (2 dt c)`` (by ``1 / (2 dt)``, then ``1 / c``, where ``2 dt c`` is
+    not a normal double), so it keeps a derivative's magnitude; the outer
     one's scale and every factor ``1/2`` fold into ``K = hbar_over_e / (32
     dt)``, applied as each block is written into the field: ``residual = K
     (N_2^- s1 N_1^+ xi - N_2^+ s1 N_1^- zeta)``.  So ``c`` enters only
@@ -395,9 +396,10 @@ def efield_invariance_residual(
     xs, ts, dx, dt, where = _domain_grid(domain, resolution, 4, halo=halo)
     c = units.c
     # the docstring's ratio, s1 and K; c * (dt / dx) overflows only when
-    # the ratio itself does
+    # the ratio itself does, 1 / (2 dt c) when 2 dt c is not a normal double
     ratio = c * (dt / dx)
-    s1 = 1 / (2 * dt * c)
+    span = 2 * dt * c
+    s1 = (1 / span,) if np.finfo(np.float64).tiny <= span < np.inf else (1 / (2 * dt), 1 / c)
     scale = units.hbar_over_e / (32 * dt)
     width = xs.size
     residual = np.empty((resolution, resolution))
@@ -430,8 +432,9 @@ def efield_invariance_residual(
             else:
                 plus = _null(used[0, :rows].ravel(), width, 1, ratio, np.add)
                 minus = _null(used[1, :rows].ravel(), width, 1, ratio, np.subtract)
-            plus *= s1
-            minus *= s1
+            for factor in s1:
+                plus *= factor
+                minus *= factor
             # stage 2: N_2^- of the first less N_2^+ of the second; each
             # input buffer is let go once it is differenced
             block = _null(plus, width, 2, ratio, np.subtract)

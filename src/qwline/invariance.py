@@ -185,10 +185,9 @@ def relative_phase_map(state: SpinorField):
     ``_PAIR_PHASE_FLOOR`` are dropped since their phase is numerical noise.
     """
     floor = _PAIR_PHASE_FLOOR
-    keep = (np.abs(state.plus_amps) > floor) & (np.abs(state.minus_amps) > floor)
-    ns = state.n_values[keep]
-    phases = np.angle(state.plus_amps[keep] * np.conj(state.minus_amps[keep]))
-    return ns, phases
+    keep = (np.abs(state.amps) > floor).all(axis=0)
+    plus, minus = state.amps[:, keep]
+    return state.n_values[keep], np.angle(plus * np.conj(minus))
 
 
 # occupied sites per chunk of steps whose rows are sampled, checked,
@@ -378,15 +377,14 @@ def _verify(kind, init, ref, phases, t_final) -> InvarianceReport:
     common = kind == "exact"
     origin = np.zeros(1, dtype=np.int64)
     # else row 0 is checked finite only in step 0's dressed coin, at T = 0 never
-    rows = _require_finite(origin, 0, [np.broadcast_to(v, 1) for v in (
-        _twin_checked(phases) if common else phases.rows)(origin, 0)], ("xi", "zeta"))
-    start = localized_state(init)
+    rows = np.array(_require_finite(origin, 0, [np.broadcast_to(v, 1) for v in (
+        _twin_checked(phases) if common else phases.rows)(origin, 0)], ("xi", "zeta")))
+    start = localized_state(init).amps
     # amplitudes (plus, minus, dressed plus, dressed minus) and phase rows
     # of the step before a chunk
-    last = np.array([start.plus_amps, start.minus_amps,
-                     start.plus_amps * _turn(rows[0]), start.minus_amps * _turn(rows[1])])
+    last = np.concatenate([start, start * _turn(rows)])
     maxima = np.empty((8 if common else 4, t_final + 1))
-    maxima[:, :1] = _gaps(last, np.array(rows) if common else None)
+    maxima[:, :1] = _gaps(last, rows if common else None)
     for steps in _chunks(t_final):
         offsets = list(accumulate(range(steps.start + 1, steps.stop + 1), initial=0))
         # one buffer per chunk: amplitude rows of w cells, coin and ahead

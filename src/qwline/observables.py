@@ -13,7 +13,7 @@ import numpy as np
 
 from ._csvio import write_csv
 from .errors import InputError, UnsupportedParameterError, require_count, require_finite_fields
-from .state import SpinorField
+from .state import SpinorField, _weights
 
 __all__ = [
     "ObservableRecord",
@@ -49,7 +49,7 @@ def _bias(theta, eta, phi, k: int = 1):
 
 def pmf(state: SpinorField) -> np.ndarray:
     """Position distribution ``|psi_plus|^2 + |psi_minus|^2`` over the window."""
-    return np.abs(state.plus_amps) ** 2 + np.abs(state.minus_amps) ** 2
+    return np.add(*_weights(state.amps))
 
 
 def chirality_probabilities(state: SpinorField) -> tuple[float, float]:
@@ -60,7 +60,7 @@ def chirality_probabilities(state: SpinorField) -> tuple[float, float]:
 
 def magnetization(state: SpinorField) -> np.ndarray:
     """Sitewise component imbalance ``|psi_plus|^2 - |psi_minus|^2``."""
-    return np.abs(state.plus_amps) ** 2 - np.abs(state.minus_amps) ** 2
+    return np.subtract(*_weights(state.amps))
 
 
 def mean_position(state: SpinorField) -> float:
@@ -83,15 +83,13 @@ class ObservableRecord:
 
 
 def record_from_amplitudes(t, amps, ns) -> ObservableRecord:
-    """Observables of the amplitude rows ``amps = (plus, minus)`` at sites ``ns``.
+    """Observables of the ``(2, m)`` amplitude rows ``amps`` at sites ``ns``.
 
     The rows may cover any subset of the window that holds all the weight,
     e.g. the occupied sites of a parity-localized walker.
     """
-    # |psi|^2 as abs, then square, in place: the bits of np.abs(x) ** 2.
-    # The sum along the rows is bitwise each row's own np.add.reduce
-    weights = np.abs(amps)
-    np.square(weights, out=weights)
+    # the sum along the rows is bitwise each row's own np.add.reduce
+    weights = _weights(amps)
     p_plus, p_minus = np.add.reduce(weights, axis=-1).tolist()
     total = weights[0]
     total += weights[1]
@@ -101,7 +99,7 @@ def record_from_amplitudes(t, amps, ns) -> ObservableRecord:
 
 
 def observe(state: SpinorField) -> ObservableRecord:
-    return record_from_amplitudes(state.t, (state.plus_amps, state.minus_amps), state.n_values)
+    return record_from_amplitudes(state.t, state.amps, state.n_values)
 
 
 def classical_pmf(p: float, t: int) -> np.ndarray:

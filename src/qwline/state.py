@@ -45,32 +45,48 @@ class InitialState:
 class SpinorField:
     """Walker state at a fixed time ``t``.
 
-    ``plus_amps[i]`` and ``minus_amps[i]`` hold the two components at site
-    ``n = i - t``; both arrays span the full reachable window ``-t .. t``.
-    Instances are immutable: the amplitude arrays are copied on construction
-    and marked read-only.  ``parity_localized`` is read from the copies: it
-    is true when both components vanish exactly on the sites with ``n + t``
-    odd, their odd window indices (``-0.0`` does, NaN does not).
+    ``amps`` is one read-only complex ``(2, 2t + 1)`` array whose rows
+    ``plus_amps`` and ``minus_amps`` are views: ``amps[:, i]`` holds the two
+    components at site ``n = i - t``, over the full reachable window
+    ``-t .. t``.  Instances are immutable: the constructor copies both
+    arguments into a new ``amps`` and marks it read-only.
+    ``parity_localized`` is read from ``amps``: it is true when both
+    components vanish exactly on the sites with ``n + t`` odd, their odd
+    window indices (``-0.0`` does, NaN does not).
     """
 
     t: int
     plus_amps: np.ndarray
     minus_amps: np.ndarray
+    amps: np.ndarray = field(init=False, repr=False)
     parity_localized: bool = field(init=False)
 
     def __post_init__(self):
         require_count("time index", self.t)
         width = 2 * self.t + 1
-        for name in ("plus_amps", "minus_amps"):
-            arr = np.array(getattr(self, name), dtype=np.complex128, copy=True)
-            if arr.shape != (width,):
-                raise InputError(
-                    f"{name} must have shape ({width},) for t={self.t}, got {arr.shape}"
-                )
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        object.__setattr__(self, "parity_localized",
-                           not (np.any(self.plus_amps[1::2]) or np.any(self.minus_amps[1::2])))
+        if "amps" not in vars(self):  # else given to _adopt
+            amps = np.empty((2, width), dtype=np.complex128)
+            for row, name in zip(amps, ("plus_amps", "minus_amps")):
+                arr = np.asarray(getattr(self, name), dtype=np.complex128)
+                if arr.shape != (width,):
+                    raise InputError(
+                        f"{name} must have shape ({width},) for t={self.t}, got {arr.shape}"
+                    )
+                row[...] = arr
+            object.__setattr__(self, "amps", amps)
+        self.amps.setflags(write=False)
+        object.__setattr__(self, "plus_amps", self.amps[0])
+        object.__setattr__(self, "minus_amps", self.amps[1])
+        object.__setattr__(self, "parity_localized", not np.any(self.amps[:, 1::2]))
+
+    @classmethod
+    def _adopt(cls, t: int, amps: np.ndarray) -> "SpinorField":
+        """The state over ``amps``, a complex ``(2, 2t + 1)`` array taken as
+        it is, not copied, and made read-only: the caller gives it up."""
+        state = cls.__new__(cls)
+        object.__setattr__(state, "amps", amps)
+        state.__init__(t, *amps)
+        return state
 
     @property
     def n_values(self) -> np.ndarray:
@@ -87,9 +103,7 @@ class SpinorField:
 
     def norm(self) -> float:
         """Total probability carried by the state."""
-        return float(
-            np.sum(np.abs(self.plus_amps) ** 2 + np.abs(self.minus_amps) ** 2)
-        )
+        return float(np.sum(np.add(*_weights(self.amps))))
 
     def validate(self, atol: float | None = None) -> None:
         """Check the physical invariants; raise ``ValueError`` on failure.
@@ -99,8 +113,7 @@ class SpinorField:
         drift of a correct walk grows like ``eps sqrt(t (2t + 1))`` (at most
         1.3 times that over 360 random walks with t up to 4000).
         """
-        if not (np.all(np.isfinite(self.plus_amps.view(np.float64)))
-                and np.all(np.isfinite(self.minus_amps.view(np.float64)))):
+        if not np.all(np.isfinite(self.amps.view(np.float64))):
             raise ValueError("amplitudes contain non-finite entries")
         if atol is None:
             eps = np.finfo(np.float64).eps
@@ -110,11 +123,16 @@ class SpinorField:
             raise ValueError(f"norm deviates from 1 by {drift:.3e} (atol={atol:.1e})")
 
 
+def _weights(amps) -> np.ndarray:
+    """``np.abs(amps) ** 2`` bit for bit, squared in place: one float array."""
+    weights = np.abs(amps)
+    return np.square(weights, out=weights)
+
+
 def localized_state(init: InitialState) -> SpinorField:
     """Walker at ``t = 0``: everything on site 0 with the given spinor."""
-    plus = np.array([np.cos(init.eta)], dtype=np.complex128)
-    minus = np.array([np.exp(1j * init.gamma) * np.sin(init.eta)], dtype=np.complex128)
-    return SpinorField(t=0, plus_amps=plus, minus_amps=minus)
+    return SpinorField(t=0, plus_amps=[np.cos(init.eta)],
+                       minus_amps=[np.exp(1j * init.gamma) * np.sin(init.eta)])
 
 
 def save_spinor_csv(state: SpinorField, path) -> None:
@@ -136,7 +154,7 @@ def load_spinor_csv(path) -> SpinorField:
         raise TableError(
             f"spinor file {path}: rows must cover the contiguous window -{t}..{t}")
     # assigned, not summed: re + 1j * im can turn a -0.0 real part into +0.0
-    plus, minus = np.empty((2, 2 * t + 1), dtype=np.complex128)
-    plus.real, plus.imag = cols["re_plus"], cols["im_plus"]
-    minus.real, minus.imag = cols["re_minus"], cols["im_minus"]
-    return SpinorField(t=t, plus_amps=plus, minus_amps=minus)
+    amps = np.empty((2, 2 * t + 1), dtype=np.complex128)
+    amps.real = cols["re_plus"], cols["re_minus"]
+    amps.imag = cols["im_plus"], cols["im_minus"]
+    return SpinorField._adopt(t, amps)

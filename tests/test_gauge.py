@@ -435,11 +435,12 @@ def test_residual_error_against_long_double_is_eps_res(name):
         assert err <= ORACLE_C * _oracle.EPS * res, (res, err)
 
 
-@pytest.mark.parametrize("tau, c", [(1e100, 1e-200), (1e-100, 1e200)])
+@pytest.mark.parametrize("tau, c", [(1e100, 1e-200), (1e-100, 1e200), (1.0, 1e-308)])
 def test_residual_is_finite_for_extreme_speeds(tau, c):
     """At c = 1e-200 the peak is 2.4756e199; a composition that divides the
     time differences by c in each stage and multiplies the result by c
-    overflows on the way there."""
+    overflows on the way there.  At c = 1e-308 the peak is 2.4756e307, and
+    the inner scale ``1 / (2 dt c)`` overflows as one factor."""
     units = UnitSystem(tau=tau, c=c)
     pair = SmoothPhasePair(xi=lambda X, T: np.sin(X - T),
                            zeta=lambda X, T: np.cos(X + T))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +15,7 @@ from qwline import (
     ballistic_slope,
     chirality_probabilities,
     classical_pmf,
+    closed_form_amplitudes,
     evolve,
     fitted_slope,
     magnetization,
@@ -66,6 +68,21 @@ def test_observe_record():
     assert rec.t == 9
     assert rec.mean_x == pytest.approx(mean_position(state))
     assert rec.p_plus + rec.p_minus == pytest.approx(1.0, abs=1e-13)
+
+
+def test_observe_reads_the_amplitudes_in_place():
+    """tracemalloc peak of observe at T = 4000 (numpy 2.4): 250.4 KiB, the
+    (2, 8001) moduli, the 8001 site labels and their float cast.  A stacked
+    copy of the two amplitude rows added 250 KiB more (437.8 KiB)."""
+    state = closed_form_amplitudes(InitialState(0.4, 0.3), CoinAngles(0.7, 0.2, -0.1, 0.3), 4000)
+    observe(state)
+    tracemalloc.start()
+    try:
+        observe(state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 300 * 2 ** 10, peak
 
 
 def test_classical_pmf_against_exact_binomial():

@@ -35,6 +35,37 @@ def test_construction_copies_and_freezes():
         state.plus_amps[0] = 5.0
 
 
+@pytest.mark.parametrize("make", ["constructor", "localized", "evolve", "closed form", "load"])
+def test_rows_are_read_only_views_of_one_array(make, tmp_path):
+    """Every way a state is made leaves one complex (2, 2t + 1) array,
+    ``amps``, whose rows are ``plus_amps`` and ``minus_amps``; none of the
+    three can be written through."""
+    init, coin = InitialState(0.4, 0.3), CoinAngles(0.7, 0.2, -0.1, 0.3)
+    if make == "constructor":
+        state = _random_state(np.random.default_rng(3), t=5)
+    elif make == "localized":
+        state = localized_state(init)
+    elif make == "evolve":
+        state = evolve(init, coin, 5)
+    elif make == "closed form":
+        state = closed_form_amplitudes(init, coin, 5)
+    else:
+        save_spinor_csv(evolve(init, coin, 5), tmp_path / "s.csv")
+        state = load_spinor_csv(tmp_path / "s.csv")
+    width = 2 * state.t + 1
+    assert state.amps.shape == (2, width) and state.amps.dtype == np.complex128
+    for row, arr in enumerate((state.plus_amps, state.minus_amps)):
+        assert np.shares_memory(arr, state.amps)
+        assert np.array_equal(arr.view(np.int64), state.amps[row].view(np.int64))
+    for arr in (state.amps, state.plus_amps, state.minus_amps):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 5.0
+    for arr in (state.plus_amps, state.minus_amps):
+        with pytest.raises(ValueError):
+            arr.setflags(write=True)
+
+
 def test_window_accessors():
     state = _random_state(np.random.default_rng(7), t=4)
     assert np.array_equal(state.n_values, np.arange(-4, 5))
