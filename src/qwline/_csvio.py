@@ -268,27 +268,36 @@ def read_csv(path, header: str, what: str) -> dict:
     Returns one array per column, keyed by column name: ``n`` and ``t`` as
     int64 (so ``1.0``, ``1e0`` or ``x`` there is malformed), every other
     column as float64.  Empty lines are skipped.  A first line other than
-    ``header``, a row that does not parse into exactly these columns, or no
-    rows at all raise :class:`TableError` naming the ``what`` file.
+    ``header``, a row that does not parse into exactly these columns, no
+    rows at all, or a byte anywhere that is not UTF-8 raise
+    :class:`TableError` naming the ``what`` file.
     """
     def error(msg):
         return TableError(f"{what} file {path}: {msg}")
 
     names = header.split(",")
     dtype = [(c, np.int64 if c in _INT_COLUMNS else np.float64) for c in names]
-    with open(path) as fh:
-        got = fh.readline().strip()
-        if got != header:
-            raise error(f"unexpected header {got!r}, want {header!r}")
-        try:
-            with warnings.catch_warnings():
-                # an empty body warns here and is rejected below
-                warnings.simplefilter("ignore", UserWarning)
-                data = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None,
-                                  ndmin=1)
-        except ValueError as exc:
-            # numpy names the row and column; drop its advice on `usecols`
-            raise error(f"malformed row: {str(exc).split(';')[0]}") from None
+    # the file is decoded a buffered chunk at a time, header and rows alike,
+    # so a byte that is not UTF-8 can fail any read
+    try:
+        with open(path, encoding="utf-8") as fh:
+            got = fh.readline().strip()
+            if got != header:
+                raise error(f"unexpected header {got!r}, want {header!r}")
+            try:
+                with warnings.catch_warnings():
+                    # an empty body warns here and is rejected below
+                    warnings.simplefilter("ignore", UserWarning)
+                    data = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None,
+                                      ndmin=1)
+            except UnicodeDecodeError:
+                raise
+            except ValueError as exc:
+                # numpy names the row and column; drop its advice on `usecols`
+                raise error(f"malformed row: {str(exc).split(';')[0]}") from None
+    except UnicodeDecodeError as exc:
+        bad = exc.object[exc.start:exc.end].hex()
+        raise error(f"not UTF-8 text: {exc.reason} (byte {bad})") from None
     if data.size == 0:
         raise error("no data rows")
     return {c: data[c] for c in names}

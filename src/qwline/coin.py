@@ -162,10 +162,16 @@ class CoinField:
 def _require_finite(ns, t: int, rows, names=("theta", "alpha", "beta", "chi")):
     """``rows`` once checked finite, a coin row ``(theta, alpha, beta, chi)``
     unless other ``names`` are given: :class:`UnsupportedParameterError`
-    names the first bad site of ``ns`` and the first bad row there.  One
-    pass checks the rows joined (flattened, so a scalar row passes too); the
-    bad site is looked for only when that pass fails."""
-    if np.isfinite(np.concatenate(rows, axis=None)).all():
+    names the first bad site of ``ns`` and the first bad row there, or the
+    first complex row: a complex row joins the rows into a complex array,
+    which is refused without a further pass.  One pass checks the rows
+    joined (flattened, so a scalar row passes too); the bad site is looked
+    for only when that pass fails."""
+    joined = np.concatenate(rows, axis=None)
+    if joined.dtype.kind == "c":
+        k = next(k for k, row in enumerate(rows) if np.iscomplexobj(row))
+        raise UnsupportedParameterError(f"{names[k]} is complex at t={t}: parameters are real")
+    if np.isfinite(joined).all():
         return rows
     k, i = first_fault([np.isfinite(row) for row in rows])
     raise UnsupportedParameterError(f"{names[k]} is not finite at (n={ns[i]}, t={t})")

@@ -190,21 +190,14 @@ def relative_phase_map(state: SpinorField):
     return state.n_values[keep], np.angle(plus * np.conj(minus))
 
 
-# occupied sites per chunk of steps whose rows are sampled, checked,
-# stepped and compared at once, packed one after another; a wider step is a
-# chunk by itself.  Chunks of 8192 sites raised the T = 4000 exact
-# verification's tracemalloc peak from 3.29 to 3.90 MiB
-_CHUNK_SITES = 4096
-
-
 def _chunks(t_final: int):
     """Consecutive ranges of the steps ``0 .. t_final - 1`` whose coin rows
-    of t + 1 occupied sites hold at most ``_CHUNK_SITES`` sites together,
-    and never shorter than one step."""
+    of t + 1 occupied sites hold at most ``kernels.CHUNK_SITES`` sites
+    together, and never shorter than one step."""
     start = 0
     while start < t_final:
         stop, sites = start + 1, start + 1
-        while stop < t_final and sites + stop + 1 <= _CHUNK_SITES:
+        while stop < t_final and sites + stop + 1 <= kernels.CHUNK_SITES:
             stop, sites = stop + 1, sites + stop + 1
         yield range(start, stop)
         start = stop

@@ -20,7 +20,14 @@ import numpy as np
 
 BACKEND = "numpy"
 
-__all__ = ["BACKEND", "walk_step", "lambda_fill", "lambda_spectral"]
+__all__ = ["BACKEND", "CHUNK_SITES", "walk_step", "lambda_fill", "lambda_spectral"]
+
+# stored sites per chunk of steps handled at once, packed one after another:
+# the invariance verifications' sampled, checked, stepped and compared rows,
+# and the moduli of a recorded trajectory (a 64 KiB float chunk).  A wider
+# step is a chunk by itself.  Chunks of 8192 sites raised the T = 4000 exact
+# verification's tracemalloc peak from 3.29 to 3.90 MiB
+CHUNK_SITES = 4096
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from ._csvio import write_csv
 from .errors import InputError, UnsupportedParameterError, require_count, require_finite_fields
 from .state import SpinorField, _weights
@@ -82,20 +83,79 @@ class ObservableRecord:
     mean_x: float
 
 
+def _records(t, moduli, starts, labels) -> list:
+    """The :class:`ObservableRecord` of steps ``t, t + 1, ..`` from the
+    moduli of their ``(2, m)`` amplitude rows packed side by side in the
+    float ``(2, k)`` array ``moduli``: step i from column ``starts[i]`` to
+    the next start (or ``k``), at the sites ``labels[i]``.
+
+    ``moduli`` is overwritten: squared in place, then its second row takes
+    the concatenated labels.  Each sum is a segment of ``np.add.reduceat``,
+    which sums each segment by itself, so a step has the same record alone
+    or packed among others.
+    """
+    weights = np.square(moduli, out=moduli)
+    p_plus, p_minus = np.add.reduceat(weights, starts, axis=1).tolist()
+    total, sites = weights
+    total += sites
+    total *= np.concatenate(labels, out=sites)
+    mean_x = np.add.reduceat(total, starts).tolist()
+    return list(map(ObservableRecord, range(t, t + len(starts)), p_plus, p_minus, mean_x))
+
+
+class _Trajectory:
+    """Records of the steps ``t, t + 1, ..``, added one step at a time and
+    taken one chunk of steps at a time.
+
+    :meth:`add` writes the moduli of a step's amplitude rows into one float
+    ``(2, kernels.CHUNK_SITES)`` chunk, after the steps before it, and keeps
+    its labels; the chunk's records are taken at once (:func:`_records`)
+    when the next step would overflow it, and by :meth:`take`.  A step
+    wider than the chunk is recorded alone.
+    """
+
+    def __init__(self, t: int):
+        self.t, self.records = t, []
+        self.moduli = np.empty((2, kernels.CHUNK_SITES))
+        self.starts, self.labels, self.used = [], [], 0
+
+    def add(self, amps, ns) -> None:
+        """Record the ``(2, m)`` amplitude rows ``amps`` at sites ``ns``,
+        read now: the rows may change once this returns."""
+        m, size = amps.shape[1], self.moduli.shape[1]
+        if self.used + m > size:
+            self._flush()
+        if m > size:
+            self.records.append(record_from_amplitudes(self.t, amps, ns))
+            self.t += 1
+            return
+        np.abs(amps, out=self.moduli[:, self.used:self.used + m])
+        self.starts.append(self.used)
+        self.labels.append(ns)
+        self.used += m
+
+    def _flush(self) -> None:
+        if self.starts:
+            self.records += _records(self.t, self.moduli[:, :self.used], self.starts,
+                                     self.labels)
+            self.t += len(self.starts)
+            self.starts, self.labels, self.used = [], [], 0
+
+    def take(self) -> list:
+        """Every record so far, one per step added, in order."""
+        self._flush()
+        return self.records
+
+
 def record_from_amplitudes(t, amps, ns) -> ObservableRecord:
     """Observables of the ``(2, m)`` amplitude rows ``amps`` at sites ``ns``.
 
     The rows may cover any subset of the window that holds all the weight,
-    e.g. the occupied sites of a parity-localized walker.
+    e.g. the occupied sites of a parity-localized walker.  The one-step case
+    of :func:`_records`, so a step recorded here and inside a chunk of an
+    :func:`qwline.evolution.evolve` trajectory has the same bits.
     """
-    # the sum along the rows is bitwise each row's own np.add.reduce
-    weights = _weights(amps)
-    p_plus, p_minus = np.add.reduce(weights, axis=-1).tolist()
-    total = weights[0]
-    total += weights[1]
-    total *= ns
-    return ObservableRecord(t=t, p_plus=p_plus, p_minus=p_minus,
-                            mean_x=float(np.add.reduce(total)))
+    return _records(t, np.abs(amps), [0], [ns])[0]
 
 
 def observe(state: SpinorField) -> ObservableRecord:

@@ -475,6 +475,10 @@ def test_runs_are_deterministic(tmp_path, capsys):
 
 def _corrupt(path, how):
     """Damage a tabulated CSV in one of the ways a loader must reject."""
+    if how == "not_utf8":
+        with open(path, "ab") as fh:
+            fh.write(b"\xff")
+        return
     lines = path.read_text().splitlines()
     if how == "header":
         lines[0] = lines[0].replace("n,t", "n,time")
@@ -497,7 +501,7 @@ def _corrupt(path, how):
     path.write_text("\n".join(lines) + "\n")
 
 
-_CORRUPTIONS = ["header", "row", "duplicate", "nan", "outside", "negative_t"]
+_CORRUPTIONS = ["header", "row", "duplicate", "nan", "outside", "negative_t", "not_utf8"]
 
 
 @pytest.mark.parametrize("how", _CORRUPTIONS)
@@ -519,6 +523,9 @@ def test_bad_coin_file_exits_2(tmp_path, capsys, how):
         assert "outside the window (|n| > t_max = 4) at (n=9, t=0)" in err
     if how == "negative_t":
         assert "outside the window (t < 0) at (n=-4, t=-1)" in err
+    if how == "not_utf8":
+        assert err == f"config error: coin field file {coin_path}: not UTF-8 text: " \
+            "invalid start byte (byte ff)\n" * 2
 
 
 @pytest.mark.parametrize("how", _CORRUPTIONS)
@@ -537,6 +544,9 @@ def test_bad_phase_file_exits_2(tmp_path, capsys, how):
         assert "outside the window (|n| > t_max = 6) at (n=9, t=0)" in err
     if how == "negative_t":
         assert "outside the window (t < 0) at (n=-6, t=-1)" in err
+    if how == "not_utf8":
+        assert err == f"config error: phase field file {phase_path}: not UTF-8 text: " \
+            "invalid start byte (byte ff)\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -14,6 +14,7 @@ from qwline import (
     UnsupportedParameterError,
     bloch_vector,
     coin_matrix,
+    evolve,
     exact_transform,
     load_coin_field_csv,
     load_phase_field_csv,
@@ -122,6 +123,25 @@ def test_materialize_names_the_first_site_then_its_first_parameter():
     with pytest.raises(UnsupportedParameterError,
                        match=r"^alpha is not finite at \(n=-1, t=0\)$"):
         f.materialize(-4, 4, t=0)
+
+
+@pytest.mark.parametrize("run", ["evolve", "verify_exact_invariance"])
+def test_complex_coin_rows_are_refused(run):
+    """A complex row, even one whose values have no imaginary part, names
+    its parameter and step; with two complex rows the first one wins.
+    Unchecked, the first coin walks off the unit norm (1.22 after 5 steps)."""
+    cases = [
+        ((np.full(7, 0.7 + 0.1j), 0.0, 0.0, 0.0), "theta is complex at t=0"),
+        ((0.7, 0.0, np.zeros(7, dtype=complex), 0.0), "beta is complex at t=0"),
+        ((0.7, 0.1j, 0.0, 0.2j), "alpha is complex at t=0"),
+    ]
+    for row, message in cases:
+        f = CoinField(lambda ns, t, row=row: row)
+        with pytest.raises(UnsupportedParameterError, match=f"^{re.escape(message)}: "):
+            if run == "evolve":
+                evolve(InitialState(eta=0.3), f, 5)
+            else:
+                verify_exact_invariance(InitialState(eta=0.3), f, PhaseField.constant(0.2), 5)
 
 
 def test_only_a_homogeneous_field_carries_angles():

@@ -21,6 +21,7 @@ from qwline import (
     step_homogeneous,
     step_inhomogeneous,
 )
+from qwline import kernels
 from qwline.coin import coin_entries
 from qwline.observables import record_from_amplitudes
 
@@ -292,18 +293,32 @@ def _with_off_parity_amplitude(state):
     return SpinorField(t=state.t, plus_amps=plus, minus_amps=state.minus_amps)
 
 
+def _wide_state():
+    """A normalized spread state one site narrower than a record chunk."""
+    t = (kernels.CHUNK_SITES - 2) // 2
+    rng = np.random.default_rng(7)
+    amps = rng.normal(size=(2, 2 * t + 1)) + 1j * rng.normal(size=(2, 2 * t + 1))
+    amps /= np.sqrt(np.sum(np.abs(amps) ** 2))
+    return SpinorField(t=t, plus_amps=amps[0], minus_amps=amps[1])
+
+
 @pytest.mark.parametrize("coin", [CoinAngles(0.9, 0.3, -1.2, 0.4), _formula_coin()],
                          ids=["constant", "formula"])
-@pytest.mark.parametrize("start", ["localized", "resumed", "spread", "off-parity"])
+@pytest.mark.parametrize("start", ["localized", "resumed", "spread", "off-parity", "wide"])
 def test_evolve_is_bitwise_the_windowed_stepper(coin, start):
     """Stepping the stored sites alone keeps every bit of the full-window
     walk: finals and recorded observables, stride 2 and stride 1, which a
-    single off-parity amplitude in a resumed walk selects."""
+    single off-parity amplitude in a resumed walk selects.  Each record
+    has the bits of ``record_from_amplitudes`` on its step, wherever its
+    chunk of records begins and ends: 300 steps pack into many chunks at
+    either stride, and the wide start fills one chunk by itself, after
+    which every step is wider than a chunk and is recorded alone."""
     init = InitialState(eta=0.6, gamma=1.9)
     state = {"localized": localized_state(init), "resumed": evolve(init, coin, 3),
              "spread": _spread_state(),
-             "off-parity": _with_off_parity_amplitude(evolve(init, coin, 3))}[start]
-    for t_final in (0, 1, 2, 50):
+             "off-parity": _with_off_parity_amplitude(evolve(init, coin, 3)),
+             "wide": _wide_state()}[start]
+    for t_final in (0, 1, 3) if start == "wide" else (0, 1, 2, 50, 300):
         for record in (False, True):
             got = evolve(state, coin, t_final, record_trajectory=record)
             want = _windowed_evolve(state, coin, t_final, record_trajectory=record)

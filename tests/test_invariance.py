@@ -36,7 +36,7 @@ from qwline import (
     verify_quasi_invariance,
 )
 import qwline
-from qwline import invariance
+from qwline import invariance, kernels
 from qwline.coin import _window_table_rows
 
 REF = CoinAngles(theta=np.pi / 3, alpha=0.2, beta=-0.4, chi=0.7)
@@ -495,7 +495,7 @@ def test_faults_at_chunk_edges(monkeypatch, verify, coin, phases, error, message
     first or last step raises the message the steps taken one at a time
     give, whether sampling raises it or a check of the sampled rows finds
     it."""
-    monkeypatch.setattr(invariance, "_CHUNK_SITES", 30)
+    monkeypatch.setattr(kernels, "CHUNK_SITES", 30)
     assert range(7, 10) in invariance._chunks(12)
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         verify(InitialState(eta=0.3), coin, phases, 12)
@@ -652,26 +652,26 @@ _BITWISE_CASES = ("quasi-constant", "quasi-formula", "quasi-profiles", "exact-sh
                   "exact-twin", "exact-constant", "exact-constant-coin")
 
 
-@pytest.mark.parametrize("chunk_sites", [1, 30, invariance._CHUNK_SITES],
+@pytest.mark.parametrize("chunk_sites", [1, 30, kernels.CHUNK_SITES],
                          ids=["one-step", "many-step-chunks", "default"])
 def test_block_and_run_edges_keep_reports_and_sampling(monkeypatch, chunk_sites):
     """Reports stay bitwise the unmemoised composition, and rows are sampled
     once each, wherever chunks of steps begin and end.  At T = 24, 30 chunk
     sites give chunks of 7, 3, 2 and 2 steps, then 1-step chunks from step
     14 on; the default holds all 24 steps in one chunk."""
-    monkeypatch.setattr(invariance, "_CHUNK_SITES", chunk_sites)
+    monkeypatch.setattr(kernels, "CHUNK_SITES", chunk_sites)
     for case in _BITWISE_CASES:
         test_reports_are_bitwise_the_unmemoised_composition(case, 24)
     for t_final in (0, 1, 6, 13):
         test_verification_samples_each_row_once(t_final)
 
 
-@pytest.mark.parametrize("chunk_sites", [1, 30, invariance._CHUNK_SITES])
+@pytest.mark.parametrize("chunk_sites", [1, 30, kernels.CHUNK_SITES])
 def test_chunks_cover_the_steps_in_order(monkeypatch, chunk_sites):
     """The chunks hold steps 0 .. T - 1 once each, in order.  Step t has
-    t + 1 coin sites; a chunk holds at most ``_CHUNK_SITES`` of them unless
+    t + 1 coin sites; a chunk holds at most ``CHUNK_SITES`` of them unless
     it is a single step, and ends only where the next step would not fit."""
-    monkeypatch.setattr(invariance, "_CHUNK_SITES", chunk_sites)
+    monkeypatch.setattr(kernels, "CHUNK_SITES", chunk_sites)
     for t_final in (0, 1, 13, 24, 100, 4000):
         chunks = list(invariance._chunks(t_final))
         assert [t for steps in chunks for t in steps] == list(range(t_final))

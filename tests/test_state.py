@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from qwline import (
     CoinAngles,
     InitialState,
     SpinorField,
+    TableError,
     closed_form_amplitudes,
     evolve,
     load_spinor_csv,
@@ -213,6 +216,13 @@ def test_csv_load_rejects_bad_inputs(tmp_path):
 
     path.write_text("n,re_plus,im_plus,re_minus,im_minus\n")
     with pytest.raises(ValueError, match="no data rows"):
+        load_spinor_csv(path)
+
+    # A byte that is not UTF-8 after a valid table.
+    save_spinor_csv(evolve(InitialState(eta=0.3), CoinAngles(0.7), 4), path)
+    with open(path, "ab") as fh:
+        fh.write(b"\xff")
+    with pytest.raises(TableError, match=f"^spinor file {re.escape(str(path))}: not UTF-8 text"):
         load_spinor_csv(path)
 
     # Window with a hole: sites -1, 1 but no 0.
